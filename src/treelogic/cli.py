@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 
@@ -130,9 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="connective depth of the instantiation pool")
     s.add_argument("--all-spaces", action="store_true",
                    help="drop the treelike restriction")
-    s.add_argument("--jobs", type=int,
-                   default=int(os.environ.get("TREELIKE_JOBS", "1")),
-                   help="parallel worker processes (TREELIKE_JOBS)")
     _add_json(s)
 
     s = sub.add_parser("unfold", help="frame to treelike model")
@@ -324,8 +320,7 @@ def _cmd_soundness(args) -> int:
     report = proofs.soundness_suite(
         max_points=args.max_points, schemes=schemes,
         atoms=tuple(_atom_names(args.atoms)), depth=args.depth,
-        treelike=not args.all_spaces, max_opens=args.max_opens,
-        jobs=max(1, args.jobs))
+        treelike=not args.all_spaces, max_opens=args.max_opens)
     if args.json:
         print(json.dumps(report.to_dict(), indent=2))
     else:

@@ -93,8 +93,13 @@ def _family_key(family, index):
                         for u in family))
 
 
+@lru_cache(maxsize=None)
 def _families(n: int, max_opens, treelike: bool):
-    """All open families over n points, canonically deduped for n <= 4."""
+    """All open families over n points, canonically deduped for n <= 4.
+
+    Cached: the relabelling pass costs n! per family, and the searches
+    and the soundness harness ask for the same few point counts again.
+    """
     points = tuple(f"p{i + 1}" for i in range(n))
     index = {p: i for i, p in enumerate(points)}
     full = frozenset(points)
@@ -139,7 +144,20 @@ def _families(n: int, max_opens, treelike: bool):
         families = list(seen.values())
 
     families.sort(key=lambda fam: (len(fam), _family_key(fam, index)))
-    return points, families
+    return points, tuple(families)
+
+
+def _family_spaces(max_points: int, max_opens, treelike: bool):
+    """(labels, space) for every open family, in enumeration order.
+
+    ``labels`` are the point names in the bit order of valuation masks.
+    """
+    if max_points < 1:
+        raise ValueError("need at least one point")
+    for n in range(1, max_points + 1):
+        points, families = _families(n, max_opens, treelike)
+        for family in families:
+            yield points, SubsetSpace(points, family)
 
 
 def enumerate_spaces(max_points: int, max_opens=None, atoms=(),
@@ -150,37 +168,24 @@ def enumerate_spaces(max_points: int, max_opens=None, atoms=(),
     family shape, then valuation masks in binary order.  Families over
     up to four points are deduplicated up to point permutation.
     """
-    if max_points < 1:
-        raise ValueError("need at least one point")
     atoms = sorted(atoms)
-    for n in range(1, max_points + 1):
-        points, families = _families(n, max_opens, treelike)
-        for family in families:
-            space = SubsetSpace(points, family)
-            if not atoms:
-                yield Model(space, {})
-                continue
-            for masks in _valuation_masks(len(atoms), n):
-                valuation = {a: frozenset(points[i] for i in range(n)
-                                          if masks[j] >> i & 1)
-                             for j, a in enumerate(atoms)}
-                yield Model(space, valuation)
+    for points, space in _family_spaces(max_points, max_opens, treelike):
+        for k in range(1 << len(points) * len(atoms)):
+            yield Model(space, _valuation(points, atoms, k))
 
 
-def _valuation_masks(n_atoms: int, n_points: int):
-    total = 1 << n_points
-    masks = [0] * n_atoms
-    while True:
-        yield tuple(masks)
-        i = n_atoms - 1
-        while i >= 0:
-            masks[i] += 1
-            if masks[i] < total:
-                break
-            masks[i] = 0
-            i -= 1
-        if i < 0:
-            return
+def _valuation_masks(k: int, n_atoms: int, n_points: int):
+    """Atom masks of valuation number ``k``; the last atom varies fastest."""
+    full = (1 << n_points) - 1
+    return tuple(k >> n_points * (n_atoms - 1 - j) & full
+                 for j in range(n_atoms))
+
+
+def _valuation(points, atoms, k: int) -> dict:
+    """Valuation number ``k`` of sorted ``atoms`` over the labels ``points``."""
+    masks = _valuation_masks(k, len(atoms), len(points))
+    return {a: frozenset(p for i, p in enumerate(points) if masks[j] >> i & 1)
+            for j, a in enumerate(atoms)}
 
 
 def enumerate_treelike(max_points: int, max_opens=None, atoms=()):
@@ -303,22 +308,26 @@ class _TreeEnum:
         """
         if total - 1 > self.memo_limit:
             raise ValueError("memo_limit too small for this tree size")
+        yield from self._multiset_rec(total, at_least, total, 1, 0, 0)
 
-        def rec(remaining, min_size, min_index, count):
-            if remaining == 0:
-                if count >= at_least:
-                    yield ()
-                return
-            for size in range(min_size, remaining + 1):
-                if count + 1 < at_least and size == total:
-                    continue
-                pool = self.trees(size)
-                start = min_index if size == min_size else 0
-                for i in range(start, len(pool)):
-                    for rest in rec(remaining - size, size, i, count + 1):
-                        yield (pool[i],) + rest
-
-        yield from rec(total, 1, 0, 0)
+    # a method, not a recursive closure: such a closure is a reference
+    # cycle that keeps the tree memo alive until the cyclic collector runs
+    def _multiset_rec(self, total, at_least, remaining, min_size, min_index,
+                      count):
+        if remaining == 0:
+            if count >= at_least:
+                yield ()
+            return
+        for size in range(min_size, remaining + 1):
+            if count + 1 < at_least and size == total:
+                continue
+            pool = self.trees(size)
+            start = min_index if size == min_size else 0
+            for i in range(start, len(pool)):
+                for rest in self._multiset_rec(total, at_least,
+                                               remaining - size, size, i,
+                                               count + 1):
+                    yield (pool[i],) + rest
 
 
 def _tree_to_masks(tree, n_atoms: int):

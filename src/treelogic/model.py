@@ -7,8 +7,11 @@ the opens shrinking the current one around the current point.
 
 Two evaluators live here: ``Model.satisfies`` is the direct recursive
 reading of the semantic clauses (the reference), and the mask engine at
-the bottom is a bitset evaluator used by the enumeration suites.  Tests
-cross-check them against each other.
+the bottom is a bitset evaluator used by the enumeration suites.  The
+mask engine is bit-sliced: one context evaluates a formula under many
+valuations of the same open family at once, each valuation an n-bit lane
+of one int, so a context over a single model is the one-lane case.
+Tests cross-check the engines against each other.
 """
 
 from __future__ import annotations
@@ -333,18 +336,31 @@ def dump_model(model: Model, path):
 
 
 # ---------------------------------------------------------------------------
-# mask engine (bitset evaluator for the enumeration suites)
+# mask engine (bit-sliced evaluator for the enumeration suites)
 
 class MaskContext:
-    """Bitset view of a model: point i <-> bit i, opens and truth sets as ints."""
+    """Bitset view of one open family under ``lanes`` valuations at once.
 
-    __slots__ = ("n", "points", "opens", "full", "vals", "cache")
+    Point i of lane l is bit ``l * n + i``.  Opens are n-bit masks shared
+    by every lane; atom valuations (``vals``) and truth sets are wide ints
+    holding one n-bit lane per valuation.  ``truth(f, u)`` widens the open
+    ``u`` to every lane by multiplying it with ``rep``, the lane-replication
+    constant (bit 0 of every lane set).  With one lane ``rep`` is 1, and
+    truth sets are plain n-bit masks over a single model.
+    """
 
-    def __init__(self, n: int, opens, vals):
+    __slots__ = ("n", "lanes", "rep", "low", "points", "opens", "full",
+                 "vals", "cache")
+
+    def __init__(self, n: int, opens, vals, lanes: int = 1):
         self.n = n
+        self.lanes = lanes
+        self.full = (1 << n) - 1
+        self.rep = 1 if lanes == 1 else ((1 << n * lanes) - 1) // self.full
+        # the low n-1 bits of every lane, for the per-lane collapse of K
+        self.low = self.rep * (self.full >> 1)
         self.points = None
         self.opens = tuple(opens)
-        self.full = (1 << n) - 1
         self.vals = dict(vals)
         self.cache = {}
 
@@ -364,38 +380,65 @@ class MaskContext:
         if hit is not None:
             return hit
         k = f.kind
-        if k == "atom":
-            out = self.vals.get(f.name, 0) & u_mask
-        elif k == "top":
-            out = u_mask
-        elif k == "bot":
-            out = 0
-        elif k == "not":
-            out = u_mask & ~self.truth(f.left, u_mask)
-        elif k == "and":
+        if k == "and":
             out = self.truth(f.left, u_mask) & self.truth(f.right, u_mask)
-        elif k == "know":
-            out = u_mask if self.truth(f.left, u_mask) == u_mask else 0
-        else:  # box
-            out = u_mask
-            for v in self.opens:
-                if v & ~u_mask == 0 and v:
-                    out &= ~(v & ~self.truth(f.left, v))
+        else:
+            wide = u_mask * self.rep
+            if k == "atom":
+                out = self.vals.get(f.name, 0) & wide
+            elif k == "top":
+                out = wide
+            elif k == "bot":
+                out = 0
+            elif k == "not":
+                out = wide & ~self.truth(f.left, u_mask)
+            elif k == "know":
+                miss = wide & ~self.truth(f.left, u_mask)
+                if not miss:
+                    out = wide
+                elif self.lanes == 1:
+                    out = 0
+                else:
+                    # a lane missing any point of u loses all of u: the low
+                    # bits of a lane carry into its top bit, never past it
+                    low = self.low
+                    top = ((miss & low) + low | miss) & ~low
+                    out = wide & ~((top >> self.n - 1) * self.full)
+            else:  # box
+                out = wide
+                rep = self.rep
+                for v in self.opens:
+                    if v & ~u_mask == 0 and v:
+                        out &= ~(v * rep & ~self.truth(f.left, v))
         self.cache[key] = out
         return out
 
     def is_valid(self, f: Formula) -> bool:
-        return all(self.truth(f, u) == u for u in self.opens if u)
+        """True when ``f`` holds at every neighborhood in every lane."""
+        return all(self.truth(f, u) == u * self.rep for u in self.opens if u)
 
     def first_failure(self, f: Formula):
-        """Deterministically first neighborhood falsifying ``f``, or None."""
+        """First neighborhood falsifying ``f`` in each lane that has one.
+
+        Returns ``(lane, bit, u_mask)`` triples in lane order.  Within a
+        lane, opens are tried in the context's order and points from the
+        lowest bit, so a single-model context and a lane of a wide one
+        name the same witness.
+        """
+        n, full = self.n, self.full
+        pending = (1 << n * self.lanes) - 1
+        found = []
         for u in self.opens:
-            t = self.truth(f, u)
-            if t != u:
-                missing = u & ~t
-                bit = (missing & -missing).bit_length() - 1
-                return bit, u
-        return None
+            miss = u * self.rep & ~self.truth(f, u) & pending
+            while miss:
+                pos = (miss & -miss).bit_length() - 1
+                lane = pos // n
+                found.append((lane, pos - lane * n, u))
+                clear = ~(full << lane * n)
+                miss &= clear
+                pending &= clear
+        found.sort()
+        return found
 
 
 def _mask(subset, index) -> int:

@@ -17,10 +17,11 @@ from __future__ import annotations
 import json
 import time
 
-from .decide import enumerate_spaces, formula_pool
+from .decide import (_family_spaces, _valuation, _valuation_masks,
+                     formula_pool)
 from .formula import (Formula, SchemaError, SchemaTemplate, SYSTEMS, SCHEMES,
                       box, instantiate, know, parse, render, scheme)
-from .model import MaskContext, Model, model_from_dict, model_to_dict
+from .model import MaskContext, Model, _mask, model_to_dict
 
 __all__ = [
     "ProofError", "ProofLine", "Proof", "CheckOutcome", "check_proof",
@@ -354,77 +355,68 @@ def _instances(schemes, atoms, depth, include_constants):
     return out
 
 
-def _check_batch(models, instances):
-    found = []
-    for m_idx, model in models:
-        ctx = MaskContext.from_model(model)
-        for i_idx, (label, inst) in enumerate(instances):
-            failure = ctx.first_failure(inst)
-            if failure is not None:
-                bit, u_mask = failure
-                point = model.space.points[bit]
-                u = frozenset(model.space.points[i]
-                              for i in range(len(model.space.points))
-                              if u_mask >> i & 1)
-                found.append((m_idx, i_idx, Violation(
-                    label, inst, model, point, model.space.name_of(u))))
-    return found
-
-
-def _suite_worker(payload):
-    model_dicts, instance_texts, offset = payload
-    instances = [(label, parse(text)) for label, text in instance_texts]
-    models = [(offset + i, model_from_dict(data))
-              for i, data in enumerate(model_dicts)]
-    found = _check_batch(models, instances)
-    return [(m, i, v.to_dict()) for m, i, v in found]
+# Bits one context may hold across its lanes.  A family with more
+# valuations than fit is checked block by block, so truth sets stay small
+# whatever the number of atoms and points.
+LANE_BLOCK_BITS = 1024
 
 
 def soundness_suite(max_points: int = 3, schemes=tuple(range(1, 13)),
                     atoms=("A", "B"), depth: int = 1,
                     treelike: bool = True, max_opens=None,
-                    include_constants: bool = False,
-                    jobs: int = 1) -> SoundnessReport:
+                    include_constants: bool = False) -> SoundnessReport:
     """Check every scheme instance against every enumerated model.
 
     Enumerates all open families over point sets up to ``max_points``
     (canonically deduplicated), all valuations of ``atoms`` over them,
     and all instances of the requested schemes over the depth-bounded
-    pool.  Deterministic aggregation whatever the worker scheduling.
+    pool.  The models are those of ``enumerate_spaces``, in its order, but
+    each instance is evaluated once per open family: the family's
+    valuations are the lanes of one bit-sliced ``MaskContext``.  A model
+    is built only for a lane that fails.  Violations are ordered by model,
+    then by instance, each at its first failing open and lowest point.
     """
     start = time.monotonic()
     instances = _instances(schemes, atoms, depth, include_constants)
-    models = list(enumerate_spaces(max_points, max_opens, sorted(atoms),
-                                   treelike=treelike))
-    if jobs > 1:
-        found = _parallel_check(models, instances, jobs)
-    else:
-        found = _check_batch(list(enumerate(models)), instances)
+    atoms = sorted(atoms)
+    found = []
+    models = 0
+    for points, space in _family_spaces(max_points, max_opens, treelike):
+        n = len(points)
+        # the context numbers points in space order; valuation masks number
+        # them in label order, which differs from p10 on
+        index = {p: i for i, p in enumerate(space.points)}
+        opens = [_mask(u, index) for u in space.opens]
+        open_names = dict(zip(opens, space.names))
+        total = 1 << n * len(atoms)
+        per_block = max(1, LANE_BLOCK_BITS // n)
+        for lo in range(0, total, per_block):
+            lanes = min(per_block, total - lo)
+            packed = [0] * len(atoms)
+            for lane in range(lanes):
+                for j, m in enumerate(_valuation_masks(lo + lane, len(atoms), n)):
+                    packed[j] |= m << lane * n
+            rep = ((1 << n * lanes) - 1) // ((1 << n) - 1)
+            vals = {a: sum((w >> i & rep) << index[p]
+                           for i, p in enumerate(points))
+                    for a, w in zip(atoms, packed)}
+            ctx = MaskContext(n, opens, vals, lanes)
+            failed = {}     # lane -> its model, shared by its violations
+            for i_idx, (label, inst) in enumerate(instances):
+                for lane, bit, u in ctx.first_failure(inst):
+                    model = failed.get(lane)
+                    if model is None:
+                        model = failed[lane] = Model(
+                            space, _valuation(points, atoms, lo + lane))
+                    found.append((models + lo + lane, i_idx, Violation(
+                        label, inst, model, space.points[bit],
+                        open_names[u])))
+        models += total
     found.sort(key=lambda t: (t[0], t[1]))
     violations = [v for _, _, v in found]
     config = {"max_points": max_points,
               "schemes": [getattr(s, "scheme_id", s) for s in schemes],
-              "atoms": list(sorted(atoms)), "depth": depth,
-              "treelike": treelike, "max_opens": max_opens, "jobs": jobs}
-    return SoundnessReport(violations, len(models), len(instances), config,
+              "atoms": atoms, "depth": depth,
+              "treelike": treelike, "max_opens": max_opens}
+    return SoundnessReport(violations, models, len(instances), config,
                            time.monotonic() - start)
-
-
-def _parallel_check(models, instances, jobs: int):
-    from concurrent.futures import ProcessPoolExecutor
-
-    instance_texts = [(label, render(f)) for label, f in instances]
-    batch = max(1, len(models) // (jobs * 4) + 1)
-    payloads = []
-    for lo in range(0, len(models), batch):
-        dicts = [model_to_dict(m) for m in models[lo:lo + batch]]
-        payloads.append((dicts, instance_texts, lo))
-    found = []
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for chunk in pool.map(_suite_worker, payloads):
-            for m_idx, i_idx, vdict in chunk:
-                model = model_from_dict(vdict["model"])
-                violation = Violation(vdict["scheme"], parse(vdict["instance"]),
-                                      model, vdict["point"], vdict["open"])
-                found.append((m_idx, i_idx, violation))
-    return found

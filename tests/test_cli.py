@@ -183,7 +183,7 @@ def test_help_lists_flags(capsys):
     with pytest.raises(SystemExit):
         main(["soundness", "--help"])
     out = capsys.readouterr().out
-    for flag in ("--schemes", "--atoms", "--depth", "--jobs", "--all-spaces"):
+    for flag in ("--schemes", "--atoms", "--depth", "--all-spaces"):
         assert flag in out
 
 

@@ -5,12 +5,14 @@ import random
 
 import pytest
 
-from helpers import FIXTURES
+from helpers import FIXTURES, naive_satisfies
 
 from treelogic import (MaskContext, Proof, ProofError, ProofLine, atom,
-                       check_proof, enumerate_treelike, instantiate,
-                       is_tautology, know, load_proof, parse, proof_from_dict,
-                       proof_to_dict, render, soundness_suite)
+                       check_proof, enumerate_spaces, enumerate_treelike,
+                       instantiate, is_tautology, know, load_proof,
+                       model_to_dict, parse, proof_from_dict, proof_to_dict,
+                       render, soundness_suite)
+from treelogic.proofs import LANE_BLOCK_BITS, _instances
 
 FIXTURE = FIXTURES / "proof_scheme10_from_scheme12.json"
 
@@ -228,10 +230,47 @@ def test_soundness_suite_small_runs():
     assert any(not v.model.space.is_treelike() for v in report.violations)
 
 
-def test_soundness_suite_parallel_agrees_with_sequential():
-    seq = soundness_suite(max_points=2, schemes=["C10"], atoms=("A",), depth=1)
-    par = soundness_suite(max_points=2, schemes=["C10"], atoms=("A",), depth=1,
-                          jobs=2)
-    assert [v.to_dict() for v in seq.violations] == \
-        [v.to_dict() for v in par.violations]
-    assert seq.models_checked == par.models_checked
+def _expected_violations(max_points, schemes, atoms, depth, treelike=True,
+                         max_opens=None, include_constants=False):
+    """The harness's violation list, rebuilt model by model.
+
+    Every instance is checked at every neighborhood of every enumerated
+    model by ``naive_satisfies``; a violation is the first open in space
+    order, then the lowest point, where the instance fails.
+    """
+    instances = _instances(schemes, atoms, depth, include_constants)
+    out = []
+    for model in enumerate_spaces(max_points, max_opens, atoms,
+                                  treelike=treelike):
+        for label, inst in instances:
+            witness = next(((x, name) for name, u in zip(model.space.names,
+                                                          model.space.opens)
+                            for x in sorted(u)
+                            if not naive_satisfies(model, x, u, inst)), None)
+            if witness is not None:
+                out.append({"scheme": label, "instance": render(inst),
+                            "model": model_to_dict(model),
+                            "point": witness[0], "open": witness[1]})
+    return out
+
+
+def test_soundness_suite_matches_naive_oracle():
+    configs = [
+        dict(max_points=3, schemes=("C10",), atoms=("A", "B"), depth=1),
+        dict(max_points=3, schemes=("S13",), atoms=("A",), depth=1,
+             treelike=False),
+        dict(max_points=3, schemes=tuple(range(1, 13)), atoms=("A",),
+             depth=1, include_constants=True, max_opens=2),
+        # 2^(3 points x 3 atoms) lanes of 3 bits: more than one lane block
+        dict(max_points=3, schemes=("C10",), atoms=("A", "B", "C"), depth=1,
+             max_opens=2),
+    ]
+    assert (1 << 3 * 3) * 3 > LANE_BLOCK_BITS
+    for config in configs:
+        report = soundness_suite(**config)
+        expected = _expected_violations(**config)
+        assert [v.to_dict() for v in report.violations] == expected, config
+        models = enumerate_spaces(config["max_points"],
+                                  config.get("max_opens"), config["atoms"],
+                                  treelike=config.get("treelike", True))
+        assert report.models_checked == sum(1 for _ in models), config
