@@ -26,7 +26,8 @@ from .model import (MaskContext, Model, ModelError, SubsetSpace,
 from .partition import (ExtractResult, FiltrationResult, PartitionError,
                         PartitionTable, build_stable_partitions,
                         closure_intersection, extract_finite_model, filtrate,
-                        is_stable, ordered_family, point_quotient, remainder)
+                        is_stable, ordered_family, point_quotient, remainder,
+                        size_report)
 from .proofs import (CheckOutcome, Proof, ProofError, ProofLine,
                      SoundnessReport, Violation, check_proof, is_tautology,
                      load_proof, proof_from_dict, proof_to_dict,

@@ -1,15 +1,16 @@
 """Batch command-line surface.
 
 Exit codes are uniform across commands: 0 for success / a true answer,
-1 for a false answer, a rejected proof or a found counterexample, and
-2 for usage or file-format problems.
+1 for a false answer, a rejected proof or a found counterexample,
+2 for usage or file-format problems, and 3 for an internal error (an
+exception no command expects, such as a ``RecursionError`` on very deep
+input), so that a crash never reads as a false answer.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 
 from . import decide, kripke, partition, proofs
@@ -52,8 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Model checking, proof checking and bounded decision "
                     "procedures for the bimodal logic of knowledge and "
                     "effort over treelike subset spaces.")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for any sampled tie-breaking (reproducibility)")
     sub = p.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("parse", help="parse a formula and print it back")
@@ -240,15 +239,8 @@ def _cmd_filtrate(args) -> int:
     f = _read_formula(args)
     result = partition.filtrate(model, f)
     dump_model(result.output, args.output)
-    bound = decide.complexity_bound(f)
-    report = {
-        "family_sizes": result.table.family_sizes(),
-        "output_points": len(result.output.space.points),
-        "output_opens": len(result.output.space.opens),
-        "bound_points": "astronomical" if bound.saturated else bound.max_points,
-        "bound_opens": "astronomical" if bound.saturated else bound.max_opens,
-    }
-    return _finish_report(args, report)
+    return _finish_report(args, partition.size_report(result.table,
+                                                      result.output))
 
 
 def _cmd_extract(args) -> int:
@@ -396,7 +388,6 @@ _HANDLERS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    random.seed(args.seed)
     try:
         return _HANDLERS[args.command](args)
     except _FORMAT_ERRORS as exc:
@@ -405,6 +396,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:    # a bug or a resource limit, never "false"
+        detail = " ".join(f"{type(exc).__name__}: {exc}".split())
+        print(f"error: internal: {detail}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

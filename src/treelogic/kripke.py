@@ -6,11 +6,17 @@ frame needs for the unfolding; ``unfold`` turns a frame generated from a
 maximal state into an equivalent treelike subset-space model by tracing
 every k-class back to the top class and splitting it along the classes
 it can reach.
+
+Internally both relations are successor rows over state indices: row i
+is an int whose bit j is set when state i relates to state j.  States
+are sorted, so ascending bit order is the sorted order in which every
+witness is reported.
 """
 
 from __future__ import annotations
 
 import json
+from functools import cached_property
 
 from .formula import Formula
 from .model import Model, ModelError, SubsetSpace
@@ -26,76 +32,150 @@ class FrameError(ValueError):
     """Ill-formed frame or an unfolding precondition failure."""
 
 
+def _bits(m: int):
+    """Indices of the set bits of ``m``, lowest first."""
+    while m:
+        low = m & -m
+        yield low.bit_length() - 1
+        m ^= low
+
+
+def _low(m: int) -> int:
+    """Index of the lowest set bit of a non-zero mask."""
+    return (m & -m).bit_length() - 1
+
+
+def _image(rows, m: int) -> int:
+    """Union of the rows of the states in ``m``."""
+    out = 0
+    for i in _bits(m):
+        out |= rows[i]
+    return out
+
+
+def _transpose(rows) -> list:
+    cols = [0] * len(rows)
+    for i, row in enumerate(rows):
+        bit = 1 << i
+        for j in _bits(row):
+            cols[j] |= bit
+    return cols
+
+
+def _closure(rows) -> list:
+    """Reflexive-transitive closure of successor rows (Warshall)."""
+    rows = [row | 1 << i for i, row in enumerate(rows)]
+    for k in range(len(rows)):
+        bit, via = 1 << k, rows[k]
+        for i, row in enumerate(rows):
+            if row & bit:
+                rows[i] = row | via
+    return rows
+
+
+def _index_states(states):
+    states = tuple(sorted(states))
+    if not states:
+        raise FrameError("a frame needs at least one state")
+    index = {s: i for i, s in enumerate(states)}
+    if len(index) != len(states):
+        raise FrameError("duplicate state ids")
+    return states, index
+
+
 class BiFrame:
     """Finite Kripke structure with a box relation and a k relation.
 
     By default the constructor closes the given generator pairs:
     reflexive-transitive closure for box, full equivalence closure for k.
     Pass ``close=False`` to keep raw relations (used by fixtures that
-    document property failures).
+    document property failures).  ``box`` and ``k`` are the relations as
+    sets of state pairs.
     """
 
     def __init__(self, states, box_pairs=(), k_pairs=(), valuation=None,
                  close: bool = True):
-        self.states = tuple(sorted(states))
-        if not self.states:
-            raise FrameError("a frame needs at least one state")
-        if len(set(self.states)) != len(self.states):
-            raise FrameError("duplicate state ids")
-        known = set(self.states)
-        box = set(map(tuple, box_pairs))
-        k = set(map(tuple, k_pairs))
-        for pair in box | k:
-            if len(pair) != 2:
-                raise FrameError(f"relations are lists of pairs, got {pair!r}")
-            if pair[0] not in known or pair[1] not in known:
-                raise FrameError(f"relation mentions unknown state {pair!r}")
+        states, index = _index_states(states)
+        rows = []
+        for pairs in (box_pairs, k_pairs):
+            succ = [0] * len(states)
+            for pair in pairs:
+                pair = tuple(pair)
+                if len(pair) != 2:
+                    raise FrameError(f"relations are lists of pairs, got {pair!r}")
+                try:
+                    a, b = index[pair[0]], index[pair[1]]
+                except (KeyError, TypeError):
+                    raise FrameError(
+                        f"relation mentions unknown state {pair!r}") from None
+                succ[a] |= 1 << b
+            rows.append(succ)
+        box, k = rows
         if close:
-            box |= {(s, s) for s in self.states}
-            box = _transitive_closure(box)
-            k |= {(s, s) for s in self.states}
-            k |= {(b, a) for a, b in k}
-            k = _transitive_closure(k)
-        self.box = frozenset(box)
-        self.k = frozenset(k)
+            box = _closure(box)
+            k = _closure([row | col for row, col in zip(k, _transpose(k))])
+        self._setup(states, index, box, k, valuation)
+
+    @classmethod
+    def _from_rows(cls, states, index, box_rows, k_rows, valuation):
+        """A frame whose successor rows are already as wanted; no closure."""
+        frame = cls.__new__(cls)
+        frame._setup(states, index, box_rows, k_rows, valuation)
+        return frame
+
+    def _setup(self, states, index, box_rows, k_rows, valuation):
+        self.states = states
+        self._index = index
+        self._box_rows = box_rows
+        self._k_rows = k_rows
         val = {}
+        self._val_masks = {}
         for name, members in (valuation or {}).items():
             members = frozenset(members)
-            if not members <= known:
-                raise FrameError(f"valuation of {name!r} mentions unknown states")
+            mask = 0
+            for s in members:
+                i = index.get(s)
+                if i is None:
+                    raise FrameError(
+                        f"valuation of {name!r} mentions unknown states")
+                mask |= 1 << i
             val[name] = members
+            self._val_masks[name] = mask
         self.valuation = val
-        self._box_succ = {s: frozenset(t for a, t in self.box if a == s)
-                          for s in self.states}
-        self._k_succ = {s: frozenset(t for a, t in self.k if a == s)
-                        for s in self.states}
+
+    @cached_property
+    def box(self) -> frozenset:
+        return self._pairs(self._box_rows)
+
+    @cached_property
+    def k(self) -> frozenset:
+        return self._pairs(self._k_rows)
+
+    @cached_property
+    def _box_cols(self) -> list:
+        """Box predecessors: bit i of column j when state i refines into j."""
+        return _transpose(self._box_rows)
+
+    def _pairs(self, rows) -> frozenset:
+        states = self.states
+        return frozenset((states[i], states[j])
+                         for i, row in enumerate(rows) for j in _bits(row))
+
+    def _ids(self, m: int) -> frozenset:
+        states = self.states
+        return frozenset(states[i] for i in _bits(m))
 
     def box_successors(self, s) -> frozenset:
-        return self._box_succ[s]
+        return self._ids(self._box_rows[self._index[s]])
 
     def k_class(self, s) -> frozenset:
-        return self._k_succ[s]
+        return self._ids(self._k_rows[self._index[s]])
 
     def __repr__(self):
-        return (f"BiFrame({len(self.states)} states, {len(self.box)} box pairs, "
-                f"{len(self.k)} k pairs)")
-
-
-def _transitive_closure(pairs: set) -> set:
-    succ = {}
-    for a, b in pairs:
-        succ.setdefault(a, set()).add(b)
-    changed = True
-    while changed:
-        changed = False
-        for a, outs in succ.items():
-            extra = set()
-            for b in outs:
-                extra |= succ.get(b, set())
-            if not extra <= outs:
-                outs |= extra
-                changed = True
-    return {(a, b) for a, outs in succ.items() for b in outs}
+        box = sum(row.bit_count() for row in self._box_rows)
+        k = sum(row.bit_count() for row in self._k_rows)
+        return (f"BiFrame({len(self.states)} states, {box} box pairs, "
+                f"{k} k pairs)")
 
 
 # ---------------------------------------------------------------------------
@@ -136,52 +216,113 @@ class FrameReport:
                 for r in self.results}
 
 
+# Each search below returns the first witness of a failure as a tuple of
+# state indices, or None.  Pairs (a, b) are visited in sorted order, and
+# a third state c from the lowest bit, as the quantifiers read.
+
+def _irreflexive(rows):
+    return next(((i,) for i, row in enumerate(rows) if not row >> i & 1), None)
+
+
+def _intransitive(rows):
+    """(a, b, c) with a -> b -> c but not a -> c."""
+    for a, row in enumerate(rows):
+        for b in _bits(row):
+            extra = rows[b] & ~row
+            if extra:
+                return a, b, _low(extra)
+    return None
+
+
+def _first_in_row(rows):
+    """(a, b) for the first row a with a bit b set."""
+    return next(((a, _low(row)) for a, row in enumerate(rows) if row), None)
+
+
+def _unconnected(rows, cols):
+    """(s, t, r): t and r both refine s, neither refines the other."""
+    for s, row in enumerate(rows):
+        for t in _bits(row):
+            loose = row & ~(rows[t] | cols[t])
+            if loose:
+                return s, t, _low(loose)
+    return None
+
+
+def _is_equivalence(rows) -> bool:
+    """Each row is exactly the set of states sharing that row."""
+    members = {}
+    for i, row in enumerate(rows):
+        members[row] = members.get(row, 0) | 1 << i
+    return all(row == m for row, m in members.items())
+
+
+def _k_failure(rows):
+    witness = _irreflexive(rows)
+    if witness is not None or _is_equivalence(rows):
+        return witness
+    # reflexive but no equivalence: a missing converse, else a missing link
+    cols = _transpose(rows)
+    return (_first_in_row([row & ~col for row, col in zip(rows, cols)])
+            or _intransitive(rows))
+
+
+def _cross_failure(box, k):
+    """(s, s2, t): s refines into s2 ~ t, and no state ~ s refines into t."""
+    images = {}
+    for s, row in enumerate(box):
+        img = images.get(k[s])
+        if img is None:
+            img = images[k[s]] = _image(box, k[s])
+        for s2 in _bits(row):
+            unreached = k[s2] & ~img
+            if unreached:
+                return s, s2, _low(unreached)
+    return None
+
+
+def _fading_atom(box, atoms):
+    """(a, b, atom): a refines into b and the atom differs between them."""
+    for a, row in enumerate(box):
+        best = None
+        for name, members in atoms:
+            flips = row & ~members if members >> a & 1 else row & members
+            if flips and (best is None or _low(flips) < best[1]):
+                best = (a, _low(flips), name)
+        if best is not None:
+            return best
+    return None
+
+
 def check_frame(frame: BiFrame) -> FrameReport:
     """Verify the structural properties needed by the unfolding.
 
     Report-valued on purpose: fixtures documenting failures are data,
     not exceptions.
     """
-    results = []
-
-    def check(name, witness):
-        results.append(CheckResult(name, witness is None, witness))
-
-    box = sorted(frame.box)
-    check("box_reflexive", next(
-        ((s,) for s in frame.states if (s, s) not in frame.box), None))
-    check("box_transitive", next(
-        ((a, b, c) for a, b in box for c in sorted(frame.box_successors(b))
-         if (a, c) not in frame.box), None))
-    check("box_antisymmetric", next(
-        ((a, b) for a, b in box
-         if a != b and (b, a) in frame.box), None))
-    check("box_connected", next(
-        ((s, t, r) for s in frame.states
-         for t in sorted(frame.box_successors(s))
-         for r in sorted(frame.box_successors(s))
-         if (t, r) not in frame.box and (r, t) not in frame.box), None))
-
-    k_witness = next(((s,) for s in frame.states if (s, s) not in frame.k), None)
-    if k_witness is None:
-        k_witness = next(((a, b) for a, b in sorted(frame.k)
-                          if (b, a) not in frame.k), None)
-    if k_witness is None:
-        k_witness = next(((a, b, c) for a, b in sorted(frame.k)
-                          for c in sorted(frame._k_succ.get(b, ()))
-                          if (a, c) not in frame.k), None)
-    check("k_equivalence", k_witness)
-
-    check("cross_property", next(
-        ((s, s2, t) for s, s2 in box for t in sorted(frame.k_class(s2))
-         if not any((t2, t) in frame.box for t2 in frame.k_class(s))), None))
-    check("box_k_identity", next(
-        ((a, b) for a, b in box
-         if a != b and (a, b) in frame.k), None))
-    check("atom_persistence", next(
-        ((a, b, atom) for a, b in box
-         for atom, members in sorted(frame.valuation.items())
-         if (a in members) != (b in members)), None))
+    states = frame.states
+    box, k = frame._box_rows, frame._k_rows
+    cols = frame._box_cols
+    others = [~(1 << i) for i in range(len(states))]
+    found = {
+        "box_reflexive": _irreflexive(box),
+        "box_transitive": _intransitive(box),
+        "box_antisymmetric": _first_in_row(
+            [row & col & o for row, col, o in zip(box, cols, others)]),
+        "box_connected": _unconnected(box, cols),
+        "k_equivalence": _k_failure(k),
+        "cross_property": _cross_failure(box, k),
+        "box_k_identity": _first_in_row(
+            [row & kr & o for row, kr, o in zip(box, k, others)]),
+    }
+    results = [CheckResult(name, w is None,
+                           None if w is None else tuple(states[i] for i in w))
+               for name, w in found.items()]
+    fading = _fading_atom(box, sorted(frame._val_masks.items()))
+    results.append(CheckResult(
+        "atom_persistence", fading is None,
+        None if fading is None else (states[fading[0]], states[fading[1]],
+                                     fading[2])))
     return FrameReport(results)
 
 
@@ -192,44 +333,55 @@ class ClassOrder:
     """K-classes of a frame with the induced order between them.
 
     One class sits below another when some state of the upper class
-    refines into a state of the lower one.
+    refines into a state of the lower one.  ``up[i]`` is the mask of the
+    class positions j with ``le(classes[i], classes[j])``.
     """
 
-    def __init__(self, classes, le_pairs):
+    def __init__(self, classes, up):
         self.classes = tuple(classes)
-        self._le = frozenset(le_pairs)
+        self._up = tuple(up)
+        self._pos = {c: i for i, c in enumerate(self.classes)}
 
     def le(self, c1: frozenset, c2: frozenset) -> bool:
-        return (c1, c2) in self._le
+        i, j = self._pos.get(c1), self._pos.get(c2)
+        return i is not None and j is not None and bool(self._up[i] >> j & 1)
 
     def is_partial_order(self) -> bool:
-        for c in self.classes:
-            if not self.le(c, c):
+        up = self._up
+        for i, above in enumerate(up):
+            if not above >> i & 1:
                 return False
-        for c1 in self.classes:
-            for c2 in self.classes:
-                if c1 != c2 and self.le(c1, c2) and self.le(c2, c1):
+            for j in _bits(above & ~(1 << i)):
+                if up[j] >> i & 1 or up[j] & ~above:
                     return False
-                for c3 in self.classes:
-                    if self.le(c1, c2) and self.le(c2, c3) and not self.le(c1, c3):
-                        return False
         return True
 
     def greatest(self):
-        for c in self.classes:
-            if all(self.le(d, c) for d in self.classes):
-                return c
-        return None
+        top = -1
+        for above in self._up:
+            top &= above
+        return self.classes[_low(top)] if top else None
+
+
+def _class_order(frame: BiFrame):
+    """The class order and the state mask of each class, in class order."""
+    masks = sorted(set(frame._k_rows), key=lambda m: (m & -m, m))
+    if not masks[0]:
+        raise FrameError("a state has an empty k-class")
+    box = frame._box_rows
+    images = [_image(box, m) for m in masks]
+    up = []
+    for m in masks:
+        above = 0
+        for j, img in enumerate(images):
+            if img & m:
+                above |= 1 << j
+        up.append(above)
+    return ClassOrder([frame._ids(m) for m in masks], up), masks
 
 
 def class_order(frame: BiFrame) -> ClassOrder:
-    classes = sorted({frame.k_class(s) for s in frame.states}, key=min)
-    le = set()
-    for c1 in classes:
-        for c2 in classes:
-            if any((s2, s1) in frame.box for s1 in c1 for s2 in c2):
-                le.add((c1, c2))
-    return ClassOrder(classes, le)
+    return _class_order(frame)[0]
 
 
 class UnfoldResult:
@@ -247,12 +399,13 @@ class UnfoldResult:
         self._carriers = carriers          # k-class -> carrier subset of X
         self._class_opens = class_opens    # k-class -> {point -> open frozenset}
         self.order = order
+        self._class_by_state = {s: c for c in class_opens for s in c}
 
     def _class_of(self, s) -> frozenset:
-        for c in self._class_opens:
-            if s in c:
-                return c
-        raise FrameError(f"unknown state {s!r}")
+        try:
+            return self._class_by_state[s]
+        except KeyError:
+            raise FrameError(f"unknown state {s!r}") from None
 
     def carrier(self, s) -> frozenset:
         return self._carriers[self._class_of(s)]
@@ -272,73 +425,75 @@ def unfold(frame: BiFrame, root) -> UnfoldResult:
     ``root`` along box/k edges, and the root's k-class is the top of the
     class order.
     """
-    if root not in set(frame.states):
+    if root not in frame._index:
         raise FrameError(f"unknown root state {root!r}")
     report = check_frame(frame)
     if not report.ok:
         bad = ", ".join(f"{r.name} {r.witness}" for r in report.failures())
         raise FrameError(f"frame fails structural checks: {bad}")
 
-    reached = {root}
-    frontier = [root]
+    states = frame.states
+    box, k = frame._box_rows, frame._k_rows
+    reached = frontier = 1 << frame._index[root]
     while frontier:
-        s = frontier.pop()
-        for t in frame.box_successors(s) | frame.k_class(s):
-            if t not in reached:
-                reached.add(t)
-                frontier.append(t)
-    if reached != set(frame.states):
-        missing = sorted(set(frame.states) - reached)
+        step = 0
+        for s in _bits(frontier):
+            step |= box[s] | k[s]
+        frontier = step & ~reached
+        reached |= frontier
+    unreached = (1 << len(states)) - 1 & ~reached
+    if unreached:
+        missing = [states[i] for i in _bits(unreached)]
         raise FrameError(f"frame is not generated by {root!r}; "
                          f"unreachable states: {missing}")
 
-    order = class_order(frame)
+    order, masks = _class_order(frame)
     if not order.is_partial_order():
         raise FrameError("class order is not a partial order")
-    x_class = frame.k_class(root)
+    x_mask = k[frame._index[root]]
+    x_class = frame._ids(x_mask)
     if order.greatest() != x_class:
         raise FrameError(f"root {root!r}'s class is not the top of the class order")
 
-    carriers = {}
-    for cls in order.classes:
-        carriers[cls] = frozenset(
-            t for t in x_class
-            if any((t, t2) in frame.box for t2 in cls))
+    # the carrier of a class: the points of X refining into one of its states
+    cols = frame._box_cols
+    carrier_masks = [x_mask & _image(cols, m) for m in masks]
 
     class_opens = {}
-    opens = {}          # open frozenset -> (source class min, min member)
-    for cls in order.classes:
-        ups = [c for c in order.classes if order.le(cls, c)]
-        groups = {}
-        for t in sorted(carriers[cls]):
-            sig = tuple(t in carriers[c] for c in ups)
-            groups.setdefault(sig, []).append(t)
+    opens = {}    # open mask -> [open, (source class min, min member)]
+    for i, (cls, m) in enumerate(zip(order.classes, masks)):
+        # split the carrier by membership in the carriers of the classes above
+        parts = [carrier_masks[i]] if carrier_masks[i] else []
+        for j in _bits(order._up[i]):
+            cj = carrier_masks[j]
+            parts = [q for p in parts for q in (p & cj, p & ~cj) if q]
+        parts.sort(key=lambda p: p & -p)
         point_to_open = {}
-        for members in groups.values():
-            u = frozenset(members)
-            for t in members:
-                point_to_open[t] = u
-            name_key = (min(cls), min(u))
-            if u not in opens or name_key < opens[u]:
-                opens[u] = name_key
+        for p in parts:
+            u = frame._ids(p)
+            for t in _bits(p):
+                # each point of an open refines into exactly one state of the class
+                hits = box[t] & m
+                if hits & hits - 1:
+                    raise FrameError(
+                        f"canonical representation not unique: {states[t]!r} "
+                        f"reaches {[states[h] for h in _bits(hits)]} in class "
+                        f"of {states[_low(m)]!r}")
+                point_to_open[states[t]] = u
+            name_key = (states[_low(m)], states[_low(p)])
+            entry = opens.setdefault(p, [u, name_key])
+            entry[1] = min(entry[1], name_key)
         class_opens[cls] = point_to_open
 
-    # each point of an open refines into exactly one state of the source class
-    for cls, point_to_open in class_opens.items():
-        for t in point_to_open:
-            hits = [u for u in cls if (t, u) in frame.box]
-            if len(hits) != 1:
-                raise FrameError(
-                    f"canonical representation not unique: {t!r} reaches "
-                    f"{hits} in class of {min(cls)!r}")
-
-    names = {u: f"cls({src},{member})" for u, (src, member) in opens.items()}
-    space = SubsetSpace(x_class, list(opens), [names[u] for u in opens])
+    names = [f"cls({src},{member})" for _, (src, member) in opens.values()]
+    space = SubsetSpace(x_class, [u for u, _ in opens.values()], names)
     valuation = {a: members & x_class
                  for a, members in frame.valuation.items()}
     model = Model(space, valuation)
     if not space.is_treelike():
         raise FrameError("unfolding produced a non-treelike space")
+    carriers = {cls: frame._ids(c)
+                for cls, c in zip(order.classes, carrier_masks)}
     return UnfoldResult(model, root, x_class, carriers, class_opens, order)
 
 
@@ -347,34 +502,41 @@ def unfold(frame: BiFrame, root) -> UnfoldResult:
 
 def bi_satisfies(frame: BiFrame, s, f: Formula) -> bool:
     """Standard birelational Kripke truth: box over box, K over k."""
-    if s not in set(frame.states):
+    i = frame._index.get(s)
+    if i is None:
         raise FrameError(f"unknown state {s!r}")
-    return s in _frame_truth(frame, f, {})
+    return bool(_frame_truth(frame, f, {}) >> i & 1)
 
 
-def _frame_truth(frame: BiFrame, f: Formula, memo) -> frozenset:
+def _within(rows, t: int) -> int:
+    """Mask of the states all of whose successors lie in ``t``."""
+    out = 0
+    for i, row in enumerate(rows):
+        if not row & ~t:
+            out |= 1 << i
+    return out
+
+
+def _frame_truth(frame: BiFrame, f: Formula, memo) -> int:
     hit = memo.get(id(f))
     if hit is not None:
         return hit
     k = f.kind
     if k == "atom":
-        out = frame.valuation.get(f.name, frozenset())
+        out = frame._val_masks.get(f.name, 0)
     elif k == "top":
-        out = frozenset(frame.states)
+        out = (1 << len(frame.states)) - 1
     elif k == "bot":
-        out = frozenset()
+        out = 0
     elif k == "not":
-        out = frozenset(frame.states) - _frame_truth(frame, f.left, memo)
+        out = (1 << len(frame.states)) - 1 & ~_frame_truth(frame, f.left, memo)
     elif k == "and":
         out = (_frame_truth(frame, f.left, memo)
                & _frame_truth(frame, f.right, memo))
     elif k == "know":
-        t = _frame_truth(frame, f.left, memo)
-        out = frozenset(s for s in frame.states if frame.k_class(s) <= t)
+        out = _within(frame._k_rows, _frame_truth(frame, f.left, memo))
     else:  # box
-        t = _frame_truth(frame, f.left, memo)
-        out = frozenset(s for s in frame.states
-                        if frame.box_successors(s) <= t)
+        out = _within(frame._box_rows, _frame_truth(frame, f.left, memo))
     memo[id(f)] = out
     return out
 
@@ -384,23 +546,32 @@ def induced_frame(model: Model) -> BiFrame:
 
     Box relates (x, U) to (x, V) when V refines U around x; k relates
     neighborhoods sharing their open.  State ids are "point@open-name".
+    Both relations are built closed (reflexive and transitive, k an
+    equivalence), so no closure runs.
     """
     space = model.space
     ids = {}
     for name, u in zip(space.names, space.opens):
         for x in u:
             ids[(x, u)] = f"{x}@{name}"
-    box = []
-    k = []
+    states, index = _index_states(ids.values())
+    by_point = {}       # point -> [(open, state index)]
+    by_open = {}        # open -> mask of its neighborhoods
     for (x, u), sid in ids.items():
-        for (y, v), tid in ids.items():
-            if x == y and v <= u:
-                box.append((sid, tid))
-            if u == v:
-                k.append((sid, tid))
+        i = index[sid]
+        by_point.setdefault(x, []).append((u, i))
+        by_open[u] = by_open.get(u, 0) | 1 << i
+    box = [0] * len(states)
+    k = [0] * len(states)
+    for hoods in by_point.values():
+        for u, i in hoods:
+            k[i] = by_open[u]
+            for v, j in hoods:
+                if v <= u:
+                    box[i] |= 1 << j
     valuation = {a: frozenset(sid for (x, _), sid in ids.items() if x in members)
                  for a, members in model.valuation.items()}
-    return BiFrame(ids.values(), box, k, valuation, close=True)
+    return BiFrame._from_rows(states, index, box, k, valuation)
 
 
 # ---------------------------------------------------------------------------

@@ -196,17 +196,20 @@ class Model:
         memo = {}
         return frozenset(x for x in u if self._holds(x, u, f, strict_atoms, memo))
 
-    def truth_in(self, carrier, f: Formula) -> frozenset:
+    def truth_in(self, carrier, f: Formula, memo=None) -> frozenset:
         """Truth set over an arbitrary carrier set, not necessarily open.
 
         K quantifies over the carrier; [] quantifies over the genuine
         opens inside the carrier around the point.  For carriers that are
-        opens this agrees with ``truth_set``.
+        opens this agrees with ``truth_set``.  Calls on one model may
+        share a ``memo`` dict: its entries are keyed by formula, carrier
+        and point.
         """
         carrier = frozenset(carrier)
         if not carrier <= self.space.full:
             raise ModelError("carrier contains unknown points")
-        memo = {}
+        if memo is None:
+            memo = {}
         return frozenset(x for x in carrier
                          if self._holds(x, carrier, f, False, memo))
 

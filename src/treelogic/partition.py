@@ -19,7 +19,7 @@ __all__ = [
     "PartitionTable", "build_stable_partitions",
     "FiltrationResult", "filtrate",
     "point_quotient", "ExtractResult", "extract_finite_model",
-    "ordered_family",
+    "ordered_family", "size_report",
 ]
 
 
@@ -93,10 +93,11 @@ class PartitionTable:
     ``family`` is the top formula's.  ``remainders`` and ``truth`` are
     taken with respect to the top family: ``truth[(psi, u)]`` is the set
     of points of the member ``u`` where ``psi`` holds with ``u`` as the
-    current view.
+    current view.  ``memo`` is an evaluation memo for ``model.truth_in``,
+    shared with the caller that built the families.
     """
 
-    def __init__(self, model, formula, families):
+    def __init__(self, model, formula, families, memo=None):
         self.model = model
         self.formula = formula
         self.families = families
@@ -104,10 +105,11 @@ class PartitionTable:
         self.members = ordered_family(self.family)
         self.remainders = {u: remainder(model, self.family, u)
                            for u in self.members}
+        memo = {} if memo is None else memo
         self.truth = {}
         for psi in subformulas(formula):
             for u in self.members:
-                self.truth[(psi, u)] = model.truth_in(u, psi)
+                self.truth[(psi, u)] = model.truth_in(u, psi, memo)
 
     def family_sizes(self) -> dict:
         return {render(psi): len(fam) for psi, fam in self.families.items()}
@@ -120,11 +122,13 @@ def build_stable_partitions(model: Model, formula: Formula) -> PartitionTable:
     space; conjunction merges and recloses; the knowledge case recloses
     with the truth sets of the child over the child's family members.
     Negation and the refinement modality reuse the child's family.
+    One evaluation memo serves every truth set of the call.
     """
     if not model.space.is_treelike():
         raise PartitionError("stable partitions are built over treelike models")
     full = frozenset(model.space.full)
     families: dict[Formula, frozenset] = {}
+    memo = {}
     for psi in subformulas(formula):
         k = psi.kind
         if k in ("atom", "top", "bot"):
@@ -135,10 +139,10 @@ def build_stable_partitions(model: Model, formula: Formula) -> PartitionTable:
             fam = closure_intersection(families[psi.left] | families[psi.right])
         else:  # know
             base = families[psi.left]
-            truths = {model.truth_in(u, psi.left) for u in base}
+            truths = {model.truth_in(u, psi.left, memo) for u in base}
             fam = closure_intersection(base | truths)
         families[psi] = fam
-    return PartitionTable(model, formula, families)
+    return PartitionTable(model, formula, families, memo)
 
 
 class FiltrationResult:
@@ -315,13 +319,17 @@ def extract_finite_model(model: Model, formula: Formula) -> ExtractResult:
     """Stable partition, filtration, then point quotient over the atoms."""
     filt = filtrate(model, formula)
     quotient, point_map = _quotient_parts(filt.output, atom_names(formula))
-    bound = complexity_bound(formula)
-    report = {
-        "family_sizes": {render(psi): len(filt.table.families[psi])
-                         for psi in subformulas(formula)},
-        "output_points": len(quotient.space.points),
-        "output_opens": len(quotient.space.opens),
+    return ExtractResult(quotient, size_report(filt.table, quotient), filt,
+                         point_map)
+
+
+def size_report(table: PartitionTable, output: Model) -> dict:
+    """Family sizes, the output's size and the paper's bound for the formula."""
+    bound = complexity_bound(table.formula)
+    return {
+        "family_sizes": table.family_sizes(),
+        "output_points": len(output.space.points),
+        "output_opens": len(output.space.opens),
         "bound_points": "astronomical" if bound.saturated else bound.max_points,
         "bound_opens": "astronomical" if bound.saturated else bound.max_opens,
     }
-    return ExtractResult(quotient, report, filt, point_map)

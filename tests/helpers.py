@@ -94,3 +94,75 @@ def same_model(m1, m2):
     return (m1.space.points == m2.space.points
             and set(m1.space.opens) == set(m2.space.opens)
             and m1.valuation == m2.valuation)
+
+
+def naive_check_frame(frame):
+    """The eight frame properties read as quantifiers over pair sets.
+
+    Same keys, pass flags and first witnesses as
+    ``check_frame(frame).to_dict()``: pairs are visited in sorted order,
+    states in sorted order.
+    """
+    box, k = frame.box, frame.k
+    sbox = sorted(box)
+    succ = {s: sorted(t for a, t in box if a == s) for s in frame.states}
+    cls = {s: sorted(t for a, t in k if a == s) for s in frame.states}
+
+    def first(gen):
+        return next(gen, None)
+
+    k_witness = (first((s,) for s in frame.states if (s, s) not in k)
+                 or first((a, b) for a, b in sorted(k) if (b, a) not in k)
+                 or first((a, b, c) for a, b in sorted(k) for c in cls[b]
+                          if (a, c) not in k))
+    found = {
+        "box_reflexive": first((s,) for s in frame.states if (s, s) not in box),
+        "box_transitive": first((a, b, c) for a, b in sbox for c in succ[b]
+                                if (a, c) not in box),
+        "box_antisymmetric": first((a, b) for a, b in sbox
+                                   if a != b and (b, a) in box),
+        "box_connected": first((s, t, r) for s in frame.states
+                               for t in succ[s] for r in succ[s]
+                               if (t, r) not in box and (r, t) not in box),
+        "k_equivalence": k_witness,
+        "cross_property": first(
+            (s, s2, t) for s, s2 in sbox for t in cls[s2]
+            if not any((t2, t) in box for t2 in cls[s])),
+        "box_k_identity": first((a, b) for a, b in sbox
+                                if a != b and (a, b) in k),
+        "atom_persistence": first(
+            (a, b, atom) for a, b in sbox
+            for atom, members in sorted(frame.valuation.items())
+            if (a in members) != (b in members)),
+    }
+    return {name: {"passed": w is None, "witness": w}
+            for name, w in found.items()}
+
+
+def naive_class_le(frame, c1, c2):
+    """c1 sits below c2: some state of c2 refines into a state of c1."""
+    return any((s2, s1) in frame.box for s1 in c1 for s2 in c2)
+
+
+def random_raw_frame(rng, max_states=7, atoms=("P", "Q", "R")):
+    """Random states, box pairs, k pairs and valuation.
+
+    The k pairs are random in half the draws; in the other half they are
+    every pair within the blocks of a random partition, so k is an
+    equivalence while box stays raw.
+    """
+    n = rng.randint(1, max_states)
+    states = [f"s{i}" for i in rng.sample(range(3 * max_states), n)]
+
+    def pairs():
+        return [(rng.choice(states), rng.choice(states))
+                for _ in range(rng.randint(0, 2 * n))]
+
+    if rng.random() < 0.5:
+        k = pairs()
+    else:
+        block = {s: rng.randrange(n) for s in states}
+        k = [(s, t) for s in states for t in states if block[s] == block[t]]
+    valuation = {a: [s for s in states if rng.random() < 0.4]
+                 for a in rng.sample(atoms, rng.randint(0, len(atoms)))}
+    return states, pairs(), k, valuation

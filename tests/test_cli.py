@@ -6,7 +6,7 @@ import pytest
 
 from helpers import FIXTURES, oracle_model, same_model
 
-from treelogic import load_model, model_from_dict, parse
+from treelogic import cli, load_model, model_from_dict, parse
 from treelogic.cli import main
 
 ORACLE = str(FIXTURES / "fig_oracle.json")
@@ -188,14 +188,29 @@ def test_help_lists_flags(capsys):
 
 
 def test_outputs_are_reproducible(capsys):
-    first = run(capsys, "--seed", "1", "soundness", "--max-points", "2",
+    first = run(capsys, "soundness", "--max-points", "2",
                 "--schemes", "7-9", "--atoms", "1", "--depth", "1", "--json")
-    second = run(capsys, "--seed", "1", "soundness", "--max-points", "2",
+    second = run(capsys, "soundness", "--max-points", "2",
                  "--schemes", "7-9", "--atoms", "1", "--depth", "1", "--json")
     assert first[1] == second[1]        # byte-identical stdout
     third = run(capsys, "sat", "--use-bound", "--json", "K A & ~A")
     fourth = run(capsys, "sat", "--use-bound", "--json", "K A & ~A")
     assert third[1] == fourth[1]
+
+
+@pytest.mark.parametrize("exc, line", [
+    (RuntimeError("boom\non two lines"),
+     "error: internal: RuntimeError: boom on two lines"),
+    (RecursionError("too deep"), "error: internal: RecursionError: too deep"),
+])
+def test_unexpected_exception_exits_3(capsys, monkeypatch, exc, line):
+    # an internal failure must not exit 1, which reads as "false"
+    def broken(args):
+        raise exc
+    monkeypatch.setitem(cli._HANDLERS, "parse", broken)
+    code, out, err = run(capsys, "parse", "A")
+    assert code == 3 and out == ""
+    assert err.splitlines() == [line]
 
 
 def test_console_entry_point_runs():

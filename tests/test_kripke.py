@@ -1,8 +1,10 @@
+import random
+
 import pytest
 
-from helpers import FIXTURES, oracle_model, random_treelike_model, same_model
-
-import random
+from helpers import (FIXTURES, naive_check_frame, naive_class_le,
+                     oracle_model, random_raw_frame, random_treelike_model,
+                     same_model)
 
 from treelogic import (BiFrame, FrameError, TOP, bi_satisfies, check_frame,
                        class_order, formula_pool, induced_frame, load_frame,
@@ -157,3 +159,87 @@ def test_load_frame_rejects_garbage(tmp_path):
     bad.write_text("not json")
     with pytest.raises(FrameError):
         load_frame(bad)
+
+
+def _oracle_frames():
+    """Raw and closed random frames, the fixtures and induced frames."""
+    rng = random.Random(41)
+    for _ in range(300):
+        states, box_pairs, k_pairs, val = random_raw_frame(rng)
+        yield BiFrame(states, box_pairs, k_pairs, val, close=False)
+        yield BiFrame(states, box_pairs, k_pairs, val, close=True)
+    for path in sorted(FIXTURES.glob("frame_*.json")):
+        if "unfolded" not in path.name:
+            yield load_frame(path)
+    yield induced_frame(oracle_model())
+    for _ in range(40):
+        yield induced_frame(random_treelike_model(rng, max_points=5,
+                                                  max_opens=7))
+
+
+def test_check_frame_matches_quantifier_oracle():
+    outcomes = {}
+    frames = 0
+    for frame in _oracle_frames():
+        frames += 1
+        report = check_frame(frame).to_dict()
+        assert report == naive_check_frame(frame), frame.states
+        for name, entry in report.items():
+            outcomes.setdefault(name, set()).add(entry["passed"])
+    assert frames > 600
+    # the corpus makes every property both pass and fail somewhere
+    assert all(seen == {True, False} for seen in outcomes.values()), outcomes
+
+
+def test_class_order_matches_pairwise_definition():
+    seen = set()
+    for frame in _oracle_frames():
+        if any(not frame.k_class(s) for s in frame.states):
+            with pytest.raises(FrameError, match="empty k-class"):
+                class_order(frame)
+            seen.add("empty class")
+            continue
+        order = class_order(frame)
+        classes = {frame.k_class(s) for s in frame.states}
+        assert set(order.classes) == classes
+        assert len(order.classes) == len(classes)
+        assert [min(c) for c in order.classes] == \
+            sorted(min(c) for c in order.classes)
+        le = {(c1, c2) for c1 in classes for c2 in classes
+              if naive_class_le(frame, c1, c2)}
+        assert {(c1, c2) for c1 in classes for c2 in classes
+                if order.le(c1, c2)} == le
+        partial = (all((c, c) in le for c in classes)
+                   and not any((c2, c1) in le for c1, c2 in le if c1 != c2)
+                   and all((c1, c3) in le for c1, c2 in le
+                           for c2b, c3 in le if c2b == c2))
+        assert order.is_partial_order() == partial
+        tops = [c for c in order.classes if all((d, c) in le for d in classes)]
+        assert order.greatest() == (tops[0] if tops else None)
+        seen.add((partial, bool(tops)))
+    assert seen == {"empty class"} | {(a, b) for a in (True, False)
+                                      for b in (True, False)}
+
+
+def test_induced_frame_equals_closure_of_generators():
+    # the induced frame skips the closure: it must already be closed
+    rng = random.Random(43)
+    for _ in range(40):
+        model = random_treelike_model(rng, max_points=5, max_opens=7)
+        frame = induced_frame(model)
+        hoods = {s: (s.split("@")[0], model.space.open_named(s.split("@")[1]))
+                 for s in frame.states}
+        strict_box = [(s, t) for s, (x, u) in hoods.items()
+                      for t, (y, v) in hoods.items() if x == y and v < u]
+        k_chain = []
+        for u in model.space.opens:
+            members = sorted(s for s, (_, v) in hoods.items() if v == u)
+            k_chain += zip(members, members[1:])
+        closed = BiFrame(frame.states, strict_box, k_chain, frame.valuation,
+                         close=True)
+        assert frame.states == closed.states
+        assert frame.box == closed.box and frame.k == closed.k
+        assert frame.valuation == closed.valuation
+        for s in frame.states:
+            assert frame.box_successors(s) == closed.box_successors(s)
+            assert frame.k_class(s) == closed.k_class(s)

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from helpers import corpus, oracle_model, random_formula, random_treelike_model
+from helpers import (corpus, naive_satisfies, oracle_model, random_formula,
+                     random_treelike_model)
 
 from treelogic import (Model, PartitionError, SubsetSpace, atom_names,
                        build_stable_partitions, build_stream_space,
@@ -149,6 +150,18 @@ def test_partition_families_monotone_closed_stable():
             for u in family:
                 assert is_stable(model, remainder(model, family, u), psi), \
                     (render(f), render(psi))
+
+
+def test_partition_truth_sets_match_naive_oracle():
+    # one memo serves every carrier of a call; each truth set must still
+    # be the one read off the clauses at that carrier
+    for model, f in corpus(103, 60):
+        table = build_stable_partitions(model, f)
+        for psi in subformulas(f):
+            for u in table.members:
+                assert table.truth[(psi, u)] == frozenset(
+                    x for x in u if naive_satisfies(model, x, u, psi)), \
+                    (render(f), render(psi), sorted(u))
 
 
 def test_refining_a_stable_partition_keeps_it_stable():
