@@ -10,8 +10,7 @@ system, and bound-driven satisfiability search.
 """
 
 from .decide import (Bound, SatOutcome, complexity_bound, count_canonical,
-                     enumerate_spaces, enumerate_treelike, formula_pool,
-                     satisfiable, valid)
+                     enumerate_spaces, formula_pool, satisfiable, valid)
 from .formula import (BOT, SCHEMES, SYSTEMS, TOP, Formula, ParseError,
                       SchemaError, SchemaTemplate, ast_dump, atom, atom_names,
                       box, conj, diamond, disj, implies, instantiate, know,

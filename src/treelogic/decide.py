@@ -26,7 +26,7 @@ from .model import MaskContext, Model, SubsetSpace
 
 __all__ = [
     "Bound", "complexity_bound",
-    "enumerate_treelike", "enumerate_spaces",
+    "enumerate_spaces",
     "SatOutcome", "satisfiable", "valid",
     "formula_pool", "count_canonical",
 ]
@@ -186,11 +186,6 @@ def _valuation(points, atoms, k: int) -> dict:
     masks = _valuation_masks(k, len(atoms), len(points))
     return {a: frozenset(p for i, p in enumerate(points) if masks[j] >> i & 1)
             for j, a in enumerate(atoms)}
-
-
-def enumerate_treelike(max_points: int, max_opens=None, atoms=()):
-    """Treelike-only restriction of ``enumerate_spaces``."""
-    return enumerate_spaces(max_points, max_opens, atoms, treelike=True)
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +486,7 @@ def satisfiable(formula: Formula, max_points=None, max_opens=None,
                     x = model.space.points[bit]
                     if not model.satisfies(x, u, formula):
                         raise AssertionError(
-                            "mask engine and reference semantics disagree")
+                            "the witness does not hold in the returned model")
                     return model, x, u
         return None
 
@@ -564,7 +559,7 @@ def satisfiable(formula: Formula, max_points=None, max_opens=None,
                 u = model.space.full
                 if not model.satisfies(x, u, formula):
                     raise AssertionError(
-                        "mask engine and reference semantics disagree")
+                        "the witness does not hold in the returned model")
                 return finish("sat", (model, x, frozenset(u)),
                               {"max_opens": bound.max_opens,
                                "coverage": "canonical"})

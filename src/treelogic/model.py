@@ -5,20 +5,20 @@ O containing X; formulas are evaluated at neighborhoods (x, U) with
 x in U in O.  K quantifies over the points of the current open, [] over
 the opens shrinking the current one around the current point.
 
-Two evaluators live here: ``Model.satisfies`` is the direct recursive
-reading of the semantic clauses (the reference), and the mask engine at
-the bottom is a bitset evaluator used by the enumeration suites.  The
-mask engine is bit-sliced: one context evaluates a formula under many
-valuations of the same open family at once, each valuation an n-bit lane
-of one int, so a context over a single model is the one-lane case.
-Tests cross-check the engines against each other.
+Truth has one implementation here, the mask engine at the bottom: a
+bitset evaluator that ``Model.satisfies``, ``truth_set``, ``truth_in``
+and ``is_valid`` wrap.  It is bit-sliced: one context evaluates a
+formula under many valuations of the same open family at once, each
+valuation an n-bit lane of one int, so a context over a single model is
+the one-lane case.  Tests check it against the independent evaluator in
+``tests/helpers.py``.
 """
 
 from __future__ import annotations
 
 import json
 
-from .formula import ATOM_RE, RESERVED, Formula
+from .formula import ATOM_RE, RESERVED, Formula, atom_names
 
 __all__ = [
     "ModelError", "SubsetSpace", "Model",
@@ -131,9 +131,9 @@ class Model:
     """Subset space plus an interpretation of atoms as point sets.
 
     Unknown atoms evaluate to the empty set unless ``strict_atoms`` is
-    passed to the evaluation entry points.  Models are never mutated
-    after construction and evaluation is pure, so they can be shared
-    across threads and worker processes freely.
+    passed to the evaluation entry points, which then reject them.
+    Models are never mutated after construction; each evaluation call
+    runs on its own mask context over the model's bitset view.
     """
 
     def __init__(self, space: SubsetSpace, valuation=None):
@@ -146,38 +146,35 @@ class Model:
                 raise ModelError(f"valuation of {name!r} contains unknown points")
             val[name] = members
         self.valuation = val
+        self._view = None
 
-    # -- evaluation (reference semantics) ---------------------------------
+    # -- evaluation (thin wrappers over the mask engine) -------------------
 
-    def _atom_set(self, name: str, strict: bool) -> frozenset:
-        if strict and name not in self.valuation:
-            raise ModelError(f"unknown atom {name!r}")
-        return self.valuation.get(name, frozenset())
+    def _mask_view(self):
+        """Point index, open masks and atom masks, built on first use."""
+        if self._view is None:
+            index = {p: i for i, p in enumerate(self.space.points)}
+            self._view = (index, [_mask(u, index) for u in self.space.opens],
+                          {a: _mask(s, index) for a, s in self.valuation.items()})
+        return self._view
 
-    def _holds(self, x, u: frozenset, f: Formula, strict: bool, memo) -> bool:
-        key = (id(f), u, x)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        k = f.kind
-        if k == "atom":
-            out = x in self._atom_set(f.name, strict)
-        elif k == "top":
-            out = True
-        elif k == "bot":
-            out = False
-        elif k == "not":
-            out = not self._holds(x, u, f.left, strict, memo)
-        elif k == "and":
-            out = (self._holds(x, u, f.left, strict, memo)
-                   and self._holds(x, u, f.right, strict, memo))
-        elif k == "know":
-            out = all(self._holds(y, u, f.left, strict, memo) for y in u)
-        else:  # box: shrink the open, keep the point
-            out = all(self._holds(x, v, f.left, strict, memo)
-                      for v in self.space.opens if v <= u and x in v)
-        memo[key] = out
-        return out
+    def _context(self, f: Formula, strict: bool) -> "MaskContext":
+        """A mask context with a fresh truth cache for evaluating ``f``.
+
+        With ``strict``, every atom of ``f`` missing from the valuation is
+        rejected before anything is evaluated.
+        """
+        if strict:
+            for name in sorted(atom_names(f)):
+                if name not in self.valuation:
+                    raise ModelError(f"unknown atom {name!r}")
+        return MaskContext.from_model(self)
+
+    def _truth(self, carrier: frozenset, f: Formula, ctx) -> frozenset:
+        """Points of ``carrier`` where ``f`` holds with ``carrier`` as view."""
+        index = self._mask_view()[0]
+        t = ctx.truth(f, _mask(carrier, index))
+        return frozenset(x for x in carrier if t >> index[x] & 1)
 
     def satisfies(self, x, u, f: Formula, strict_atoms: bool = False) -> bool:
         """Truth of ``f`` at the neighborhood ``(x, u)``; ``u`` in O."""
@@ -186,15 +183,14 @@ class Model:
             raise ModelError("not an open of this model")
         if x not in u:
             raise ModelError(f"point {x!r} does not belong to the open")
-        return self._holds(x, u, f, strict_atoms, {})
+        return x in self._truth(u, f, self._context(f, strict_atoms))
 
     def truth_set(self, u, f: Formula, strict_atoms: bool = False) -> frozenset:
         """Points of the open ``u`` where ``f`` holds at fixed ``u``."""
         u = self.space._resolve(u)
         if u not in self.space._open_set:
             raise ModelError("truth_set expects a member of the open family")
-        memo = {}
-        return frozenset(x for x in u if self._holds(x, u, f, strict_atoms, memo))
+        return self._truth(u, f, self._context(f, strict_atoms))
 
     def truth_in(self, carrier, f: Formula, memo=None) -> frozenset:
         """Truth set over an arbitrary carrier set, not necessarily open.
@@ -202,16 +198,16 @@ class Model:
         K quantifies over the carrier; [] quantifies over the genuine
         opens inside the carrier around the point.  For carriers that are
         opens this agrees with ``truth_set``.  Calls on one model may
-        share a ``memo`` dict: its entries are keyed by formula, carrier
-        and point.
+        share a ``memo`` dict: it becomes the mask engine's truth cache,
+        keyed by formula and carrier mask.
         """
         carrier = frozenset(carrier)
         if not carrier <= self.space.full:
             raise ModelError("carrier contains unknown points")
-        if memo is None:
-            memo = {}
-        return frozenset(x for x in carrier
-                         if self._holds(x, carrier, f, False, memo))
+        ctx = self._context(f, False)
+        if memo is not None:
+            ctx.cache = memo
+        return self._truth(carrier, f, ctx)
 
     def neighborhoods(self):
         for u in self.space.opens:
@@ -220,9 +216,7 @@ class Model:
 
     def is_valid(self, f: Formula, strict_atoms: bool = False) -> bool:
         """True when ``f`` holds at every neighborhood of the model."""
-        memo = {}
-        return all(self._holds(x, u, f, strict_atoms, memo)
-                   for x, u in self.neighborhoods())
+        return self._context(f, strict_atoms).is_valid(f)
 
     def __eq__(self, other):
         return (isinstance(other, Model) and self.space == other.space
@@ -339,7 +333,7 @@ def dump_model(model: Model, path):
 
 
 # ---------------------------------------------------------------------------
-# mask engine (bit-sliced evaluator for the enumeration suites)
+# mask engine (the bit-sliced evaluator behind every entry point)
 
 class MaskContext:
     """Bitset view of one open family under ``lanes`` valuations at once.
@@ -352,8 +346,7 @@ class MaskContext:
     truth sets are plain n-bit masks over a single model.
     """
 
-    __slots__ = ("n", "lanes", "rep", "low", "points", "opens", "full",
-                 "vals", "cache")
+    __slots__ = ("n", "lanes", "rep", "low", "opens", "full", "vals", "cache")
 
     def __init__(self, n: int, opens, vals, lanes: int = 1):
         self.n = n
@@ -362,20 +355,14 @@ class MaskContext:
         self.rep = 1 if lanes == 1 else ((1 << n * lanes) - 1) // self.full
         # the low n-1 bits of every lane, for the per-lane collapse of K
         self.low = self.rep * (self.full >> 1)
-        self.points = None
         self.opens = tuple(opens)
         self.vals = dict(vals)
         self.cache = {}
 
     @classmethod
     def from_model(cls, model: Model) -> "MaskContext":
-        points = model.space.points
-        index = {p: i for i, p in enumerate(points)}
-        opens = [_mask(u, index) for u in model.space.opens]
-        vals = {a: _mask(s, index) for a, s in model.valuation.items()}
-        ctx = cls(len(points), opens, vals)
-        ctx.points = points
-        return ctx
+        index, opens, vals = model._mask_view()
+        return cls(len(index), opens, vals)
 
     def truth(self, f: Formula, u_mask: int) -> int:
         key = (id(f), u_mask)

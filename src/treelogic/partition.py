@@ -93,7 +93,8 @@ class PartitionTable:
     ``family`` is the top formula's.  ``remainders`` and ``truth`` are
     taken with respect to the top family: ``truth[(psi, u)]`` is the set
     of points of the member ``u`` where ``psi`` holds with ``u`` as the
-    current view.  ``memo`` is an evaluation memo for ``model.truth_in``,
+    current view.  ``memo`` is the truth cache ``model.truth_in`` hands
+    to the mask engine, keyed by ``(id(formula), carrier mask)``, and is
     shared with the caller that built the families.
     """
 
@@ -122,7 +123,7 @@ def build_stable_partitions(model: Model, formula: Formula) -> PartitionTable:
     space; conjunction merges and recloses; the knowledge case recloses
     with the truth sets of the child over the child's family members.
     Negation and the refinement modality reuse the child's family.
-    One evaluation memo serves every truth set of the call.
+    One mask-engine truth cache serves every truth set of the call.
     """
     if not model.space.is_treelike():
         raise PartitionError("stable partitions are built over treelike models")

@@ -43,9 +43,12 @@ def test_check_command(capsys):
     code, _, err = run(capsys, "check", "--model", ORACLE, "--point", "q9",
                        "--open", "top", "A")
     assert code == 2
-    code, _, err = run(capsys, "check", "--model", ORACLE, "--point", "q1",
-                       "--open", "top", "--strict-atoms", "Mystery")
-    assert code == 2 and "unknown atom" in err
+    # an unknown atom is rejected even where evaluation would not reach it
+    for text in ("Mystery", "Q1 | Mystery", "false & Mystery"):
+        code, out, err = run(capsys, "check", "--model", ORACLE, "--point",
+                             "q1", "--open", "top", "--strict-atoms", text)
+        assert code == 2 and out == ""
+        assert err.strip() == "error: unknown atom 'Mystery'"
 
 
 def test_valid_in_model_and_treelike(capsys):

@@ -6,9 +6,9 @@ import pytest
 from helpers import naive_satisfies, random_formula, random_treelike_model
 
 from treelogic import (Model, SubsetSpace, atom, complexity_bound,
-                       count_canonical, enumerate_spaces, enumerate_treelike,
-                       extract_finite_model, instantiate, know, parse,
-                       satisfiable, subformulas, valid)
+                       count_canonical, enumerate_spaces, extract_finite_model,
+                       instantiate, know, parse, satisfiable, subformulas,
+                       valid)
 from treelogic.decide import _canonical_models, _materialize
 
 
@@ -37,16 +37,16 @@ def test_bound_saturates_on_knowledge_towers():
 
 
 def test_enumerate_smallest():
-    models = list(enumerate_treelike(1, 1))
+    models = list(enumerate_spaces(1, 1))
     assert len(models) == 1
     assert models[0].space.opens == (frozenset({"p1"}),)
-    per_valuation = list(enumerate_treelike(1, 1, ("A",)))
+    per_valuation = list(enumerate_spaces(1, 1, ("A",)))
     assert len(per_valuation) == 2
 
 
 def test_enumerate_two_point_stratum():
-    small = {m.space for m in enumerate_treelike(1, 2)}
-    both = {m.space for m in enumerate_treelike(2, 2)}
+    small = {m.space for m in enumerate_spaces(1, 2)}
+    both = {m.space for m in enumerate_spaces(2, 2)}
     # the size-two stratum: {X}, {X,{p}}, {X,empty} up to renaming
     assert len(both - small) == 3
     assert len(small) == 2
@@ -54,7 +54,7 @@ def test_enumerate_two_point_stratum():
 
 def test_enumerate_only_treelike_and_deduped():
     seen = set()
-    for m in enumerate_treelike(3, None):
+    for m in enumerate_spaces(3, None):
         assert m.space.is_treelike()
         assert m.space not in seen
         seen.add(m.space)

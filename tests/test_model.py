@@ -7,9 +7,10 @@ from helpers import (FIXTURES, naive_satisfies, naive_valid, oracle_model,
 
 from treelogic import (MaskContext, Model, ModelError, SCHEMES, SubsetSpace,
                        TOP, atom, box, build_question_tree,
-                       build_stream_space, diamond, formula_pool, instantiate,
-                       know, load_model, model_from_dict, model_to_dict, neg,
-                       parse, poss, render, subformulas)
+                       build_stream_space, diamond, enumerate_spaces,
+                       formula_pool, instantiate, know, load_model,
+                       model_from_dict, model_to_dict, neg, parse, poss,
+                       render, subformulas)
 
 X = frozenset({"q1", "q2", "q3", "q4"})
 U12 = frozenset({"q1", "q2"})
@@ -55,8 +56,17 @@ def test_satisfies_validates_neighborhood(m1):
 
 def test_unknown_atoms_default_false(m1):
     assert m1.satisfies("q1", X, parse("Mystery")) is False
-    with pytest.raises(ModelError):
-        m1.satisfies("q1", X, parse("Mystery"), strict_atoms=True)
+    assert m1.satisfies("q1", X, parse("Q1 | Mystery")) is True
+    # strict mode rejects every unknown atom, whatever the evaluation order
+    for text in ("Mystery", "Q1 | Mystery", "false & Mystery",
+                 "true | []K Mystery"):
+        f = parse(text)
+        with pytest.raises(ModelError, match="unknown atom 'Mystery'"):
+            m1.satisfies("q1", X, f, strict_atoms=True)
+        with pytest.raises(ModelError, match="unknown atom 'Mystery'"):
+            m1.truth_set(X, f, strict_atoms=True)
+        with pytest.raises(ModelError, match="unknown atom 'Mystery'"):
+            m1.is_valid(f, strict_atoms=True)
 
 
 def test_valid_in_model(m1):
@@ -100,19 +110,45 @@ def test_dual_expansions_match(m1):
 
 
 def test_mask_engine_agrees_with_reference(m1):
+    # every Model entry point against the independent evaluator, on
+    # treelike and non-treelike models, over opens and over carriers
+    # built from opens (intersections and unions) that need not be open;
+    # naive_satisfies reads a carrier the way truth_in does
     rng = random.Random(5)
     models = [m1] + [random_treelike_model(rng, atoms=("A", "B"))
                      for _ in range(40)]
+    loose = list(enumerate_spaces(3, atoms=("A",), treelike=False))
+    models += rng.sample([m for m in loose if not m.space.is_treelike()], 25)
     for model in models:
         ctx = MaskContext.from_model(model)
         points = model.space.points
+        opens = model.space.opens
+        carriers = {u & v for u in opens for v in opens}
+        carriers |= {u | v for u in opens for v in opens}
         for _ in range(15):
             f = random_formula(rng, ("A", "B", "Q1"), 3)
-            for u_mask, u in zip(ctx.opens, model.space.opens):
+            for u_mask, u in zip(ctx.opens, opens):
                 got = {points[i] for i in range(len(points))
                        if ctx.truth(f, u_mask) >> i & 1}
-                assert got == set(model.truth_set(u, f))
-                assert got == {x for x in u if naive_satisfies(model, x, u, f)}
+                want = {x for x in u if naive_satisfies(model, x, u, f)}
+                assert got == want
+                assert model.truth_set(u, f) == want
+                assert all(model.satisfies(x, u, f) == (x in want) for x in u)
+            memo = {}
+            for c in carriers:
+                want = {x for x in c if naive_satisfies(model, x, c, f)}
+                assert model.truth_in(c, f) == want
+                assert model.truth_in(c, f, memo) == want
+            assert model.is_valid(f) == naive_valid(model, f)
+
+
+def test_deep_nesting_evaluates():
+    f = atom("Q1")
+    for _ in range(400):
+        f = box(f)
+    model = oracle_model()
+    assert model.satisfies("q1", model.space.full, f) is True
+    assert model.satisfies("q3", model.space.full, f) is False
 
 
 def test_box_collapses_without_knowledge():

@@ -8,10 +8,9 @@ import pytest
 from helpers import FIXTURES, naive_satisfies
 
 from treelogic import (MaskContext, Proof, ProofError, ProofLine, atom,
-                       check_proof, enumerate_spaces, enumerate_treelike,
-                       instantiate, is_tautology, know, load_proof,
-                       model_to_dict, parse, proof_from_dict, proof_to_dict,
-                       render, soundness_suite)
+                       check_proof, enumerate_spaces, instantiate,
+                       is_tautology, know, load_proof, model_to_dict, parse,
+                       proof_from_dict, proof_to_dict, render, soundness_suite)
 from treelogic.proofs import LANE_BLOCK_BITS, _instances
 
 FIXTURE = FIXTURES / "proof_scheme10_from_scheme12.json"
@@ -199,7 +198,7 @@ def test_accepted_conclusions_hold_on_small_treelike_models():
         assert outcome.accepted
         conclusions.append(outcome.conclusion)
     conclusions.append(check_proof(load_proof(FIXTURE)).conclusion)
-    for model in enumerate_treelike(3, None, ("A",)):
+    for model in enumerate_spaces(3, None, ("A",)):
         ctx = MaskContext.from_model(model)
         for f in conclusions:
             assert ctx.is_valid(f)
