@@ -6,10 +6,10 @@ around the current point.  The package provides the formula language,
 model checking over finite subset spaces, structural checks and the
 unfolding of birelational frames, the stable-partition/filtration
 small-model pipeline, Hilbert-style proof checking for the twelve-scheme
-system, and bound-driven satisfiability search.
+system, and satisfiability search that is exact on treelike spaces.
 """
 
-from .decide import (Bound, SatOutcome, complexity_bound, count_canonical,
+from .decide import (Bound, SatOutcome, SearchError, complexity_bound,
                      enumerate_spaces, formula_pool, satisfiable, valid)
 from .formula import (BOT, SCHEMES, SYSTEMS, TOP, Formula, ParseError,
                       SchemaError, SchemaTemplate, ast_dump, atom, atom_names,

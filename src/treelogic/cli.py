@@ -2,9 +2,11 @@
 
 Exit codes are uniform across commands: 0 for success / a true answer,
 1 for a false answer, a rejected proof or a found counterexample,
-2 for usage or file-format problems, and 3 for an internal error (an
-exception no command expects, such as a ``RecursionError`` on very deep
-input), so that a crash never reads as a false answer.
+2 for usage or file-format problems (an error of one of the package's
+own classes, or an unreadable input file), and 3 for an internal error
+(any other exception, such as a ``RecursionError`` on very deep input or
+a bare ``ValueError`` from a bug), so that a crash never reads as a false
+answer or as bad input.
 """
 
 from __future__ import annotations
@@ -14,12 +16,18 @@ import json
 import sys
 
 from . import decide, kripke, partition, proofs
-from .formula import ParseError, ast_dump, parse, render, subformulas
-from .model import (Model, ModelError, build_question_tree,
-                    build_stream_space, dump_model, load_model, model_to_dict)
+from .formula import ParseError, SchemaError, ast_dump, parse, render
+from .model import (ModelError, build_question_tree, build_stream_space,
+                    dump_model, load_model)
 
-_FORMAT_ERRORS = (ParseError, ModelError, kripke.FrameError,
-                  proofs.ProofError, partition.PartitionError, ValueError)
+
+class UsageError(ValueError):
+    """Command-line arguments that do not make a request."""
+
+
+_FORMAT_ERRORS = (UsageError, ParseError, SchemaError, ModelError,
+                  kripke.FrameError, proofs.ProofError,
+                  partition.PartitionError, decide.SearchError)
 
 
 def _read_formula(args) -> "Formula":
@@ -104,7 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
         s.add_argument("--max-points", type=int)
         s.add_argument("--max-opens", type=int)
         s.add_argument("--use-bound", action="store_true",
-                       help="exhaust the bound computed from the formula")
+                       help="decide exactly over treelike spaces (type "
+                            "saturation after a small sweep)")
         s.add_argument("--all-spaces", action="store_true",
                        help="search arbitrary subset spaces, not only treelike")
         s.add_argument("-o", "--output",
@@ -160,7 +169,10 @@ def _parse_schemes(listing: str):
             continue
         if "-" in token and not token.upper().startswith("S"):
             lo, hi = token.split("-", 1)
-            out.extend(range(int(lo), int(hi) + 1))
+            try:
+                out.extend(range(int(lo), int(hi) + 1))
+            except ValueError:
+                raise UsageError(f"bad scheme range {token!r}") from None
         elif token.isdigit():
             out.append(int(token))
         else:
@@ -269,7 +281,7 @@ def _search_kwargs(args):
         kwargs["max_points"] = args.max_points
         kwargs["max_opens"] = args.max_opens
         if args.max_points is None:
-            raise ValueError("give --max-points (and optionally --max-opens) "
+            raise UsageError("give --max-points (and optionally --max-opens) "
                              "or --use-bound")
     return kwargs
 
@@ -343,7 +355,7 @@ def _cmd_build_oracle(args) -> int:
     questions = []
     for q in args.question:
         if "=" not in q:
-            raise ValueError(f"question {q!r} must look like NAME=p1,p2")
+            raise UsageError(f"question {q!r} must look like NAME=p1,p2")
         name, members = q.split("=", 1)
         yes = [p.strip() for p in members.split(",") if p.strip()]
         questions.append((name.strip(), yes))
@@ -393,7 +405,7 @@ def main(argv=None) -> int:
     except _FORMAT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, UnicodeError) as exc:    # an unreadable input file
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:    # a bug or a resource limit, never "false"

@@ -1,24 +1,18 @@
-"""Size bounds and bounded satisfiability/validity search.
+"""Size bounds, model enumeration, and satisfiability/validity search.
 
 The bound mirrors the growth of the stable-partition construction:
 conjunction multiplies family sizes, knowledge recloses with truth sets
 (factor 2^f), the open collapse yields at most f*2^f classes, and the
 point quotient at most 2^(opens + atoms) points.  The bounds are loose
-upper bounds; the search relies on them only for refutation coverage.
-
-Refutation coverage uses a canonical form: any treelike model restricts
-to the witness's view, then collapses under the point quotient to a
-model whose nonempty opens form a tree in which every point carries a
-distinct (branch, valuation) signature.  Exhausting those canonical
-models up to the opens bound therefore covers every model within the
-bound, whatever its point count.
+upper bounds; a search with an explicit budget relies on them for
+refutation coverage.  The bound-driven search instead decides treelike
+satisfiability exactly by type saturation (``_Types``).
 """
 
 from __future__ import annotations
 
 import time
 from functools import lru_cache
-from math import comb
 
 from .formula import (BOT, TOP, Formula, atom, atom_names, box, conj,
                       diamond, know, neg, poss, subformulas)
@@ -28,7 +22,7 @@ __all__ = [
     "Bound", "complexity_bound",
     "enumerate_spaces",
     "SatOutcome", "satisfiable", "valid",
-    "formula_pool", "count_canonical",
+    "formula_pool", "SearchError",
 ]
 
 _SATURATION = 10 ** 12
@@ -153,7 +147,7 @@ def _family_spaces(max_points: int, max_opens, treelike: bool):
     ``labels`` are the point names in the bit order of valuation masks.
     """
     if max_points < 1:
-        raise ValueError("need at least one point")
+        raise SearchError("need at least one point")
     for n in range(1, max_points + 1):
         points, families = _families(n, max_opens, treelike)
         for family in families:
@@ -220,188 +214,209 @@ def formula_pool(atoms, depth: int, include_constants: bool = False):
 
 
 # ---------------------------------------------------------------------------
-# canonical coverage enumeration (trees of opens, one point per signature)
+# exact decision by type saturation
+#
+# The opens around a point of a treelike space form a chain, so []psi at
+# (x, U) is psi at (x, U) and []psi at (x, V), V the child of U holding x.
+# K psi at U depends only on the profiles (true subformulas) of U's
+# points.  A node's type, its set of profiles, is thus fixed by its K-set
+# and its generators: its private points and its children's types, of
+# which only each profile's atom and [] bits (its seed) count.  The
+# realisable types are built bottom-up, as in Pratt's elimination of
+# Hintikka sets.  Any subset of a node's generators that keeps a witness
+# for each false K psi keeps the K-set, so every type is a union of types
+# of one generator plus a minimal union of witnesses.  Only those are
+# built, and one whose seeds are a union of other generators' seeds is
+# not kept as a generator.
 
-def _labels(n_atoms: int) -> int:
-    return 1 << (1 << n_atoms)
-
-
-@lru_cache(maxsize=None)
-def _tree_counts(max_n: int, n_labels: int):
-    """Counts of canonical trees (t) and nonempty multisets (p) by size."""
-    t = [0] * (max_n + 1)
-    p = [0] * (max_n + 1)
-    for n in range(1, max_n + 1):
-        if n == 1:
-            t[n] = n_labels - 1
-        else:
-            t[n] = (n_labels - 1) * t[n - 1] + n_labels * (p[n - 1] - t[n - 1])
-        # multisets totaling m out of trees of sizes 1..n
-        dp = [0] * (max_n + 1)
-        dp[0] = 1
-        for s in range(1, n + 1):
-            new = [0] * (max_n + 1)
-            for m in range(max_n + 1):
-                if dp[m] == 0:
-                    continue
-                j = 0
-                while m + j * s <= max_n:
-                    new[m + j * s] += dp[m] * comb(t[s] + j - 1, j)
-                    j += 1
-            dp = new
-        for m in range(1, n + 1):
-            p[m] = dp[m]
-    return t, p
+SATURATION_STEPS = 20_000_000   # generator checks, unions and subset tests
 
 
-def count_canonical(max_opens: int, n_atoms: int) -> int:
-    """Number of canonical treelike models with up to ``max_opens`` opens."""
-    t, _ = _tree_counts(max_opens, _labels(n_atoms))
-    return sum(t[1:max_opens + 1])
+class _Types:
+    """Realisable node types of one formula, with their provenance.
 
-
-class _TreeEnum:
-    """Canonical labeled trees: (label, children) with sorted children.
-
-    Labels are subsets of the valuation patterns over the atoms; a label
-    contributes one point per pattern.  Leaves and single-child nodes
-    need nonempty labels (empty opens and duplicate parent/child opens
-    are never satisfaction-relevant).
+    Profiles are bitmasks over ``subformulas(formula)``; a generator is a
+    frozenset of seeds (one, with every [] bit set, for a private point).
+    ``prov`` holds (K-set, generators) for each generator that is a type.
     """
 
-    def __init__(self, n_labels: int, memo_limit: int = 7):
-        self.n_labels = n_labels
-        self.memo_limit = memo_limit
-        self._memo = {}
+    def __init__(self, formula: Formula, atoms):
+        subs = subformulas(formula)
+        pos = {id(g): i for i, g in enumerate(subs)}
+        self.ops = tuple((g.kind, pos.get(id(g.left)), pos.get(id(g.right)))
+                         for g in subs)
+        self.goal = 1 << len(subs) - 1
+        self.knows = tuple((1 << i, 1 << pos[id(g.left)])
+                           for i, g in enumerate(subs) if g.kind == "know")
+        names = {g.name: 1 << i for i, g in enumerate(subs) if g.kind == "atom"}
+        self.atom_bits = tuple(names[a] for a in atoms)
+        boxes = sum(1 << i for i, g in enumerate(subs) if g.kind == "box")
+        self.seed_mask = boxes | sum(self.atom_bits)
+        self.gens, self.prov, self._known = [], [], set()
+        for v in range(1 << len(atoms)):
+            self._add(frozenset({boxes | sum(
+                b for j, b in enumerate(self.atom_bits) if v >> j & 1)}), None)
+        self.private = len(self.gens)
+        self.steps = 0
+        self._profiles = {}
+        self._images = {}
 
-    def trees(self, n: int):
-        if n <= self.memo_limit:
-            if n not in self._memo:
-                self._memo[n] = list(self._gen(n))
-            return self._memo[n]
-        return self._gen(n)
-
-    def _gen(self, n: int):
-        if n == 1:
-            for label in range(1, self.n_labels):
-                yield (label, ())
+    def _add(self, seeds: frozenset, prov):
+        """Keep a new type unless kept generators' seeds add up to it."""
+        if seeds in self._known:
             return
-        # one child: nonzero label
-        for child in self.trees(n - 1):
-            for label in range(1, self.n_labels):
-                yield (label, (child,))
-        # two or more children: any label, children non-decreasing
-        for children in self._multisets(n - 1, 2):
-            for label in range(self.n_labels):
-                yield (label, children)
+        self._known.add(seeds)
+        if frozenset().union(*(g for g in self.gens if g <= seeds)) != seeds:
+            self.gens.append(seeds)
+            self.prov.append(prov)
 
-    def _multisets(self, total: int, at_least: int):
-        """Non-decreasing tuples of trees (by size, then list position).
+    def _profile(self, s: int) -> int:
+        """The profile of a point with seed and K-set bits ``s``."""
+        p = self._profiles.get(s)
+        if p is None:
+            p = 0
+            for i, (kind, l, r) in enumerate(self.ops):
+                if kind == "atom" or kind == "know":
+                    b = s >> i & 1
+                elif kind == "not":
+                    b = ~p >> l & 1
+                elif kind == "and":
+                    b = p >> l & p >> r & 1
+                elif kind == "box":
+                    b = p >> l & s >> i & 1
+                else:
+                    b = 1 if kind == "top" else 0
+                p |= b << i
+            self._profiles[s] = p
+        return p
 
-        Only multisets with at least two members are requested, so every
-        member has size at most total - 1 and must be memoized.
+    def _image(self, g: int, kappa: int) -> frozenset:
+        key = (g, kappa)
+        img = self._images.get(key)
+        if img is None:
+            img = frozenset(self._profile(s | kappa) for s in self.gens[g])
+            self._images[key] = img
+        return img
+
+    def saturate(self):
+        """Members of a type realising the goal, or None at the fixpoint.
+
+        Each round combines, per K-set, only with generators new to it.
         """
-        if total - 1 > self.memo_limit:
-            raise ValueError("memo_limit too small for this tree size")
-        yield from self._multiset_rec(total, at_least, total, 1, 0, 0)
+        done = {}
+        while True:
+            n = len(self.gens)
+            for kappa, usable in self._kappas(n):
+                seen, done[kappa] = done.get(kappa, 0), n
+                hit = self._combine(kappa, usable, seen)
+                if hit is not None:
+                    return hit
+            if len(self.gens) == n:
+                return None
 
-    # a method, not a recursive closure: such a closure is a reference
-    # cycle that keeps the tree memo alive until the cyclic collector runs
-    def _multiset_rec(self, total, at_least, remaining, min_size, min_index,
-                      count):
-        if remaining == 0:
-            if count >= at_least:
-                yield ()
-            return
-        for size in range(min_size, remaining + 1):
-            if count + 1 < at_least and size == total:
+    def _kappas(self, n: int):
+        """(K-set, usable generators) pairs over the first ``n`` generators.
+
+        K bits are fixed in post-order, so psi is settled when K psi is.
+        """
+        stack = [(0, 0, tuple(range(n)))]
+        while stack:
+            j, kappa, usable = stack.pop()
+            if j == len(self.knows):
+                yield kappa, usable
                 continue
-            pool = self.trees(size)
-            start = min_index if size == min_size else 0
-            for i in range(start, len(pool)):
-                for rest in self._multiset_rec(total, at_least,
-                                               remaining - size, size, i,
-                                               count + 1):
-                    yield (pool[i],) + rest
+            k, psi = self.knows[j]
+            known = []
+            for g in usable:
+                self._step()
+                if all(p & psi for p in self._image(g, kappa)):
+                    known.append(g)
+            if len(known) < len(usable):
+                stack.append((j + 1, kappa, usable))
+            if known:
+                stack.append((j + 1, kappa | k, tuple(known)))
+
+    def _combine(self, kappa: int, usable, seen: int):
+        """Build the types of K-set ``kappa`` that use a generator >= seen."""
+        images = {}         # one generator per image
+        for g in usable:
+            images.setdefault(self._image(g, kappa), g)
+        # the minimal unions of one witness image per K psi false here;
+        # a union that already holds a witness for psi needs no other
+        covers = [(frozenset(), ())]
+        for k, psi in self.knows:
+            if kappa & k:
+                continue
+            cands = [(img, g) for img, g in images.items()
+                     if any(not p & psi for p in img)]
+            if not cands:
+                return None
+            grown = {}
+            for cover, ws in covers:
+                if any(not p & psi for p in cover):
+                    grown.setdefault(cover, ws)
+                    continue
+                for img, g in cands:
+                    self._step()
+                    grown.setdefault(cover | img, ws + (g,))
+            covers = []
+            for cover, ws in sorted(grown.items(), key=lambda c: len(c[0])):
+                self._step(len(covers) + 1)
+                if not any(other < cover for other, _ in covers):
+                    covers.append((cover, ws))
+        for img, g in images.items():
+            for cover, ws in covers:
+                members = tuple(dict.fromkeys((g, *ws)))
+                if max(members) < seen:
+                    continue
+                self._step()
+                profiles = img | cover
+                if any(p & self.goal for p in profiles):
+                    return members
+                self._add(frozenset(p & self.seed_mask for p in profiles),
+                          (kappa, members))
+        return None
+
+    def _step(self, cost: int = 1):
+        self.steps += cost
+        if self.steps > SATURATION_STEPS:
+            raise _StepCap
+
+    def tree(self, members):
+        """(n_points, open masks, atom masks) of a tree realising ``members``.
+
+        Each node has a private point or two children, so its open is new:
+        a type built from one child type alone repeats that type.
+        """
+        opens, atom_masks, n_points = [], [0] * len(self.atom_bits), 0
+        stack = [(members, ())]
+        while stack:
+            members, above = stack.pop()
+            above += (len(opens),)
+            opens.append(0)
+            children = []
+            for g in members:
+                if self.prov[g] is not None:
+                    children.append(self.prov[g][1])
+                    continue
+                bit, n_points = 1 << n_points, n_points + 1
+                for slot in above:
+                    opens[slot] |= bit
+                for j, b in enumerate(self.atom_bits):
+                    if min(self.gens[g]) & b:
+                        atom_masks[j] |= bit
+            stack.extend((child, above) for child in reversed(children))
+        return n_points, tuple(opens), tuple(atom_masks)
 
 
-def _tree_to_masks(tree, n_atoms: int):
-    """Decode a tree into (n_points, open masks, atom masks)."""
-    opens = []
-    atom_masks = [0] * n_atoms
-    counter = [0]
-
-    def walk(node):
-        label, children = node
-        mask = 0
-        pattern = label
-        while pattern:
-            p = (pattern & -pattern).bit_length() - 1
-            pattern &= pattern - 1
-            bit = 1 << counter[0]
-            counter[0] += 1
-            mask |= bit
-            for j in range(n_atoms):
-                if p >> j & 1:
-                    atom_masks[j] |= bit
-        for child in children:
-            mask |= walk(child)
-        opens.append(mask)
-        return mask
-
-    walk(tree)
-    opens.reverse()  # root (the full set) first
-    return counter[0], tuple(opens), tuple(atom_masks)
-
-
-def _canonical_models(max_opens: int, n_atoms: int):
-    """Yield (n_points, open_masks, atom_masks) for every canonical model."""
-    enum = _TreeEnum(_labels(n_atoms), memo_limit=max(1, max_opens - 2))
-    for n in range(1, max_opens + 1):
-        for tree in enum.trees(n):
-            yield _tree_to_masks(tree, n_atoms)
-
-
-def _prefill_presence(enum: _TreeEnum) -> dict:
-    """Pattern-presence set per memoized subtree (stable ids only)."""
-    cache = {}
-    for size in range(1, enum.memo_limit + 1):
-        for tree in enum.trees(size):
-            label, children = tree
-            for child in children:
-                label |= cache[id(child)]
-            cache[id(tree)] = label
-    return cache
-
-
-def _presence(tree, cache) -> int:
-    pres = cache.get(id(tree))
-    if pres is not None:
-        return pres
-    label, children = tree
-    for child in children:
-        label |= _presence(child, cache)
-    return label
-
-
-def _presence_sat(formula: Formula, presence: int, atoms) -> bool:
-    """Satisfiability at the top open given only the patterns present.
-
-    Sound for formulas without the refinement modality: their evaluation
-    never leaves the current open, so truth at a point depends only on
-    the point's valuation pattern and the set of patterns in view.
-    """
-    patterns = [p for p in range(presence.bit_length()) if presence >> p & 1]
-    n = len(patterns)
-    vals = {a: sum(1 << i for i, p in enumerate(patterns) if p >> j & 1)
-            for j, a in enumerate(atoms)}
-    ctx = MaskContext(n, ((1 << n) - 1,), vals)
-    return ctx.truth(formula, ctx.full) != 0
+class _StepCap(Exception):
+    """Saturation spent ``SATURATION_STEPS`` without a verdict."""
 
 
 def _materialize(n_points: int, opens, atom_masks, atoms) -> Model:
     # zero-padded so that sorted point order matches bit order
-    points = tuple(f"p{i + 1:02d}" for i in range(n_points))
+    width = max(2, len(str(n_points)))
+    points = tuple(f"p{i + 1:0{width}d}" for i in range(n_points))
     sets = [frozenset(points[i] for i in range(n_points) if m >> i & 1)
             for m in opens]
     valuation = {a: frozenset(points[i] for i in range(n_points)
@@ -410,14 +425,29 @@ def _materialize(n_points: int, opens, atom_masks, atoms) -> Model:
     return Model(SubsetSpace(points, sets), valuation)
 
 
+def _witness(model: Model, ctx: MaskContext, u_mask: int, u, formula):
+    """The first point of ``u`` where ``formula`` holds, re-checked."""
+    t = ctx.truth(formula, u_mask)
+    if not t:
+        return None
+    x = model.space.points[(t & -t).bit_length() - 1]
+    if not model.satisfies(x, u, formula):
+        raise AssertionError("the witness does not hold in the returned model")
+    return model, x, u
+
+
 # ---------------------------------------------------------------------------
 # search
+
+class SearchError(ValueError):
+    """A search request without a usable budget or search space."""
+
 
 class SatOutcome:
     """Search verdict with witness, searched sizes, and statistics.
 
-    verdict is "sat", "unsat_within" (budget exhausted, nothing proved)
-    or "unsat_proved" (the bound-covering space was exhausted).
+    verdict is "sat", "unsat_within" (budget spent, nothing proved) or
+    "unsat_proved" (a bound-covering budget or type saturation exhausted).
     """
 
     def __init__(self, verdict, witness, searched, stats, bound):
@@ -442,21 +472,17 @@ class SatOutcome:
         return out
 
 
-DEFAULT_CAP_OPENS = 8
-DEFAULT_EXHAUST_BUDGET = 2_000_000
-
-
 def satisfiable(formula: Formula, max_points=None, max_opens=None,
-                use_bound: bool = False, treelike: bool = True,
-                cap_opens: int = DEFAULT_CAP_OPENS,
-                exhaust_budget: int = DEFAULT_EXHAUST_BUDGET) -> SatOutcome:
-    """Bounded search for a model and neighborhood satisfying ``formula``.
+                use_bound: bool = False, treelike: bool = True) -> SatOutcome:
+    """Search for a model and neighborhood satisfying ``formula``.
 
     With an explicit budget, enumerates every space within it (points
     ascending, then family shape, then valuation) and returns the first
     witness; exhausting a budget at least as large as the computed bound
-    proves unsatisfiability.  With ``use_bound``, a small plain sweep is
-    followed by the canonical-coverage exhaustion when affordable.
+    proves unsatisfiability.  With ``use_bound`` (treelike only), a small
+    plain sweep for a smallest-first witness is followed by exact type
+    saturation, whose witness tree is built from the types' provenance;
+    only saturation that spends ``SATURATION_STEPS`` ends unsat_within.
     """
     atoms = sorted(atom_names(formula))
     bound = complexity_bound(formula)
@@ -480,21 +506,16 @@ def satisfiable(formula: Formula, max_points=None, max_opens=None,
                 if not u_mask:
                     continue
                 stats["neighborhoods"] += len(u)
-                t = ctx.truth(formula, u_mask)
-                if t:
-                    bit = (t & -t).bit_length() - 1
-                    x = model.space.points[bit]
-                    if not model.satisfies(x, u, formula):
-                        raise AssertionError(
-                            "the witness does not hold in the returned model")
-                    return model, x, u
+                hit = _witness(model, ctx, u_mask, u, formula)
+                if hit:
+                    return hit
         return None
 
     if not use_bound:
         if max_points is None:
-            raise ValueError("give a budget (max_points/max_opens) or use_bound")
+            raise SearchError("give a budget (max_points/max_opens) or use_bound")
         if max_points < 1 or (max_opens is not None and max_opens < 1):
-            raise ValueError("budget must allow at least one point and open")
+            raise SearchError("budget must allow at least one point and open")
         hit = plain_sweep(max_points, max_opens)
         searched = {"max_points": max_points, "max_opens": max_opens,
                     "coverage": "plain"}
@@ -507,10 +528,10 @@ def satisfiable(formula: Formula, max_points=None, max_opens=None,
                       None, searched)
 
     if not treelike:
-        raise ValueError("bound-driven exhaustion applies to treelike search")
+        raise SearchError("bound-driven search applies to treelike spaces")
 
     # small plain sweep first: deterministic small witnesses in the
-    # points-ascending order (capped; the canonical pass is the coverage)
+    # points-ascending order (capped; saturation is the coverage)
     sweep_points = min(4, bound.max_points) if not bound.saturated else 4
     sweep_points = max(1, sweep_points)
     hit = plain_sweep(sweep_points, 6, model_cap=20_000)
@@ -518,60 +539,24 @@ def satisfiable(formula: Formula, max_points=None, max_opens=None,
         return finish("sat", hit, {"max_points": sweep_points, "max_opens": 6,
                                    "coverage": "plain"})
 
-    if bound.saturated or bound.max_opens > cap_opens:
-        searched = {"max_points": sweep_points, "max_opens": 6,
-                    "coverage": "plain",
-                    "note": "bound too large to exhaust"}
-        return finish("unsat_within", None, searched)
-
-    predicted = count_canonical(bound.max_opens, len(atoms))
-    if predicted > exhaust_budget:
-        searched = {"max_points": sweep_points, "max_opens": 6,
-                    "coverage": "plain",
-                    "note": f"canonical coverage needs {predicted} models, "
-                            f"budget is {exhaust_budget}"}
-        return finish("unsat_within", None, searched)
-
-    n_atoms = len(atoms)
-    box_free = all(g.kind != "box" for g in subformulas(formula))
-    enum = _TreeEnum(_labels(n_atoms), memo_limit=max(1, bound.max_opens - 2))
-    pres_cache = _prefill_presence(enum) if box_free else None
-    verdicts: dict[int, bool] = {}
-    for n in range(1, bound.max_opens + 1):
-        for tree in enum.trees(n):
-            stats["models"] += 1
-            if box_free:
-                pres = _presence(tree, pres_cache)
-                hit = verdicts.get(pres)
-                if hit is None:
-                    hit = _presence_sat(formula, pres, atoms)
-                    verdicts[pres] = hit
-                if not hit:
-                    continue
-            n_points, opens, atom_masks = _tree_to_masks(tree, n_atoms)
-            ctx = MaskContext(n_points, opens, dict(zip(atoms, atom_masks)))
-            stats["neighborhoods"] += n_points
-            t = ctx.truth(formula, ctx.full)
-            if t:
-                model = _materialize(n_points, opens, atom_masks, atoms)
-                bit = (t & -t).bit_length() - 1
-                x = model.space.points[bit]
-                u = model.space.full
-                if not model.satisfies(x, u, formula):
-                    raise AssertionError(
-                        "the witness does not hold in the returned model")
-                return finish("sat", (model, x, frozenset(u)),
-                              {"max_opens": bound.max_opens,
-                               "coverage": "canonical"})
-            if box_free:
-                raise AssertionError(
-                    "presence fast path and mask engine disagree")
-    searched = {"max_opens": bound.max_opens,
-                "effective_points": min(bound.max_points,
-                                        bound.max_opens * (1 << n_atoms)),
-                "coverage": "canonical",
-                "models": predicted}
-    return finish("unsat_proved", None, searched)
+    types = _Types(formula, atoms)
+    try:
+        members, verdict = types.saturate(), "unsat_proved"
+    except _StepCap:
+        members, verdict = None, "unsat_within"
+    searched = {"coverage": "saturation",
+                "types": len(types.gens) - types.private,
+                "steps": types.steps}
+    if members is not None:
+        model = _materialize(*types.tree(members), atoms)
+        ctx = MaskContext.from_model(model)
+        hit = _witness(model, ctx, ctx.full, model.space.full, formula)
+        if hit is None:
+            raise AssertionError("the saturated type is not realised")
+        return finish("sat", hit, searched)
+    if verdict == "unsat_within":
+        searched["note"] = "saturation step cap reached"
+    return finish(verdict, None, searched)
 
 
 class ValidityOutcome:

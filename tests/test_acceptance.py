@@ -19,7 +19,8 @@ from treelogic import (MaskContext, atom, atom_names, build_stable_partitions,
                        extract_finite_model, filtrate, formula_pool,
                        instantiate, is_stable, know, load_frame, load_model,
                        load_proof, parse, proof_from_dict, remainder, render,
-                       satisfiable, soundness_suite, subformulas, unfold)
+                       satisfiable, soundness_suite, subformulas, unfold,
+                       valid)
 
 SOUND_BUDGET_SECONDS = 300
 SMOKE_BUDGET_SECONDS = 10
@@ -122,6 +123,29 @@ def test_criterion_03_knowledge_refinement_converse_fails():
             f"({witness.point}, {witness.open_name})")
 
 
+def test_criterion_03b_decider_agrees_with_harness_on_c10():
+    """valid --use-bound refutes exactly the C10 instances the harness does."""
+    report = soundness_suite(max_points=3, schemes=("C10",), atoms=("A",),
+                             depth=1)
+    violated = {v.instance for v in report.violations}
+    instances = [instantiate("C10", {"phi": f})
+                 for f in formula_pool(("A",), 1)]
+    assert len(instances) == report.instances == 7
+    assert violated
+    for inst in instances:
+        outcome = valid(inst, use_bound=True)
+        if inst in violated:
+            assert outcome.verdict == "countermodel", render(inst)
+            model, x, u = outcome.countermodel
+            assert model.space.is_treelike()
+            assert not naive_satisfies(model, x, u, inst)
+        else:
+            assert outcome.verdict == "valid", render(inst)
+    _report("03b decider-agrees-on-C10",
+            f"{len(violated)} countermodels, "
+            f"{len(instances) - len(violated)} valid")
+
+
 def test_criterion_04_frame_unfolding_golden():
     """The two-level frame checks out and unfolds to the golden tree."""
     frame = load_frame(FIXTURES / "frame_two_level.json")
@@ -208,7 +232,7 @@ def test_criterion_07_small_model_pipeline(corpus500):
 
 
 def test_criterion_08_decidability_smoke():
-    """A sat and an unsat verdict, both bound-driven, both fast."""
+    """Bound-driven sat, unsat and valid verdicts, each one fast."""
     start = time.monotonic()
     sat_outcome = satisfiable(parse("L A & L ~A"), use_bound=True)
     sat_elapsed = time.monotonic() - start
@@ -223,9 +247,20 @@ def test_criterion_08_decidability_smoke():
     unsat_elapsed = time.monotonic() - start
     assert unsat_outcome.verdict == "unsat_proved"
     assert unsat_elapsed < SMOKE_BUDGET_SECONDS
+
+    # S5 facts, scheme 10 and the box-over-knowledge tail: all proved
+    slowest = 0.0
+    for text in ("K A -> K K A", "A -> K L A", "K(A -> B) -> (K A -> K B)",
+                 "K[]A -> []K A", "K[]A -> []A"):
+        start = time.monotonic()
+        outcome = valid(parse(text), use_bound=True)
+        elapsed = time.monotonic() - start
+        assert outcome.verdict == "valid", text
+        assert elapsed < SMOKE_BUDGET_SECONDS, text
+        slowest = max(slowest, elapsed)
     _report("08 decidability-smoke",
-            f"sat {sat_elapsed:.2f}s, unsat_proved {unsat_elapsed:.2f}s over "
-            f"{unsat_outcome.stats['models']} models")
+            f"sat {sat_elapsed:.2f}s, unsat_proved {unsat_elapsed:.2f}s, "
+            f"five valid facts each within {slowest:.2f}s")
 
 
 def test_criterion_09_proof_checker_fixture_and_mutations():

@@ -205,6 +205,7 @@ def test_outputs_are_reproducible(capsys):
     (RuntimeError("boom\non two lines"),
      "error: internal: RuntimeError: boom on two lines"),
     (RecursionError("too deep"), "error: internal: RecursionError: too deep"),
+    (ValueError("bug"), "error: internal: ValueError: bug"),
 ])
 def test_unexpected_exception_exits_3(capsys, monkeypatch, exc, line):
     # an internal failure must not exit 1, which reads as "false"
@@ -214,6 +215,28 @@ def test_unexpected_exception_exits_3(capsys, monkeypatch, exc, line):
     code, out, err = run(capsys, "parse", "A")
     assert code == 3 and out == ""
     assert err.splitlines() == [line]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sat", "A"], "give --max-points"),
+    (["sat", "--max-points", "0", "A"], "at least one point"),
+    (["valid", "--use-bound", "--all-spaces", "A"], "treelike"),
+    (["build-oracle", "--points", "p,q", "--question", "Q", "-o", "x.json"],
+     "must look like NAME=p1,p2"),
+    (["soundness", "--max-points", "0"], "at least one point"),
+    (["soundness", "--schemes", "1-x"], "bad scheme range"),
+])
+def test_bad_input_exits_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
+
+
+def test_undecodable_input_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "formula.txt"
+    path.write_bytes(b"\xff\xfe A")
+    code, _, err = run(capsys, "parse", "--formula-file", str(path))
+    assert code == 2 and err.startswith("error: ")
 
 
 def test_console_entry_point_runs():

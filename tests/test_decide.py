@@ -5,11 +5,10 @@ import pytest
 
 from helpers import naive_satisfies, random_formula, random_treelike_model
 
-from treelogic import (Model, SubsetSpace, atom, complexity_bound,
-                       count_canonical, enumerate_spaces, extract_finite_model,
+from treelogic import (Model, SubsetSpace, atom, atom_names, complexity_bound,
+                       decide, enumerate_spaces, extract_finite_model,
                        instantiate, know, parse, satisfiable, subformulas,
                        valid)
-from treelogic.decide import _canonical_models, _materialize
 
 
 def test_bound_frozen_values():
@@ -94,24 +93,6 @@ def test_enumerate_matches_brute_force_counts():
         assert len(seen) == sum(brute(n, treelike) for n in (1, 2, 3))
 
 
-def test_canonical_count_matches_generator():
-    for max_opens in range(1, 7):
-        for n_atoms in (0, 1):
-            generated = sum(1 for _ in _canonical_models(max_opens, n_atoms))
-            assert generated == count_canonical(max_opens, n_atoms)
-    assert count_canonical(2, 2) == 240
-
-
-def test_canonical_models_are_treelike_and_valid():
-    seen = set()
-    for n_points, opens, atom_masks in _canonical_models(4, 1):
-        model = _materialize(n_points, opens, atom_masks, ["A"])
-        assert model.space.is_treelike()
-        key = (n_points, frozenset(opens), atom_masks)
-        assert key not in seen
-        seen.add(key)
-
-
 def test_satisfiable_epistemic_uncertainty():
     outcome = satisfiable(parse("L A & L ~A"), use_bound=True)
     assert outcome.verdict == "sat"
@@ -127,8 +108,68 @@ def test_satisfiable_epistemic_uncertainty():
 def test_satisfiable_refutes_unknown_truths():
     outcome = satisfiable(parse("K A & ~A"), use_bound=True)
     assert outcome.verdict == "unsat_proved"
-    assert outcome.searched["coverage"] == "canonical"
-    assert outcome.stats["models"] >= count_canonical(8, 1)
+    assert outcome.searched["coverage"] == "saturation"
+    assert "note" not in outcome.searched
+
+
+# answers that turn on refinement: a [] read as "here only" flips them
+REFINEMENT_CASES = ["~K A & <>K A", "L ~A & <>K A", "<>K A & <>K ~A",
+                    "L<>K A & L<>K ~A & L A & L ~A", "[]K L A & ~K[]L A"]
+
+
+def test_saturation_agrees_with_the_naive_oracle():
+    rng = random.Random(83)
+    formulas = [random_formula(rng, ("A", "B")[:rng.randint(1, 2)],
+                               rng.randint(1, 3)) for _ in range(200)]
+    verdicts = set()
+    for f in formulas + [parse(text) for text in REFINEMENT_CASES]:
+        atoms = sorted(atom_names(f))
+        outcome = satisfiable(f, use_bound=True)
+        verdicts.add(outcome.verdict)
+        if outcome.verdict == "sat":
+            model, x, u = outcome.witness
+            assert model.space.is_treelike()
+            assert naive_satisfies(model, x, u, f), str(f)
+        else:
+            assert outcome.verdict == "unsat_proved", str(f)
+            assert not any(naive_satisfies(m, x, u, f)
+                           for m in enumerate_spaces(3, None, atoms)
+                           for u in m.space.opens for x in u), str(f)
+        # saturation alone, without the sweep in front of it
+        types = decide._Types(f, atoms)
+        members = types.saturate()
+        assert (members is not None) == (outcome.verdict == "sat"), str(f)
+        if members is not None:
+            model = decide._materialize(*types.tree(members), atoms)
+            assert model.space.is_treelike()
+            assert any(naive_satisfies(model, x, model.space.full, f)
+                       for x in model.space.points), str(f)
+    assert verdicts == {"sat", "unsat_proved"}
+
+
+FIVE_POINTS = ("L(A&B&C) & L(A&B&~C) & L(A&~B&C) & L(~A&B&C) "
+               "& L(~A&~B&~C)")
+
+
+def test_saturation_materialises_witnesses_beyond_the_sweep():
+    f = parse(FIVE_POINTS)
+    outcome = satisfiable(f, use_bound=True)
+    assert outcome.verdict == "sat"
+    assert outcome.searched["coverage"] == "saturation"
+    model, x, u = outcome.witness
+    assert len(model.space.points) >= 5
+    assert model.space.is_treelike()
+    assert naive_satisfies(model, x, u, f)
+    again = satisfiable(f, use_bound=True)
+    assert again.to_dict() == outcome.to_dict()
+
+
+def test_saturation_step_cap_keeps_unsat_within(monkeypatch):
+    monkeypatch.setattr(decide, "SATURATION_STEPS", 3)
+    for text in ("K A & ~A", FIVE_POINTS):
+        outcome = satisfiable(parse(text), use_bound=True)
+        assert outcome.verdict == "unsat_within"
+        assert outcome.searched["note"] == "saturation step cap reached"
 
 
 def test_satisfiable_budget_modes():
@@ -160,7 +201,7 @@ def test_conflicting_discoveries_are_unsatisfiable():
 def test_valid_connectedness_scheme():
     outcome = valid(parse("[](([]A -> B)) | []([]B -> A)"), use_bound=True)
     assert outcome.verdict == "valid"
-    assert outcome.outcome.searched["coverage"] == "canonical"
+    assert outcome.outcome.searched["coverage"] == "saturation"
 
 
 def test_valid_knowledge_is_not_automatic():
