@@ -89,7 +89,7 @@ def _family_key(family, index):
 
 @lru_cache(maxsize=None)
 def _families(n: int, max_opens, treelike: bool):
-    """All open families over n points, canonically deduped for n <= 4.
+    """Labels and a space per open family over n points, deduped for n <= 4.
 
     Cached: the relabelling pass costs n! per family, and the searches
     and the soundness harness ask for the same few point counts again.
@@ -138,7 +138,7 @@ def _families(n: int, max_opens, treelike: bool):
         families = list(seen.values())
 
     families.sort(key=lambda fam: (len(fam), _family_key(fam, index)))
-    return points, tuple(families)
+    return points, tuple(SubsetSpace(points, fam) for fam in families)
 
 
 def _family_spaces(max_points: int, max_opens, treelike: bool):
@@ -146,12 +146,12 @@ def _family_spaces(max_points: int, max_opens, treelike: bool):
 
     ``labels`` are the point names in the bit order of valuation masks.
     """
-    if max_points < 1:
-        raise SearchError("need at least one point")
+    if max_points < 1 or (max_opens is not None and max_opens < 1):
+        raise SearchError("budget must allow at least one point and open")
     for n in range(1, max_points + 1):
-        points, families = _families(n, max_opens, treelike)
-        for family in families:
-            yield points, SubsetSpace(points, family)
+        points, spaces = _families(n, max_opens, treelike)
+        for space in spaces:
+            yield points, space
 
 
 def enumerate_spaces(max_points: int, max_opens=None, atoms=(),
@@ -191,6 +191,8 @@ def formula_pool(atoms, depth: int, include_constants: bool = False):
     The defined connectives count as single layers, so the pool reaches
     epistemic shapes early.  Deterministic order.
     """
+    if depth < 0:
+        raise SearchError(f"pool depth must be at least 0, got {depth}")
     pool = [atom(a) for a in sorted(atoms)]
     if include_constants:
         pool += [TOP, BOT]
@@ -493,9 +495,9 @@ def satisfiable(formula: Formula, max_points=None, max_opens=None,
         stats["seconds"] = round(time.monotonic() - start, 6)
         return SatOutcome(verdict, witness, searched, dict(stats), bound)
 
-    def plain_sweep(limit_points, limit_opens, model_cap=None):
+    def plain_sweep(max_points, max_opens, model_cap=None):
         count = 0
-        for model in enumerate_spaces(limit_points, limit_opens, atoms,
+        for model in enumerate_spaces(max_points, max_opens, atoms,
                                       treelike=treelike):
             count += 1
             if model_cap is not None and count > model_cap:
@@ -514,8 +516,6 @@ def satisfiable(formula: Formula, max_points=None, max_opens=None,
     if not use_bound:
         if max_points is None:
             raise SearchError("give a budget (max_points/max_opens) or use_bound")
-        if max_points < 1 or (max_opens is not None and max_opens < 1):
-            raise SearchError("budget must allow at least one point and open")
         hit = plain_sweep(max_points, max_opens)
         searched = {"max_points": max_points, "max_opens": max_opens,
                     "coverage": "plain"}
@@ -532,12 +532,10 @@ def satisfiable(formula: Formula, max_points=None, max_opens=None,
 
     # small plain sweep first: deterministic small witnesses in the
     # points-ascending order (capped; saturation is the coverage)
-    sweep_points = min(4, bound.max_points) if not bound.saturated else 4
-    sweep_points = max(1, sweep_points)
-    hit = plain_sweep(sweep_points, 6, model_cap=20_000)
+    sweep = {"max_points": 4, "max_opens": 6}
+    hit = plain_sweep(**sweep, model_cap=20_000)
     if hit:
-        return finish("sat", hit, {"max_points": sweep_points, "max_opens": 6,
-                                   "coverage": "plain"})
+        return finish("sat", hit, {**sweep, "coverage": "plain"})
 
     types = _Types(formula, atoms)
     try:

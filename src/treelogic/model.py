@@ -5,13 +5,15 @@ O containing X; formulas are evaluated at neighborhoods (x, U) with
 x in U in O.  K quantifies over the points of the current open, [] over
 the opens shrinking the current one around the current point.
 
+Each space numbers its points once, at construction, and keeps every
+open as a bitmask in that order; each model does the same for its atoms.
 Truth has one implementation here, the mask engine at the bottom: a
-bitset evaluator that ``Model.satisfies``, ``truth_set``, ``truth_in``
-and ``is_valid`` wrap.  It is bit-sliced: one context evaluates a
-formula under many valuations of the same open family at once, each
-valuation an n-bit lane of one int, so a context over a single model is
-the one-lane case.  Tests check it against the independent evaluator in
-``tests/helpers.py``.
+bitset evaluator over those masks that ``Model.satisfies``,
+``truth_set``, ``truth_in`` and ``is_valid`` wrap.  It is bit-sliced:
+one context evaluates a formula under many valuations of the same open
+family at once, each valuation an n-bit lane of one int, so a context
+over a single model is the one-lane case.  Tests check it against the
+independent evaluator in ``tests/helpers.py``.
 """
 
 from __future__ import annotations
@@ -46,7 +48,9 @@ class SubsetSpace:
 
     Opens are extensional: two opens with the same members are the same
     open, and the constructor rejects duplicate member sets.  Names are
-    aliases used by files and the CLI.
+    aliases used by files and the CLI.  ``index`` numbers the points in
+    sorted order, and ``open_masks[i]`` is ``opens[i]`` as a bitmask over
+    that numbering; both are built and checked once, in the constructor.
     """
 
     def __init__(self, points, opens, names=None):
@@ -55,12 +59,13 @@ class SubsetSpace:
             raise ModelError("a subset space needs at least one point")
         if len(set(self.points)) != len(self.points):
             raise ModelError("duplicate point ids")
-        full = frozenset(self.points)
+        self.full = frozenset(self.points)
+        self.index = {p: i for i, p in enumerate(self.points)}
         sets = [frozenset(u) for u in opens]
         order = sorted(range(len(sets)), key=lambda i: _open_sort_key(sets[i]))
         self.opens = tuple(sets[i] for i in order)
         if names is None:
-            gen = ("top" if u == full else f"U{i}"
+            gen = ("top" if u == self.full else f"U{i}"
                    for i, u in enumerate(self.opens))
             self.names = tuple(gen)
         else:
@@ -68,18 +73,20 @@ class SubsetSpace:
             if len(names) != len(sets):
                 raise ModelError("one name per open required")
             self.names = tuple(names[i] for i in order)
-        seen = set()
+        masks = {}          # the open masks in order, as an ordered set
         for name, u in zip(self.names, self.opens):
-            if not u <= full:
-                raise ModelError(f"open {name!r} contains unknown points")
-            if u in seen:
+            try:
+                m = self._mask(u)
+            except KeyError:
+                raise ModelError(f"open {name!r} contains unknown points") from None
+            if m in masks:
                 raise ModelError(f"open {name!r} duplicates another open's members")
-            seen.add(u)
+            masks[m] = None
         if len(set(self.names)) != len(self.names):
             raise ModelError("duplicate open names")
-        if full not in seen:
+        if (1 << len(self.points)) - 1 not in masks:
             raise ModelError("the full point set must be one of the opens")
-        self.full = full
+        self.open_masks = tuple(masks)
         self._by_name = dict(zip(self.names, self.opens))
         self._open_set = frozenset(self.opens)
 
@@ -97,9 +104,9 @@ class SubsetSpace:
 
     def is_treelike(self) -> bool:
         """Every pair of opens is nested or disjoint."""
-        for i, u in enumerate(self.opens):
-            for v in self.opens[i + 1:]:
-                if not (u <= v or v <= u or not (u & v)):
+        for i, u in enumerate(self.open_masks):
+            for v in self.open_masks[i + 1:]:
+                if u & v not in (0, u, v):
                     return False
         return True
 
@@ -108,7 +115,17 @@ class SubsetSpace:
         u = self._resolve(u)
         if u not in self._open_set:
             raise ModelError("down_set expects a member of the open family")
-        return frozenset(v for v in self.opens if v <= u)
+        return self._within(u)
+
+    def _within(self, w) -> frozenset:
+        """Opens contained in ``w``, any subset of the points."""
+        m = self._mask(w)
+        return frozenset(v for v, vm in zip(self.opens, self.open_masks)
+                         if not vm & ~m)
+
+    def _mask(self, subset) -> int:
+        """Bitmask of the point set ``subset``; KeyError on an unknown point."""
+        return sum(1 << self.index[p] for p in subset)
 
     def _resolve(self, u) -> frozenset:
         if isinstance(u, str):
@@ -132,31 +149,27 @@ class Model:
 
     Unknown atoms evaluate to the empty set unless ``strict_atoms`` is
     passed to the evaluation entry points, which then reject them.
-    Models are never mutated after construction; each evaluation call
-    runs on its own mask context over the model's bitset view.
+    ``atom_masks`` holds each atom's points as a bitmask in the space's
+    point order, built once with the valuation.  Models are never mutated
+    after construction; each evaluation call runs on its own mask context
+    over the space's open masks and these atom masks.
     """
 
     def __init__(self, space: SubsetSpace, valuation=None):
         self.space = space
-        val = {}
+        val, masks = {}, {}
         for name, members in (valuation or {}).items():
             _check_atom_name(name)
             members = frozenset(members)
-            if not members <= space.full:
-                raise ModelError(f"valuation of {name!r} contains unknown points")
+            try:
+                masks[name] = space._mask(members)
+            except KeyError:
+                raise ModelError(f"valuation of {name!r} contains unknown points") from None
             val[name] = members
         self.valuation = val
-        self._view = None
+        self.atom_masks = masks
 
     # -- evaluation (thin wrappers over the mask engine) -------------------
-
-    def _mask_view(self):
-        """Point index, open masks and atom masks, built on first use."""
-        if self._view is None:
-            index = {p: i for i, p in enumerate(self.space.points)}
-            self._view = (index, [_mask(u, index) for u in self.space.opens],
-                          {a: _mask(s, index) for a, s in self.valuation.items()})
-        return self._view
 
     def _context(self, f: Formula, strict: bool) -> "MaskContext":
         """A mask context with a fresh truth cache for evaluating ``f``.
@@ -172,8 +185,8 @@ class Model:
 
     def _truth(self, carrier: frozenset, f: Formula, ctx) -> frozenset:
         """Points of ``carrier`` where ``f`` holds with ``carrier`` as view."""
-        index = self._mask_view()[0]
-        t = ctx.truth(f, _mask(carrier, index))
+        index = self.space.index
+        t = ctx.truth(f, self.space._mask(carrier))
         return frozenset(x for x in carrier if t >> index[x] & 1)
 
     def satisfies(self, x, u, f: Formula, strict_atoms: bool = False) -> bool:
@@ -192,22 +205,17 @@ class Model:
             raise ModelError("truth_set expects a member of the open family")
         return self._truth(u, f, self._context(f, strict_atoms))
 
-    def truth_in(self, carrier, f: Formula, memo=None) -> frozenset:
+    def truth_in(self, carrier, f: Formula) -> frozenset:
         """Truth set over an arbitrary carrier set, not necessarily open.
 
         K quantifies over the carrier; [] quantifies over the genuine
         opens inside the carrier around the point.  For carriers that are
-        opens this agrees with ``truth_set``.  Calls on one model may
-        share a ``memo`` dict: it becomes the mask engine's truth cache,
-        keyed by formula and carrier mask.
+        opens this agrees with ``truth_set``.
         """
         carrier = frozenset(carrier)
         if not carrier <= self.space.full:
             raise ModelError("carrier contains unknown points")
-        ctx = self._context(f, False)
-        if memo is not None:
-            ctx.cache = memo
-        return self._truth(carrier, f, ctx)
+        return self._truth(carrier, f, self._context(f, False))
 
     def neighborhoods(self):
         for u in self.space.opens:
@@ -343,7 +351,8 @@ class MaskContext:
     holding one n-bit lane per valuation.  ``truth(f, u)`` widens the open
     ``u`` to every lane by multiplying it with ``rep``, the lane-replication
     constant (bit 0 of every lane set).  With one lane ``rep`` is 1, and
-    truth sets are plain n-bit masks over a single model.
+    truth sets are plain n-bit masks over a single model; ``from_model``
+    builds that context from the masks the space and the model hold.
     """
 
     __slots__ = ("n", "lanes", "rep", "low", "opens", "full", "vals", "cache")
@@ -361,8 +370,8 @@ class MaskContext:
 
     @classmethod
     def from_model(cls, model: Model) -> "MaskContext":
-        index, opens, vals = model._mask_view()
-        return cls(len(index), opens, vals)
+        space = model.space
+        return cls(len(space.points), space.open_masks, model.atom_masks)
 
     def truth(self, f: Formula, u_mask: int) -> int:
         key = (id(f), u_mask)
@@ -429,10 +438,3 @@ class MaskContext:
                 pending &= clear
         found.sort()
         return found
-
-
-def _mask(subset, index) -> int:
-    m = 0
-    for p in subset:
-        m |= 1 << index[p]
-    return m

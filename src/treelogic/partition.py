@@ -10,9 +10,11 @@ model satisfying the same subformulas at corresponding neighborhoods.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .decide import complexity_bound
 from .formula import Formula, atom_names, render, subformulas
-from .model import Model, SubsetSpace
+from .model import MaskContext, Model, SubsetSpace, _open_sort_key
 
 __all__ = [
     "PartitionError", "closure_intersection", "remainder", "is_stable",
@@ -29,7 +31,7 @@ class PartitionError(ValueError):
 
 def ordered_family(family) -> tuple:
     """Deterministic member order: big to small, then lexicographic."""
-    return tuple(sorted(family, key=lambda u: (-len(u), tuple(sorted(u)))))
+    return tuple(sorted(family, key=_open_sort_key))
 
 
 def closure_intersection(members) -> frozenset:
@@ -46,11 +48,6 @@ def closure_intersection(members) -> frozenset:
     return frozenset(closed)
 
 
-def _down(model: Model, w: frozenset) -> frozenset:
-    """Opens of the model contained in ``w`` (any subset of X)."""
-    return frozenset(v for v in model.space.opens if v <= w)
-
-
 def remainder(model: Model, family, u) -> frozenset:
     """Opens below ``u`` that lie below no family member not above ``u``.
 
@@ -61,10 +58,10 @@ def remainder(model: Model, family, u) -> frozenset:
     u = frozenset(u)
     if u not in family:
         raise PartitionError("remainder expects a member of the family")
-    out = set(_down(model, u))
+    out = set(model.space._within(u))
     for other in family:
         if not u <= other:
-            out -= _down(model, other)
+            out -= model.space._within(other)
     return frozenset(out)
 
 
@@ -93,12 +90,11 @@ class PartitionTable:
     ``family`` is the top formula's.  ``remainders`` and ``truth`` are
     taken with respect to the top family: ``truth[(psi, u)]`` is the set
     of points of the member ``u`` where ``psi`` holds with ``u`` as the
-    current view.  ``memo`` is the truth cache ``model.truth_in`` hands
-    to the mask engine, keyed by ``(id(formula), carrier mask)``, and is
-    shared with the caller that built the families.
+    current view.  ``truth`` is built on first read, through one mask
+    context of its own; the pipeline itself never reads it.
     """
 
-    def __init__(self, model, formula, families, memo=None):
+    def __init__(self, model, formula, families):
         self.model = model
         self.formula = formula
         self.families = families
@@ -106,11 +102,12 @@ class PartitionTable:
         self.members = ordered_family(self.family)
         self.remainders = {u: remainder(model, self.family, u)
                            for u in self.members}
-        memo = {} if memo is None else memo
-        self.truth = {}
-        for psi in subformulas(formula):
-            for u in self.members:
-                self.truth[(psi, u)] = model.truth_in(u, psi, memo)
+
+    @cached_property
+    def truth(self) -> dict:
+        ctx = MaskContext.from_model(self.model)
+        return {(psi, u): self.model._truth(u, psi, ctx)
+                for psi in subformulas(self.formula) for u in self.members}
 
     def family_sizes(self) -> dict:
         return {render(psi): len(fam) for psi, fam in self.families.items()}
@@ -123,27 +120,26 @@ def build_stable_partitions(model: Model, formula: Formula) -> PartitionTable:
     space; conjunction merges and recloses; the knowledge case recloses
     with the truth sets of the child over the child's family members.
     Negation and the refinement modality reuse the child's family.
-    One mask-engine truth cache serves every truth set of the call.
+    Every truth set of the call comes from one mask context over the model.
     """
     if not model.space.is_treelike():
         raise PartitionError("stable partitions are built over treelike models")
-    full = frozenset(model.space.full)
     families: dict[Formula, frozenset] = {}
-    memo = {}
+    ctx = MaskContext.from_model(model)
     for psi in subformulas(formula):
         k = psi.kind
         if k in ("atom", "top", "bot"):
-            fam = frozenset([full])
+            fam = frozenset([model.space.full])
         elif k in ("not", "box"):
             fam = families[psi.left]
         elif k == "and":
             fam = closure_intersection(families[psi.left] | families[psi.right])
         else:  # know
             base = families[psi.left]
-            truths = {model.truth_in(u, psi.left, memo) for u in base}
+            truths = {model._truth(u, psi.left, ctx) for u in base}
             fam = closure_intersection(base | truths)
         families[psi] = fam
-    return PartitionTable(model, formula, families, memo)
+    return PartitionTable(model, formula, families)
 
 
 class FiltrationResult:
@@ -200,20 +196,13 @@ def filtrate(model: Model, formula: Formula) -> FiltrationResult:
                 f"found {len(holders)}")
         owner[v] = holders[0]
 
+    # u1 < u2: their regions meet, and their remainder opens that meet
+    # nest strictly (a shared point of two opens lies in both regions)
     lt = set()
     for u1 in surviving:
         for u2 in surviving:
-            if u1 == u2 or not bars[u1] & bars[u2]:
-                continue
-            strict = True
-            for x in bars[u1] & bars[u2]:
-                for v1 in rem[u1]:
-                    if x not in v1:
-                        continue
-                    for v2 in rem[u2]:
-                        if x in v2 and not (v1 <= v2 and v1 != v2):
-                            strict = False
-            if strict:
+            if u1 != u2 and bars[u1] & bars[u2] and all(
+                    v1 < v2 for v1 in rem[u1] for v2 in rem[u2] if v1 & v2):
                 lt.add((u1, u2))
 
     for u1, u2 in lt:
@@ -253,8 +242,7 @@ def filtrate(model: Model, formula: Formula) -> FiltrationResult:
                     raise PartitionError("strictly nested classes require "
                                          "strictly related members")
 
-    full = frozenset(model.space.full)
-    if full not in opens_out:
+    if model.space.full not in opens_out:
         raise PartitionError("filtration lost the full point set")
     names = [f"cls({min(u)},{len(u)})" for u in opens_out]
     space = SubsetSpace(model.space.points, opens_out, names)

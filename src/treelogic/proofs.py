@@ -17,11 +17,11 @@ from __future__ import annotations
 import json
 import time
 
-from .decide import (_family_spaces, _valuation, _valuation_masks,
-                     formula_pool)
+from .decide import (SearchError, _family_spaces, _valuation,
+                     _valuation_masks, formula_pool)
 from .formula import (Formula, SchemaError, SchemaTemplate, SYSTEMS, SCHEMES,
                       box, instantiate, know, parse, render, scheme)
-from .model import MaskContext, Model, _mask, model_to_dict
+from .model import MaskContext, Model, model_to_dict
 
 __all__ = [
     "ProofError", "ProofLine", "Proof", "CheckOutcome", "check_proof",
@@ -90,37 +90,44 @@ def is_tautology(f: Formula) -> bool:
     """Truth-table decision over the boolean skeleton of ``f``.
 
     Atoms and modal subtrees are opaque propositional letters; repeated
-    subtrees share a letter (formulas are hash-consed).
+    subtrees share a letter (formulas are hash-consed).  The table is
+    bit-sliced: bit b of a value is its truth under assignment b, in
+    which letter i is bit i of b, so one pass evaluates every row.
     """
     letters = {}
 
-    def skel(g: Formula):
-        if g.kind == "not":
-            return ("not", skel(g.left))
-        if g.kind == "and":
-            return ("and", skel(g.left), skel(g.right))
-        if g.kind == "top":
-            return True
-        if g.kind == "bot":
-            return False
-        i = letters.setdefault(id(g), len(letters))
-        return ("var", i)
+    def scan(g: Formula):
+        if g.kind in ("not", "and"):
+            scan(g.left)
+            if g.kind == "and":
+                scan(g.right)
+        elif g.kind not in ("top", "bot"):
+            letters.setdefault(id(g), len(letters))
 
-    s = skel(f)
+    scan(f)
     if len(letters) > _MAX_SKELETON_VARS:
         raise ProofError("boolean skeleton too large to decide by truth table")
+    # each letter doubles the table: the rows so far, then them again
+    # with the new letter true
+    column, rows = [], 1
+    for _ in letters:
+        column = [c | c << rows for c in column]
+        column.append(((1 << rows) - 1) << rows)
+        rows *= 2
+    full = (1 << rows) - 1
 
-    def ev(node, bits) -> bool:
-        if node is True or node is False:
-            return node
-        tag = node[0]
-        if tag == "var":
-            return bool(bits >> node[1] & 1)
-        if tag == "not":
-            return not ev(node[1], bits)
-        return ev(node[1], bits) and ev(node[2], bits)
+    def ev(g: Formula) -> int:
+        if g.kind == "not":
+            return full & ~ev(g.left)
+        if g.kind == "and":
+            return ev(g.left) & ev(g.right)
+        if g.kind == "top":
+            return full
+        if g.kind == "bot":
+            return 0
+        return column[letters[id(g)]]
 
-    return all(ev(s, bits) for bits in range(1 << len(letters)))
+    return ev(f) == full
 
 
 def _is_implication(candidate: Formula, antecedent: Formula,
@@ -378,16 +385,15 @@ def soundness_suite(max_points: int = 3, schemes=tuple(range(1, 13)),
     """
     start = time.monotonic()
     instances = _instances(schemes, atoms, depth, include_constants)
+    if not instances:
+        raise SearchError("no scheme instance to check: give at least one "
+                          "scheme and one atom")
     atoms = sorted(atoms)
     found = []
     models = 0
     for points, space in _family_spaces(max_points, max_opens, treelike):
         n = len(points)
-        # the context numbers points in space order; valuation masks number
-        # them in label order, which differs from p10 on
-        index = {p: i for i, p in enumerate(space.points)}
-        opens = [_mask(u, index) for u in space.opens]
-        open_names = dict(zip(opens, space.names))
+        open_names = dict(zip(space.open_masks, space.names))
         total = 1 << n * len(atoms)
         per_block = max(1, LANE_BLOCK_BITS // n)
         for lo in range(0, total, per_block):
@@ -397,10 +403,12 @@ def soundness_suite(max_points: int = 3, schemes=tuple(range(1, 13)),
                 for j, m in enumerate(_valuation_masks(lo + lane, len(atoms), n)):
                     packed[j] |= m << lane * n
             rep = ((1 << n * lanes) - 1) // ((1 << n) - 1)
-            vals = {a: sum((w >> i & rep) << index[p]
+            # the context numbers points in space order; valuation masks
+            # number them in label order, which differs from p10 on
+            vals = {a: sum((w >> i & rep) << space.index[p]
                            for i, p in enumerate(points))
                     for a, w in zip(atoms, packed)}
-            ctx = MaskContext(n, opens, vals, lanes)
+            ctx = MaskContext(n, space.open_masks, vals, lanes)
             failed = {}     # lane -> its model, shared by its violations
             for i_idx, (label, inst) in enumerate(instances):
                 for lane, bit, u in ctx.first_failure(inst):

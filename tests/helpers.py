@@ -35,6 +35,12 @@ def naive_satisfies(model, x, u, f):
     raise AssertionError(f"unknown kind {kind}")
 
 
+def naive_is_treelike(space):
+    """Every pair of opens, read as frozensets, is nested or disjoint."""
+    return all(u <= v or v <= u or not (u & v)
+               for u in space.opens for v in space.opens)
+
+
 def naive_valid(model, f):
     return all(naive_satisfies(model, x, u, f)
                for u in model.space.opens for x in u)

@@ -225,6 +225,13 @@ def test_unexpected_exception_exits_3(capsys, monkeypatch, exc, line):
      "must look like NAME=p1,p2"),
     (["soundness", "--max-points", "0"], "at least one point"),
     (["soundness", "--schemes", "1-x"], "bad scheme range"),
+    # a request with nothing to check must not read as a passed check
+    (["soundness", "--atoms", "0", "--max-points", "1"], "no scheme instance"),
+    (["soundness", "--schemes", ","], "no scheme instance"),
+    (["soundness", "--depth", "-1"], "depth must be at least 0"),
+    (["soundness", "--max-opens", "0"], "at least one point and open"),
+    (["sat", "--max-points", "2", "--max-opens", "0", "A"],
+     "at least one point and open"),
 ])
 def test_bad_input_exits_2(capsys, argv, message):
     code, out, err = run(capsys, *argv)

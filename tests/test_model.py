@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from helpers import (FIXTURES, naive_satisfies, naive_valid, oracle_model,
-                     random_formula, random_treelike_model, same_model)
+from helpers import (FIXTURES, naive_is_treelike, naive_satisfies,
+                     naive_valid, oracle_model, random_formula,
+                     random_treelike_model, same_model)
 
 from treelogic import (MaskContext, Model, ModelError, SCHEMES, SubsetSpace,
                        TOP, atom, box, build_question_tree,
@@ -24,6 +25,49 @@ def test_is_treelike(m1):
                                frozenset({"q1", "q2"}), frozenset({"q2", "q3"})])
     assert not overlapping.is_treelike()
     assert SubsetSpace(["p"], [frozenset({"p"})]).is_treelike()
+
+
+def test_is_treelike_agrees_with_pairwise_definition():
+    spaces = [m.space for m in enumerate_spaces(3, treelike=False)]
+    assert len(spaces) > 20 and not all(map(naive_is_treelike, spaces))
+    rng = random.Random(17)
+    for _ in range(400):
+        points = [f"x{i}" for i in range(rng.randint(1, 6))]
+        opens = {frozenset(points)}
+        for _ in range(rng.randint(0, 6)):
+            opens.add(frozenset(p for p in points if rng.random() < 0.5))
+        spaces.append(SubsetSpace(points, opens))
+    spaces += [random_treelike_model(rng).space for _ in range(100)]
+    verdicts = [space.is_treelike() for space in spaces]
+    assert verdicts == [naive_is_treelike(space) for space in spaces]
+    assert 100 < sum(verdicts) < len(spaces) - 100
+
+
+@pytest.mark.parametrize("points, opens, names, message", [
+    ([], [[]], None, "a subset space needs at least one point"),
+    (["a", "a"], [["a"]], None, "duplicate point ids"),
+    (["a", "b"], [["a", "b"]], ["top", "extra"], "one name per open required"),
+    (["a", "b"], [["a", "b"], ["a", "zz"]], ["top", "u"],
+     "open 'u' contains unknown points"),
+    (["a", "b"], [["a", "b"], ["a"], ["a"]], ["top", "u", "v"],
+     "open 'v' duplicates another open's members"),
+    (["a", "b"], [["a", "b"], ["a"]], ["top", "top"], "duplicate open names"),
+    (["a", "b"], [["a"], ["b"]], None,
+     "the full point set must be one of the opens"),
+])
+def test_space_constructor_messages(points, opens, names, message):
+    with pytest.raises(ModelError, match=f"^{message}$"):
+        SubsetSpace(points, opens, names)
+
+
+def test_model_constructor_messages():
+    space = SubsetSpace(["a", "b"], [frozenset({"a", "b"})])
+    with pytest.raises(ModelError,
+                       match="^valuation of 'A' contains unknown points$"):
+        Model(space, {"A": {"a", "zz"}})
+    with pytest.raises(ModelError, match="^invalid atom name in valuation"):
+        Model(space, {"K": {"a"}})
+    assert Model(space, {"A": {"b"}, "B": set()}).atom_masks == {"A": 2, "B": 0}
 
 
 def test_down_set(m1):
@@ -134,11 +178,9 @@ def test_mask_engine_agrees_with_reference(m1):
                 assert got == want
                 assert model.truth_set(u, f) == want
                 assert all(model.satisfies(x, u, f) == (x in want) for x in u)
-            memo = {}
             for c in carriers:
                 want = {x for x in c if naive_satisfies(model, x, c, f)}
                 assert model.truth_in(c, f) == want
-                assert model.truth_in(c, f, memo) == want
             assert model.is_valid(f) == naive_valid(model, f)
 
 

@@ -6,11 +6,11 @@ from helpers import (corpus, naive_satisfies, oracle_model, random_formula,
                      random_treelike_model)
 
 from treelogic import (Model, PartitionError, SubsetSpace, atom_names,
-                       build_stable_partitions, build_stream_space,
-                       closure_intersection, complexity_bound,
-                       extract_finite_model, filtrate, is_stable,
-                       ordered_family, parse, point_quotient, remainder,
-                       render, subformulas)
+                       build_question_tree, build_stable_partitions,
+                       build_stream_space, closure_intersection,
+                       complexity_bound, extract_finite_model, filtrate,
+                       is_stable, ordered_family, parse, point_quotient,
+                       remainder, render, subformulas)
 
 X = frozenset({"q1", "q2", "q3", "q4"})
 U12 = frozenset({"q1", "q2"})
@@ -153,8 +153,8 @@ def test_partition_families_monotone_closed_stable():
 
 
 def test_partition_truth_sets_match_naive_oracle():
-    # one memo serves every carrier of a call; each truth set must still
-    # be the one read off the clauses at that carrier
+    # one mask context serves every carrier of the table; each truth set
+    # must still be the one read off the clauses at that carrier
     for model, f in corpus(103, 60):
         table = build_stable_partitions(model, f)
         for psi in subformulas(f):
@@ -209,6 +209,33 @@ def test_filtrate_equivalence_and_lemmas():
                 for psi in subformulas(f):
                     assert model.satisfies(x, v, psi) == \
                         out.satisfies(x, cls, psi), (render(f), render(psi))
+
+
+def test_filtration_order_matches_pointwise_definition():
+    # u1 < u2 when their regions meet and, at each shared point, every
+    # remainder open of u1 holding it lies strictly inside every one of
+    # u2 holding it; question trees give members with disjoint regions
+    rng = random.Random(29)
+    disjoint = 0
+    for _ in range(60):
+        points = [f"q{i}" for i in range(1, 9)]
+        questions = [(f"Q{j}", {p for p in points if rng.random() < 0.5})
+                     for j in range(1, 4)]
+        model = build_question_tree(points, questions)
+        result = filtrate(model, random_formula(rng, ("Q1", "Q2", "Q3"), 4))
+        rem, bars = result.table.remainders, result.bars
+        want = set()
+        for u1 in result.surviving:
+            for u2 in result.surviving:
+                shared = bars[u1] & bars[u2]
+                disjoint += u1 != u2 and not shared
+                if u1 != u2 and shared and all(
+                        v1 < v2 for x in shared
+                        for v1 in rem[u1] if x in v1
+                        for v2 in rem[u2] if x in v2):
+                    want.add((u1, u2))
+        assert result.lt == want
+    assert disjoint
 
 
 def test_point_quotient_golden(m1):

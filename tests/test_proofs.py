@@ -7,8 +7,8 @@ import pytest
 
 from helpers import FIXTURES, naive_satisfies
 
-from treelogic import (MaskContext, Proof, ProofError, ProofLine, atom,
-                       check_proof, enumerate_spaces, instantiate,
+from treelogic import (MaskContext, Proof, ProofError, ProofLine, SearchError,
+                       atom, check_proof, enumerate_spaces, instantiate,
                        is_tautology, know, load_proof, model_to_dict, parse,
                        proof_from_dict, proof_to_dict, render, soundness_suite)
 from treelogic.proofs import LANE_BLOCK_BITS, _instances
@@ -54,6 +54,13 @@ def test_tautology_oracle_agrees_with_truth_tables():
     assert is_tautology(parse("A -> A"))
     assert is_tautology(parse("K A | ~K A"))
     assert not is_tautology(parse("K A -> A"))   # modal, not boolean
+    # twenty letters, the cap: the only falsifying row of the second is
+    # the last one, where every letter is true
+    letters = [f"A{i}" for i in range(1, 21)]
+    assert is_tautology(parse(f"({' & '.join(letters)}) -> A1"))
+    assert not is_tautology(parse(f"({' & '.join(letters)}) -> ~A20"))
+    with pytest.raises(ProofError, match="too large"):
+        is_tautology(parse(f"({' & '.join(letters)}) -> A21"))
 
 
 def _line(text, by):
@@ -227,6 +234,17 @@ def test_soundness_suite_small_runs():
                              depth=1, treelike=False)
     assert not report.ok
     assert any(not v.model.space.is_treelike() for v in report.violations)
+
+
+def test_soundness_suite_rejects_vacuous_requests():
+    for kwargs in (dict(atoms=()), dict(schemes=()), dict(depth=-1),
+                   dict(max_opens=0), dict(max_points=0)):
+        with pytest.raises(SearchError):
+            soundness_suite(**kwargs)
+    # constants alone still give instances
+    report = soundness_suite(max_points=2, schemes=(1, 7), atoms=(),
+                             include_constants=True)
+    assert report.ok and report.instances > 0 and report.models_checked > 0
 
 
 def _expected_violations(max_points, schemes, atoms, depth, treelike=True,
