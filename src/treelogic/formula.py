@@ -247,8 +247,17 @@ class _Parser:
 
 
 def parse(text: str) -> Formula:
-    """Parse concrete syntax into a desugared Formula."""
-    return _Parser(text).parse()
+    """Parse concrete syntax into a desugared Formula.
+
+    The parser recurses once per nesting level; input nested past the
+    interpreter's recursion limit is a ParseError, never a RecursionError.
+    """
+    parser = _Parser(text)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise ParseError("formula nests too deeply",
+                         parser.peek()[2]) from None
 
 
 # ---------------------------------------------------------------------------

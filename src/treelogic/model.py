@@ -5,12 +5,15 @@ O containing X; formulas are evaluated at neighborhoods (x, U) with
 x in U in O.  K quantifies over the points of the current open, [] over
 the opens shrinking the current one around the current point.
 
-Each space numbers its points once, at construction, and keeps every
-open as a bitmask in that order; each model does the same for its atoms.
-Truth has one implementation here, the mask engine at the bottom: a
-bitset evaluator over those masks that ``Model.satisfies``,
-``truth_set``, ``truth_in`` and ``is_valid`` wrap.  It is bit-sliced:
-one context evaluates a formula under many valuations of the same open
+Each space numbers its points once, at construction, keeps every open
+as a bitmask in that order, and links the opens into their inclusion
+tree (each open's maximal strict sub-opens); each model numbers its atoms
+the same way.  Truth has one implementation here, the mask engine at the
+bottom: a bitset evaluator over those masks that ``Model.satisfies``,
+``truth_set``, ``truth_in`` and ``is_valid`` wrap.  It evaluates ``[]``
+down the open tree, since ``[]phi`` at U is ``phi`` at U together with
+``[]phi`` at the child of U around the point.  It is bit-sliced: one
+context evaluates a formula under many valuations of the same open
 family at once, each valuation an n-bit lane of one int, so a context
 over a single model is the one-lane case.  Tests check it against the
 independent evaluator in ``tests/helpers.py``.
@@ -50,7 +53,18 @@ class SubsetSpace:
     open, and the constructor rejects duplicate member sets.  Names are
     aliases used by files and the CLI.  ``index`` numbers the points in
     sorted order, and ``open_masks[i]`` is ``opens[i]`` as a bitmask over
-    that numbering; both are built and checked once, in the constructor.
+    that numbering.
+
+    The constructor also builds the open tree, as tuples of open indices.
+    ``children[i]`` holds the maximal strict sub-opens of open i other
+    than the empty open: its children on a tree, its covers on any other
+    family.  ``order[first[i]:last[i] + 1]`` is the run of open i: every
+    nonempty open inside it, children first, ending with i itself.  On a
+    tree ``order`` is one children-first order of the nonempty opens, built
+    in one pass over the size-sorted opens, and each open's subtree is a
+    contiguous run of it.  Off trees an open can lie below two covers, and
+    ``order`` is the concatenation of every open's own run.  The empty
+    open has no children and an empty run.
     """
 
     def __init__(self, points, opens, names=None):
@@ -73,22 +87,79 @@ class SubsetSpace:
             if len(names) != len(sets):
                 raise ModelError("one name per open required")
             self.names = tuple(names[i] for i in order)
-        masks = {}          # the open masks in order, as an ordered set
+        bits = {p: 1 << i for i, p in enumerate(self.points)}
+        pos = {}            # open mask -> its index in ``opens``
         for name, u in zip(self.names, self.opens):
             try:
-                m = self._mask(u)
+                m = sum(map(bits.__getitem__, u))
             except KeyError:
                 raise ModelError(f"open {name!r} contains unknown points") from None
-            if m in masks:
+            if m in pos:
                 raise ModelError(f"open {name!r} duplicates another open's members")
-            masks[m] = None
+            pos[m] = len(pos)
         if len(set(self.names)) != len(self.names):
             raise ModelError("duplicate open names")
-        if (1 << len(self.points)) - 1 not in masks:
+        if (1 << len(self.points)) - 1 not in pos:
             raise ModelError("the full point set must be one of the opens")
-        self.open_masks = tuple(masks)
+        self.open_masks = tuple(pos)
+        self._pos = pos
         self._by_name = dict(zip(self.names, self.opens))
-        self._open_set = frozenset(self.opens)
+        self._build_tree()
+
+    def _build_tree(self):
+        """Set ``children``, ``order``, ``first`` and ``last``.
+
+        On a tree each open's parent is the smallest earlier open (in the
+        size-sorted order) around its points, so one pass that keeps, per
+        point, the last open placed around it finds every parent; the pass
+        stops at the first open whose points have different owners, and
+        the covers of such a family are then found pairwise.
+        """
+        masks, index = self.open_masks, self.index
+        kids = [[] for _ in masks]
+        owner = [0] * len(self.points)      # open 0 is the full set
+        tree = True
+        for i in range(1, len(masks)):
+            parent = None
+            for p in self.opens[i]:
+                b = index[p]
+                if parent is None:
+                    parent = owner[b]
+                elif owner[b] != parent:
+                    tree = False
+                    break
+                owner[b] = i
+            if not tree:
+                break
+            if parent is not None:
+                kids[parent].append(i)
+        if not tree:
+            kids = [[] for _ in masks]
+            for i, u in enumerate(masks):
+                for j in range(i + 1, len(masks)):     # later opens are no larger
+                    v = masks[j]
+                    if v and not v & ~u and all(v & ~masks[c] for c in kids[i]):
+                        kids[i].append(j)
+        # children first, each open's run a contiguous stretch: one walk
+        # from the full set on a tree; off trees one walk per open,
+        # ancestors first, so that each open's own walk sets its run last
+        order, first, last = [], [0] * len(masks), [-1] * len(masks)
+        for root in [0] if tree else [i for i, m in enumerate(masks) if m]:
+            seen, stack = set(), [root]
+            while stack:
+                i = stack.pop()
+                if i < 0:
+                    last[~i] = len(order)
+                    order.append(~i)
+                elif i not in seen:
+                    seen.add(i)
+                    first[i] = len(order)
+                    stack.append(~i)
+                    stack += reversed(kids[i])
+        self.children = tuple(map(tuple, kids))
+        self.order = tuple(order)
+        self.first = tuple(first)
+        self.last = tuple(last)
 
     def open_named(self, name: str) -> frozenset:
         try:
@@ -103,25 +174,63 @@ class SubsetSpace:
         raise ModelError("unknown open")
 
     def is_treelike(self) -> bool:
-        """Every pair of opens is nested or disjoint."""
-        for i, u in enumerate(self.open_masks):
-            for v in self.open_masks[i + 1:]:
-                if u & v not in (0, u, v):
+        """Every pair of opens is nested or disjoint.
+
+        That holds exactly when the maximal strict sub-opens of every open
+        are pairwise disjoint, which the tree answers in O(opens).
+        """
+        masks = self.open_masks
+        for kids in self.children:
+            seen = 0
+            for c in kids:
+                if seen & masks[c]:
                     return False
+                seen |= masks[c]
         return True
 
     def down_set(self, u) -> frozenset:
         """All opens contained in ``u`` (an open, by name or by set)."""
-        u = self._resolve(u)
-        if u not in self._open_set:
+        i = self._position(self._resolve(u))
+        if i is None:
             raise ModelError("down_set expects a member of the open family")
-        return self._within(u)
+        return self._opens_in_runs([i])
 
     def _within(self, w) -> frozenset:
         """Opens contained in ``w``, any subset of the points."""
-        m = self._mask(w)
-        return frozenset(v for v, vm in zip(self.opens, self.open_masks)
-                         if not vm & ~m)
+        return self._opens_in_runs(self._maximal_inside(self._mask(w)))
+
+    def _maximal_inside(self, w: int) -> list:
+        """Indices of the maximal nonempty opens inside the point mask ``w``.
+
+        Found by descending from the full set through the opens that meet
+        ``w``.  Off trees the list may repeat an open or hold one inside
+        another; their runs still hold every nonempty open inside ``w``.
+        """
+        masks, children = self.open_masks, self.children
+        found, stack = [], [0]
+        while stack:
+            i = stack.pop()
+            v = masks[i]
+            if not v & ~w:
+                found.append(i)
+            elif v & w:
+                stack.extend(children[i])
+        return found
+
+    def _opens_in_runs(self, indices) -> frozenset:
+        """The opens in the runs of ``indices``, and the empty open if any."""
+        order, first, last, opens = self.order, self.first, self.last, self.opens
+        out = {opens[j] for i in indices for j in order[first[i]:last[i] + 1]}
+        if 0 in self._pos:
+            out.add(frozenset())
+        return frozenset(out)
+
+    def _position(self, u):
+        """Index of the open with the members ``u``, or None."""
+        try:
+            return self._pos.get(self._mask(u))
+        except KeyError:
+            return None
 
     def _mask(self, subset) -> int:
         """Bitmask of the point set ``subset``; KeyError on an unknown point."""
@@ -192,7 +301,7 @@ class Model:
     def satisfies(self, x, u, f: Formula, strict_atoms: bool = False) -> bool:
         """Truth of ``f`` at the neighborhood ``(x, u)``; ``u`` in O."""
         u = self.space._resolve(u)
-        if u not in self.space._open_set:
+        if self.space._position(u) is None:
             raise ModelError("not an open of this model")
         if x not in u:
             raise ModelError(f"point {x!r} does not belong to the open")
@@ -201,7 +310,7 @@ class Model:
     def truth_set(self, u, f: Formula, strict_atoms: bool = False) -> frozenset:
         """Points of the open ``u`` where ``f`` holds at fixed ``u``."""
         u = self.space._resolve(u)
-        if u not in self.space._open_set:
+        if self.space._position(u) is None:
             raise ModelError("truth_set expects a member of the open family")
         return self._truth(u, f, self._context(f, strict_atoms))
 
@@ -344,7 +453,7 @@ def dump_model(model: Model, path):
 # mask engine (the bit-sliced evaluator behind every entry point)
 
 class MaskContext:
-    """Bitset view of one open family under ``lanes`` valuations at once.
+    """Bitset view of one space's open family under ``lanes`` valuations.
 
     Point i of lane l is bit ``l * n + i``.  Opens are n-bit masks shared
     by every lane; atom valuations (``vals``) and truth sets are wide ints
@@ -353,25 +462,32 @@ class MaskContext:
     constant (bit 0 of every lane set).  With one lane ``rep`` is 1, and
     truth sets are plain n-bit masks over a single model; ``from_model``
     builds that context from the masks the space and the model hold.
+
+    ``[]`` follows the space's open tree: at an open U, ``[]phi`` is
+    ``phi`` at U and, on each child C of U, ``[]phi`` at C.  One loop over
+    U's children-first run fills the whole subtree, so evaluation recurses
+    only as deep as the formula.  At a carrier that is not open, ``[]phi``
+    is ``[]phi`` on each maximal open inside it.
     """
 
-    __slots__ = ("n", "lanes", "rep", "low", "opens", "full", "vals", "cache")
+    __slots__ = ("n", "lanes", "rep", "low", "space", "opens", "full",
+                 "vals", "cache")
 
-    def __init__(self, n: int, opens, vals, lanes: int = 1):
-        self.n = n
+    def __init__(self, space: SubsetSpace, vals, lanes: int = 1):
+        self.n = n = len(space.points)
         self.lanes = lanes
         self.full = (1 << n) - 1
         self.rep = 1 if lanes == 1 else ((1 << n * lanes) - 1) // self.full
         # the low n-1 bits of every lane, for the per-lane collapse of K
         self.low = self.rep * (self.full >> 1)
-        self.opens = tuple(opens)
+        self.space = space
+        self.opens = space.open_masks
         self.vals = dict(vals)
         self.cache = {}
 
     @classmethod
     def from_model(cls, model: Model) -> "MaskContext":
-        space = model.space
-        return cls(len(space.points), space.open_masks, model.atom_masks)
+        return cls(model.space, model.atom_masks)
 
     def truth(self, f: Formula, u_mask: int) -> int:
         key = (id(f), u_mask)
@@ -404,11 +520,32 @@ class MaskContext:
                     top = ((miss & low) + low | miss) & ~low
                     out = wide & ~((top >> self.n - 1) * self.full)
             else:  # box
-                out = wide
-                rep = self.rep
-                for v in self.opens:
-                    if v & ~u_mask == 0 and v:
-                        out &= ~(v * rep & ~self.truth(f.left, v))
+                space, masks = self.space, self.opens
+                rep, cache = self.rep, self.cache
+                i = space._pos.get(u_mask)
+                if i is None:   # a carrier that is not open
+                    out = wide
+                    for c in space._maximal_inside(u_mask):
+                        v = masks[c]
+                        out &= ~(v * rep & ~self.truth(f, v))
+                else:
+                    # a cached open has its whole run cached, so when every
+                    # child is, only U itself is left
+                    fid, g, children = id(f), f.left, space.children
+                    run = (i,)
+                    for c in children[i]:
+                        if (fid, masks[c]) not in cache:
+                            run = space.order[space.first[i]:space.last[i] + 1]
+                            break
+                    for j in run:
+                        v = masks[j]
+                        if (fid, v) in cache:
+                            continue
+                        out = self.truth(g, v)
+                        for c in children[j]:
+                            w = masks[c]
+                            out &= ~(w * rep & ~cache[fid, w])
+                        cache[fid, v] = out
         self.cache[key] = out
         return out
 

@@ -73,7 +73,7 @@ def is_stable(model: Model, opens_subset, f: Formula) -> bool:
     """
     group = [frozenset(v) for v in opens_subset]
     for v in group:
-        if v not in model.space._open_set:
+        if model.space._position(v) is None:
             raise PartitionError("is_stable expects a set of opens of the model")
     truths = [model.truth_set(v, f) for v in group]
     for i in range(len(group)):

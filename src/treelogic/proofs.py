@@ -408,7 +408,7 @@ def soundness_suite(max_points: int = 3, schemes=tuple(range(1, 13)),
             vals = {a: sum((w >> i & rep) << space.index[p]
                            for i, p in enumerate(points))
                     for a, w in zip(atoms, packed)}
-            ctx = MaskContext(n, space.open_masks, vals, lanes)
+            ctx = MaskContext(space, vals, lanes)
             failed = {}     # lane -> its model, shared by its violations
             for i_idx, (label, inst) in enumerate(instances):
                 for lane, bit, u in ctx.first_failure(inst):

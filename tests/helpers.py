@@ -3,8 +3,8 @@
 import random
 from pathlib import Path
 
-from treelogic import (Model, SubsetSpace, atom, box, conj, diamond, disj,
-                       implies, know, neg, parse, poss)
+from treelogic import (Model, SubsetSpace, atom, box, build_question_tree,
+                       conj, diamond, disj, implies, know, neg, parse, poss)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -41,6 +41,12 @@ def naive_is_treelike(space):
                for u in space.opens for v in space.opens)
 
 
+def naive_children(space, u):
+    """Maximal nonempty opens strictly inside ``u``, read pairwise."""
+    below = [v for v in space.opens if v and v < u]
+    return {v for v in below if not any(v < w for w in below)}
+
+
 def naive_valid(model, f):
     return all(naive_satisfies(model, x, u, f)
                for u in model.space.opens for x in u)
@@ -69,6 +75,18 @@ def random_treelike_model(rng, max_points=6, max_opens=10, atoms=("A", "B")):
     valuation = {a: frozenset(p for p in points if rng.random() < 0.5)
                  for a in atoms}
     return Model(SubsetSpace(points, opens), valuation)
+
+
+def random_question_model(rng, max_points=8, max_questions=3,
+                          atoms=("A", "B")):
+    """A question tree over random yes-sets (empty cells kept as opens)."""
+    points = [f"w{i}" for i in range(rng.randint(1, max_points))]
+    questions = [(f"Q{j}", {p for p in points if rng.random() < 0.5})
+                 for j in range(rng.randint(0, max_questions))]
+    model = build_question_tree(points, questions)
+    valuation = {a: frozenset(p for p in points if rng.random() < 0.5)
+                 for a in atoms}
+    return Model(model.space, {**model.valuation, **valuation})
 
 
 _UNARY = [neg, box, know, diamond, poss]

@@ -232,6 +232,9 @@ def test_unexpected_exception_exits_3(capsys, monkeypatch, exc, line):
     (["soundness", "--max-opens", "0"], "at least one point and open"),
     (["sat", "--max-points", "2", "--max-opens", "0", "A"],
      "at least one point and open"),
+    # nesting past the parser's recursion is bad input, not a crash
+    (["parse", "(" * 900 + "A" + ")" * 900], "formula nests too deeply"),
+    (["parse", "~" * 1000 + "A"], "formula nests too deeply"),
 ])
 def test_bad_input_exits_2(capsys, argv, message):
     code, out, err = run(capsys, *argv)

@@ -44,6 +44,17 @@ def test_parse_errors_carry_position(text):
     assert err.value.position >= 1
 
 
+def test_parse_depth_limit_is_a_parse_error():
+    f = parse("~" * 900 + "A")
+    for _ in range(900):
+        assert f.kind == "not"
+        f = f.left
+    assert f is atom("A")
+    for text in ("(" * 900 + "A" + ")" * 900, "~" * 1000 + "A"):
+        with pytest.raises(ParseError, match="formula nests too deeply"):
+            parse(text)
+
+
 def test_reserved_words_are_not_atoms():
     for word in ("K", "L", "true", "false"):
         with pytest.raises(ValueError):

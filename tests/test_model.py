@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from helpers import (FIXTURES, naive_is_treelike, naive_satisfies,
-                     naive_valid, oracle_model, random_formula,
+from helpers import (FIXTURES, naive_children, naive_is_treelike,
+                     naive_satisfies, naive_valid, oracle_model,
+                     random_formula, random_question_model,
                      random_treelike_model, same_model)
 
 from treelogic import (MaskContext, Model, ModelError, SCHEMES, SubsetSpace,
@@ -27,20 +28,55 @@ def test_is_treelike(m1):
     assert SubsetSpace(["p"], [frozenset({"p"})]).is_treelike()
 
 
-def test_is_treelike_agrees_with_pairwise_definition():
+def _tree_test_spaces():
+    """Every three-point family, random families with and without empty
+    opens, random trees, stream spaces and question trees."""
     spaces = [m.space for m in enumerate_spaces(3, treelike=False)]
-    assert len(spaces) > 20 and not all(map(naive_is_treelike, spaces))
     rng = random.Random(17)
     for _ in range(400):
         points = [f"x{i}" for i in range(rng.randint(1, 6))]
         opens = {frozenset(points)}
         for _ in range(rng.randint(0, 6)):
             opens.add(frozenset(p for p in points if rng.random() < 0.5))
+        if rng.random() < 0.5:
+            opens.add(frozenset())
         spaces.append(SubsetSpace(points, opens))
     spaces += [random_treelike_model(rng).space for _ in range(100)]
+    spaces += [build_stream_space(depth).space for depth in range(1, 6)]
+    spaces += [random_question_model(rng).space for _ in range(40)]
+    return spaces
+
+
+def test_is_treelike_agrees_with_pairwise_definition():
+    spaces = _tree_test_spaces()
+    assert not all(map(naive_is_treelike, spaces))
+    assert sum(frozenset() in s.opens for s in spaces) > 200
     verdicts = [space.is_treelike() for space in spaces]
     assert verdicts == [naive_is_treelike(space) for space in spaces]
     assert 100 < sum(verdicts) < len(spaces) - 100
+
+
+def test_open_tree_agrees_with_pairwise_definitions():
+    # children are the maximal nonempty strict sub-opens; each open's run
+    # holds every nonempty open inside it once, children first, ending
+    # with the open itself; on a tree the runs nest in one order
+    for space in _tree_test_spaces():
+        opens = space.opens
+        for i, u in enumerate(opens):
+            kids = [opens[c] for c in space.children[i]]
+            assert len(set(kids)) == len(kids)
+            assert set(kids) == naive_children(space, u)
+            run = space.order[space.first[i]:space.last[i] + 1]
+            assert len(set(run)) == len(run)
+            assert {opens[j] for j in run} == {v for v in opens if v and v <= u}
+            assert not u or run[-1] == i
+            done = set()
+            for j in run:
+                assert done.issuperset(space.children[j])
+                done.add(j)
+            assert space.down_set(u) == {v for v in opens if v <= u}
+        if space.is_treelike():
+            assert sorted(space.order) == [i for i, u in enumerate(opens) if u]
 
 
 @pytest.mark.parametrize("points, opens, names, message", [
@@ -153,6 +189,24 @@ def test_dual_expansions_match(m1):
                     assert lphi == any(model.satisfies(y, u, f) for y in u)
 
 
+def _agrees_with_reference(model, formulas, carriers):
+    ctx = MaskContext.from_model(model)
+    points = model.space.points
+    opens = model.space.opens
+    for f in formulas:
+        for u_mask, u in zip(ctx.opens, opens):
+            got = {points[i] for i in range(len(points))
+                   if ctx.truth(f, u_mask) >> i & 1}
+            want = {x for x in u if naive_satisfies(model, x, u, f)}
+            assert got == want
+            assert model.truth_set(u, f) == want
+            assert all(model.satisfies(x, u, f) == (x in want) for x in u)
+        for c in carriers:
+            want = {x for x in c if naive_satisfies(model, x, c, f)}
+            assert model.truth_in(c, f) == want
+        assert model.is_valid(f) == naive_valid(model, f)
+
+
 def test_mask_engine_agrees_with_reference(m1):
     # every Model entry point against the independent evaluator, on
     # treelike and non-treelike models, over opens and over carriers
@@ -164,24 +218,34 @@ def test_mask_engine_agrees_with_reference(m1):
     loose = list(enumerate_spaces(3, atoms=("A",), treelike=False))
     models += rng.sample([m for m in loose if not m.space.is_treelike()], 25)
     for model in models:
-        ctx = MaskContext.from_model(model)
-        points = model.space.points
         opens = model.space.opens
         carriers = {u & v for u in opens for v in opens}
         carriers |= {u | v for u in opens for v in opens}
-        for _ in range(15):
-            f = random_formula(rng, ("A", "B", "Q1"), 3)
-            for u_mask, u in zip(ctx.opens, opens):
-                got = {points[i] for i in range(len(points))
-                       if ctx.truth(f, u_mask) >> i & 1}
-                want = {x for x in u if naive_satisfies(model, x, u, f)}
-                assert got == want
-                assert model.truth_set(u, f) == want
-                assert all(model.satisfies(x, u, f) == (x in want) for x in u)
-            for c in carriers:
-                want = {x for x in c if naive_satisfies(model, x, c, f)}
-                assert model.truth_in(c, f) == want
-            assert model.is_valid(f) == naive_valid(model, f)
+        formulas = [random_formula(rng, ("A", "B", "Q1"), 3)
+                    for _ in range(15)]
+        _agrees_with_reference(model, formulas, carriers)
+    # depth-5 stream spaces and question trees: every open, and the
+    # non-open carriers among unions of two opens and complements of opens
+    rng = random.Random(7)
+    models = []
+    for _ in range(2):
+        space = build_stream_space(5).space
+        models.append(Model(space, {a: {p for p in space.points
+                                        if rng.random() < 0.5}
+                                    for a in ("A", "B")}))
+    models += [random_question_model(rng, 12, 4) for _ in range(6)]
+    checked = 0
+    for model in models:
+        space = model.space
+        opens = [u for u in space.opens if u]
+        carriers = {rng.choice(opens) | rng.choice(opens) for _ in range(30)}
+        carriers |= {space.full - u for u in opens}
+        carriers = {c for c in carriers if c not in set(space.opens)}
+        checked += len(carriers)
+        formulas = [random_formula(rng, ("A", "B", "Q0"), 3)
+                    for _ in range(8)]
+        _agrees_with_reference(model, formulas, carriers)
+    assert checked > 200
 
 
 def test_deep_nesting_evaluates():
@@ -191,6 +255,24 @@ def test_deep_nesting_evaluates():
     model = oracle_model()
     assert model.satisfies("q1", model.space.full, f) is True
     assert model.satisfies("q3", model.space.full, f) is False
+
+
+def test_deep_chain_of_opens_evaluates():
+    # 1,200 nested opens, the tails of p0000 < ... < p1199: [] walks the
+    # chain in one loop instead of recursing down it
+    points = [f"p{i:04d}" for i in range(1200)]
+    space = SubsetSpace(points, [points[i:] for i in range(1200)])
+    assert space.is_treelike()
+    tail = frozenset(points[600:])
+    model = Model(space, {"A": tail})
+    top = space.full
+    # A is a point property, so <>A and []<>A hold exactly where A does
+    assert model.satisfies(points[600], top, parse("[]<>A")) is True
+    assert model.satisfies(points[599], top, parse("[]<>A")) is False
+    # the least open around p_i is the tail from p_i, inside A exactly
+    # when i >= 600, and every open around p_i contains it
+    assert model.truth_set(top, parse("[]<>K A")) == tail
+    assert model.is_valid(parse("A -> []A")) is True
 
 
 def test_box_collapses_without_knowledge():
