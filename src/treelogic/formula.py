@@ -266,69 +266,79 @@ def parse(text: str) -> Formula:
 _PREC_IMP, _PREC_OR, _PREC_AND, _PREC_UNARY = 1, 2, 3, 4
 
 
-def _unary_text(op: str, operand: Formula) -> str:
-    text = _render(operand, _PREC_UNARY)
-    if op in ("K", "L") and text[0] not in "(":
-        return f"{op} {text}" if text[0].isalnum() or text[0] == "_" else op + text
-    return op + text
-
-
-def _render(f: Formula, min_prec: int) -> str:
-    text, prec = _render_prec(f)
-    if prec < min_prec:
-        return f"({text})"
-    return text
-
-
-def _render_prec(f: Formula):
-    k = f.kind
-    if k == _ATOM:
-        return f.name, _PREC_UNARY
-    if k == _TOP:
-        return "true", _PREC_UNARY
-    if k == _BOT:
-        return "false", _PREC_UNARY
-    if k == _AND:
-        return (f"{_render(f.left, _PREC_AND)} & {_render(f.right, _PREC_AND + 1)}",
-                _PREC_AND)
-    if k == _BOX:
-        return _unary_text("[]", f.left), _PREC_UNARY
-    if k == _KNOW:
-        return _unary_text("K", f.left), _PREC_UNARY
-    # negations: try the sugared readings first
-    x = f.left
-    if x.kind == _BOX and x.left.kind == _NOT:
-        return _unary_text("<>", x.left.left), _PREC_UNARY
-    if x.kind == _KNOW and x.left.kind == _NOT:
-        return _unary_text("L", x.left.left), _PREC_UNARY
-    if x.kind == _AND:
-        a, b = x.left, x.right
-        if a.kind == _NOT and b.kind == _NOT:
-            return (f"{_render(a.left, _PREC_OR)} | {_render(b.left, _PREC_OR + 1)}",
-                    _PREC_OR)
-        if b.kind == _NOT:
-            return (f"{_render(a, _PREC_IMP + 1)} -> {_render(b.left, _PREC_IMP)}",
-                    _PREC_IMP)
-    return _unary_text("~", x), _PREC_UNARY
-
-
 def render(f: Formula) -> str:
-    """Concrete syntax for ``f``; ``parse(render(f)) is f``."""
-    return _render(f, 0)
+    """Concrete syntax for ``f``; ``parse(render(f)) is f``.
+
+    Iterative, so every formula the parser accepts prints back.  ``todo``
+    is a stack of the formulas still to print, each pushed after the
+    least precedence it may have without parentheses, and of the literal
+    pieces (binary operators, closing parentheses) between them.
+    Negations try their sugared readings first.  ``K`` and ``L`` are
+    spaced from a word that follows them.
+    """
+    out, todo = [], [0, f]
+    while todo:
+        g = todo.pop()
+        if g.__class__ is str:
+            out.append(g)
+            continue
+        min_prec = todo.pop()
+        k = g.kind
+        if k == _AND:
+            if min_prec > _PREC_AND:
+                out.append("(")
+                todo.append(")")
+            todo += (_PREC_AND + 1, g.right, " & ", _PREC_AND, g.left)
+            continue
+        if k == _NOT:
+            x = g.left
+            if x.kind == _AND and x.right.kind == _NOT:
+                a, b = x.left, x.right.left
+                if a.kind == _NOT:
+                    prec, pieces = _PREC_OR, (_PREC_OR + 1, b, " | ", _PREC_OR, a.left)
+                else:
+                    prec, pieces = _PREC_IMP, (_PREC_IMP, b, " -> ", _PREC_IMP + 1, a)
+                if min_prec > prec:
+                    out.append("(")
+                    todo.append(")")
+                todo += pieces
+                continue
+            if x.kind == _BOX and x.left.kind == _NOT:
+                op, g = "<>", x.left.left
+            elif x.kind == _KNOW and x.left.kind == _NOT:
+                op, g = "L", x.left.left
+            else:
+                op, g = "~", x
+        elif k == _BOX:
+            op, g = "[]", g.left
+        elif k == _KNOW:
+            op, g = "K", g.left
+        else:
+            op, g = g.name if k == _ATOM else "true" if k == _TOP else "false", None
+        if out and out[-1] in ("K", "L") and op[0].isalnum():
+            out.append(" ")
+        out.append(op)
+        if g is not None:
+            todo += (_PREC_UNARY, g)
+    return "".join(out)
 
 
 def ast_dump(f: Formula, indent: int = 0) -> str:
-    """Indented prefix dump of the desugared tree."""
-    pad = "  " * indent
-    if f.kind == _ATOM:
-        return f"{pad}atom {f.name}"
-    if f.kind in (_TOP, _BOT):
-        return f"{pad}{'true' if f.kind == _TOP else 'false'}"
-    if f.kind == _AND:
-        return "\n".join([f"{pad}and",
-                          ast_dump(f.left, indent + 1),
-                          ast_dump(f.right, indent + 1)])
-    return "\n".join([f"{pad}{f.kind}", ast_dump(f.left, indent + 1)])
+    """Indented prefix dump of the desugared tree (iterative, like render)."""
+    lines, todo = [], [(f, indent)]
+    while todo:
+        g, depth = todo.pop()
+        pad = "  " * depth
+        if g.kind == _ATOM:
+            lines.append(f"{pad}atom {g.name}")
+        elif g.kind in (_TOP, _BOT):
+            lines.append(f"{pad}{'true' if g.kind == _TOP else 'false'}")
+        else:
+            lines.append(f"{pad}{g.kind}")
+            if g.kind == _AND:
+                todo.append((g.right, depth + 1))
+            todo.append((g.left, depth + 1))
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------

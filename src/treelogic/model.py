@@ -10,8 +10,10 @@ as a bitmask in that order, and links the opens into their inclusion
 tree (each open's maximal strict sub-opens); each model numbers its atoms
 the same way.  Truth has one implementation here, the mask engine at the
 bottom: a bitset evaluator over those masks that ``Model.satisfies``,
-``truth_set``, ``truth_in`` and ``is_valid`` wrap.  It evaluates ``[]``
-down the open tree, since ``[]phi`` at U is ``phi`` at U together with
+``truth_set``, ``truth_in`` and ``is_valid`` wrap; a model keeps the
+truth row of the last formula it evaluated, one mask per open, so a
+truth table over all opens evaluates the formula once.  The engine
+evaluates ``[]`` down the open tree, since ``[]phi`` at U is ``phi`` at U together with
 ``[]phi`` at the child of U around the point.  It is bit-sliced: one
 context evaluates a formula under many valuations of the same open
 family at once, each valuation an n-bit lane of one int, so a context
@@ -259,9 +261,15 @@ class Model:
     Unknown atoms evaluate to the empty set unless ``strict_atoms`` is
     passed to the evaluation entry points, which then reject them.
     ``atom_masks`` holds each atom's points as a bitmask in the space's
-    point order, built once with the valuation.  Models are never mutated
-    after construction; each evaluation call runs on its own mask context
-    over the space's open masks and these atom masks.
+    point order, built once with the valuation.
+
+    ``satisfies``, ``truth_set``, ``is_valid`` and ``truth_in`` at an open
+    read the model's kept row: the truth mask of the last formula asked
+    for at every open, filled by one mask context over the space's open
+    masks and these atom masks (see ``_row``).  It is the model's only
+    state beyond construction, and it is bounded: one formula and one int
+    per open, never an entry per subformula.  ``truth_in`` at any other
+    carrier runs on a mask context of its own.
     """
 
     def __init__(self, space: SubsetSpace, valuation=None):
@@ -277,54 +285,76 @@ class Model:
             val[name] = members
         self.valuation = val
         self.atom_masks = masks
+        self._kept = (None, ())     # (formula, its row): see ``_row``
 
     # -- evaluation (thin wrappers over the mask engine) -------------------
 
-    def _context(self, f: Formula, strict: bool) -> "MaskContext":
-        """A mask context with a fresh truth cache for evaluating ``f``.
+    def _row(self, f: Formula, strict: bool) -> tuple:
+        """``f``'s truth mask at every open, in the order of ``open_masks``.
 
-        With ``strict``, every atom of ``f`` missing from the valuation is
-        rejected before anything is evaluated.
+        The model keeps the row of the last formula asked for, so asking
+        again for the same (interned) formula reads it back; another
+        formula replaces it.  One mask context fills it, full set first,
+        so ``[]`` runs down the open tree once.  With ``strict``, every
+        atom of ``f`` missing from the valuation is rejected first, on
+        every call.
         """
         if strict:
             for name in sorted(atom_names(f)):
                 if name not in self.valuation:
                     raise ModelError(f"unknown atom {name!r}")
-        return MaskContext.from_model(self)
+        kept, row = self._kept
+        if kept is not f:
+            ctx = MaskContext.from_model(self)
+            masks = self.space.open_masks
+            row = tuple([ctx.truth(f, u) if u else 0 for u in masks])
+            self._kept = (f, row)
+        return row
+
+    def _open_index(self, u, message: str):
+        """``u`` (by name or set) as a frozenset with its open index."""
+        u = self.space._resolve(u)
+        i = self.space._position(u)
+        if i is None:
+            raise ModelError(message)
+        return u, i
 
     def _truth(self, carrier: frozenset, f: Formula, ctx) -> frozenset:
         """Points of ``carrier`` where ``f`` holds with ``carrier`` as view."""
+        return self._points(carrier, ctx.truth(f, self.space._mask(carrier)))
+
+    def _points(self, carrier: frozenset, t: int) -> frozenset:
         index = self.space.index
-        t = ctx.truth(f, self.space._mask(carrier))
         return frozenset(x for x in carrier if t >> index[x] & 1)
 
     def satisfies(self, x, u, f: Formula, strict_atoms: bool = False) -> bool:
         """Truth of ``f`` at the neighborhood ``(x, u)``; ``u`` in O."""
-        u = self.space._resolve(u)
-        if self.space._position(u) is None:
-            raise ModelError("not an open of this model")
+        u, i = self._open_index(u, "not an open of this model")
         if x not in u:
             raise ModelError(f"point {x!r} does not belong to the open")
-        return x in self._truth(u, f, self._context(f, strict_atoms))
+        return bool(self._row(f, strict_atoms)[i] >> self.space.index[x] & 1)
 
     def truth_set(self, u, f: Formula, strict_atoms: bool = False) -> frozenset:
         """Points of the open ``u`` where ``f`` holds at fixed ``u``."""
-        u = self.space._resolve(u)
-        if self.space._position(u) is None:
-            raise ModelError("truth_set expects a member of the open family")
-        return self._truth(u, f, self._context(f, strict_atoms))
+        u, i = self._open_index(u, "truth_set expects a member of the open family")
+        return self._points(u, self._row(f, strict_atoms)[i])
 
     def truth_in(self, carrier, f: Formula) -> frozenset:
         """Truth set over an arbitrary carrier set, not necessarily open.
 
         K quantifies over the carrier; [] quantifies over the genuine
         opens inside the carrier around the point.  For carriers that are
-        opens this agrees with ``truth_set``.
+        opens this agrees with ``truth_set``, and reads the same row; any
+        other carrier is evaluated on a mask context of its own.
         """
         carrier = frozenset(carrier)
         if not carrier <= self.space.full:
             raise ModelError("carrier contains unknown points")
-        return self._truth(carrier, f, self._context(f, False))
+        m = self.space._mask(carrier)
+        i = self.space._pos.get(m)
+        if i is None:
+            return self._points(carrier, MaskContext.from_model(self).truth(f, m))
+        return self._points(carrier, self._row(f, False)[i])
 
     def neighborhoods(self):
         for u in self.space.opens:
@@ -333,7 +363,7 @@ class Model:
 
     def is_valid(self, f: Formula, strict_atoms: bool = False) -> bool:
         """True when ``f`` holds at every neighborhood of the model."""
-        return self._context(f, strict_atoms).is_valid(f)
+        return self._row(f, strict_atoms) == self.space.open_masks
 
     def __eq__(self, other):
         return (isinstance(other, Model) and self.space == other.space

@@ -242,6 +242,17 @@ def test_bad_input_exits_2(capsys, argv, message):
     assert err.startswith("error: ") and message in err
 
 
+def test_parse_prints_deep_formulas(capsys):
+    for op in ("~", "[]", "K ", "<>", "L "):
+        text = op * 900 + "A"
+        code, out, err = run(capsys, "parse", text)
+        assert code == 0 and err == ""
+        assert out.strip() == text
+        code, out, err = run(capsys, "parse", "--ast", text)
+        assert code == 0 and err == ""
+        assert out.rstrip().endswith("atom A")
+
+
 def test_undecodable_input_file_exits_2(tmp_path, capsys):
     path = tmp_path / "formula.txt"
     path.write_bytes(b"\xff\xfe A")

@@ -96,6 +96,17 @@ def test_roundtrip_random_asts():
         assert parse(render(f)) is f
 
 
+def test_render_deep_nesting():
+    # printing is iterative, so what the parser accepts prints back
+    for op in (neg, box, know, diamond, poss):
+        f = atom("A")
+        for _ in range(900):
+            f = op(f)
+        assert parse(render(f)) is f
+        lines = ast_dump(f).splitlines()     # one line per node of the chain
+        assert lines[-1] == "  " * (len(lines) - 1) + "atom A"
+
+
 def test_subformulas_postorder():
     got = [render(g) for g in subformulas(parse("<>K A"))]
     assert got == ["A", "K A", "~K A", "[]~K A", "<>K A"]

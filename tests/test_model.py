@@ -8,8 +8,8 @@ from helpers import (FIXTURES, naive_children, naive_is_treelike,
                      random_treelike_model, same_model)
 
 from treelogic import (MaskContext, Model, ModelError, SCHEMES, SubsetSpace,
-                       TOP, atom, box, build_question_tree,
-                       build_stream_space, diamond, enumerate_spaces,
+                       TOP, atom, atom_names, box, build_question_tree,
+                       build_stream_space, conj, diamond, enumerate_spaces,
                        formula_pool, instantiate, know, load_model,
                        model_from_dict, model_to_dict, neg, parse, poss,
                        render, subformulas)
@@ -190,21 +190,45 @@ def test_dual_expansions_match(m1):
 
 
 def _agrees_with_reference(model, formulas, carriers):
+    # the model answers f, then g, then f again, then a formula sharing
+    # f's subformulas, so the truth row it keeps is built, replaced, built
+    # again and reused; strict_atoms must reject unknown atoms whether or
+    # not the row is reused
     ctx = MaskContext.from_model(model)
     points = model.space.points
     opens = model.space.opens
-    for f in formulas:
-        for u_mask, u in zip(ctx.opens, opens):
+    stream = []
+    for f, g in zip(formulas, formulas[1:] + formulas[:1]):
+        stream += [f, g, f, conj(box(f), neg(g))]
+    want = {}           # formula -> naive truth sets at opens, at carriers
+    for f in stream:
+        if f not in want:
+            want[f] = ([{x for x in u if naive_satisfies(model, x, u, f)}
+                        for u in opens],
+                       [{x for x in c if naive_satisfies(model, x, c, f)}
+                        for c in carriers])
+        at_opens, at_carriers = want[f]
+        for u_mask, u, w in zip(ctx.opens, opens, at_opens):
             got = {points[i] for i in range(len(points))
                    if ctx.truth(f, u_mask) >> i & 1}
-            want = {x for x in u if naive_satisfies(model, x, u, f)}
-            assert got == want
-            assert model.truth_set(u, f) == want
-            assert all(model.satisfies(x, u, f) == (x in want) for x in u)
-        for c in carriers:
-            want = {x for x in c if naive_satisfies(model, x, c, f)}
-            assert model.truth_in(c, f) == want
-        assert model.is_valid(f) == naive_valid(model, f)
+            assert got == w
+            assert model.truth_set(u, f) == w
+            assert all(model.satisfies(x, u, f) == (x in w) for x in u)
+        for c, w in zip(carriers, at_carriers):
+            assert model.truth_in(c, f) == w
+        valid = all(w == u for u, w in zip(opens, at_opens))    # naive_valid
+        assert model.is_valid(f) == valid
+        u, x = opens[0], points[0]
+        strict = [lambda: model.satisfies(x, u, f, strict_atoms=True),
+                  lambda: model.truth_set(u, f, strict_atoms=True),
+                  lambda: model.is_valid(f, strict_atoms=True)]
+        if atom_names(f) <= set(model.valuation):
+            assert [call() for call in strict] == [
+                x in at_opens[0], at_opens[0], valid]
+        else:
+            for call in strict:
+                with pytest.raises(ModelError, match="unknown atom"):
+                    call()
 
 
 def test_mask_engine_agrees_with_reference(m1):
