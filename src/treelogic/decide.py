@@ -452,12 +452,11 @@ class SatOutcome:
     "unsat_proved" (a bound-covering budget or type saturation exhausted).
     """
 
-    def __init__(self, verdict, witness, searched, stats, bound):
+    def __init__(self, verdict, witness, searched, stats):
         self.verdict = verdict
         self.witness = witness          # (Model, point, open frozenset) or None
         self.searched = searched
         self.stats = stats
-        self.bound = bound
 
     def __repr__(self):
         return f"SatOutcome({self.verdict!r}, searched={self.searched})"
@@ -487,13 +486,12 @@ def satisfiable(formula: Formula, max_points=None, max_opens=None,
     only saturation that spends ``SATURATION_STEPS`` ends unsat_within.
     """
     atoms = sorted(atom_names(formula))
-    bound = complexity_bound(formula)
     stats = {"models": 0, "neighborhoods": 0}
     start = time.monotonic()
 
     def finish(verdict, witness, searched):
         stats["seconds"] = round(time.monotonic() - start, 6)
-        return SatOutcome(verdict, witness, searched, dict(stats), bound)
+        return SatOutcome(verdict, witness, searched, dict(stats))
 
     def plain_sweep(max_points, max_opens, model_cap=None):
         count = 0
@@ -521,6 +519,7 @@ def satisfiable(formula: Formula, max_points=None, max_opens=None,
                     "coverage": "plain"}
         if hit:
             return finish("sat", hit, searched)
+        bound = complexity_bound(formula)
         covers = (not bound.saturated and treelike
                   and max_points >= bound.max_points
                   and (max_opens is None or max_opens >= bound.max_opens))

@@ -344,22 +344,30 @@ def ast_dump(f: Formula, indent: int = 0) -> str:
 # ---------------------------------------------------------------------------
 # structural utilities
 
-def subformulas(f: Formula) -> list[Formula]:
-    """Duplicate-free post-order list of subformulas; ``f`` itself is last."""
+def subformulas(*roots: Formula) -> list[Formula]:
+    """Duplicate-free post-order list of the subformulas of ``roots``.
+
+    Children come before their parents, the left subtree before the right,
+    and the roots in the order given, each after everything below it; with
+    one root it is last.  Iterative, so any depth the parser accepts (or
+    deeper) passes through.
+    """
     seen = set()
     out = []
-
-    def walk(g: Formula):
+    todo = [(g, False) for g in reversed(roots)]
+    while todo:
+        g, ready = todo.pop()
         if id(g) in seen:
-            return
-        if g.left is not None:
-            walk(g.left)
+            continue
+        if ready:
+            seen.add(id(g))
+            out.append(g)
+            continue
+        todo.append((g, True))
         if g.right is not None:
-            walk(g.right)
-        seen.add(id(g))
-        out.append(g)
-
-    walk(f)
+            todo.append((g.right, False))
+        if g.left is not None:
+            todo.append((g.left, False))
     return out
 
 

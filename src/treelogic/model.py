@@ -8,17 +8,22 @@ the opens shrinking the current one around the current point.
 Each space numbers its points once, at construction, keeps every open
 as a bitmask in that order, and links the opens into their inclusion
 tree (each open's maximal strict sub-opens); each model numbers its atoms
-the same way.  Truth has one implementation here, the mask engine at the
-bottom: a bitset evaluator over those masks that ``Model.satisfies``,
-``truth_set``, ``truth_in`` and ``is_valid`` wrap; a model keeps the
-truth row of the last formula it evaluated, one mask per open, so a
-truth table over all opens evaluates the formula once.  The engine
-evaluates ``[]`` down the open tree, since ``[]phi`` at U is ``phi`` at U together with
-``[]phi`` at the child of U around the point.  It is bit-sliced: one
-context evaluates a formula under many valuations of the same open
-family at once, each valuation an n-bit lane of one int, so a context
-over a single model is the one-lane case.  Tests check it against the
-independent evaluator in ``tests/helpers.py``.
+the same way.  Truth is computed here, by the mask engine at the bottom:
+a bitset evaluator over those masks.  It has two paths that follow the
+same rules.  ``MaskContext.truth`` is lazy: it recurses from one formula
+at one carrier, and ``Model.satisfies``, ``truth_set``, ``truth_in`` and
+``is_valid``, the partition layer and the decision sweep use it; a model
+keeps the truth row of the last formula it evaluated, one mask per open,
+so a truth table over all opens evaluates the formula once.
+``MaskContext.rows`` is one bottom-up pass over a children-first list of
+many formulas' subformulas, filling each at every open; the soundness
+harness uses it through ``first_failure``.  Both evaluate ``[]`` down the
+open tree, since ``[]phi`` at U is ``phi`` at U together with ``[]phi``
+at the child of U around the point.  The engine is bit-sliced: one
+context evaluates under many valuations of the same open family at once,
+each valuation an n-bit lane of one int, so a context over a single
+model is the one-lane case.  Tests check it against the independent
+evaluator in ``tests/helpers.py``.
 """
 
 from __future__ import annotations
@@ -498,6 +503,11 @@ class MaskContext:
     U's children-first run fills the whole subtree, so evaluation recurses
     only as deep as the formula.  At a carrier that is not open, ``[]phi``
     is ``[]phi`` on each maximal open inside it.
+
+    ``truth`` evaluates lazily, top-down, and memoises in ``cache``.
+    ``rows`` and ``first_failure`` evaluate many formulas at every open in
+    one bottom-up pass over their shared subformulas, without ``cache``:
+    the soundness harness checks every scheme instance that way.
     """
 
     __slots__ = ("n", "lanes", "rep", "low", "space", "opens", "full",
@@ -583,25 +593,82 @@ class MaskContext:
         """True when ``f`` holds at every neighborhood in every lane."""
         return all(self.truth(f, u) == u * self.rep for u in self.opens if u)
 
-    def first_failure(self, f: Formula):
-        """First neighborhood falsifying ``f`` in each lane that has one.
+    def rows(self, post, roots) -> list:
+        """Each root's truth row: its truth set at every open of ``opens``.
 
-        Returns ``(lane, bit, u_mask)`` triples in lane order.  Within a
-        lane, opens are tried in the context's order and points from the
-        lowest bit, so a single-model context and a lane of a wide one
-        name the same witness.
+        ``post`` lists every subformula of ``roots`` once, children first,
+        as ``subformulas(*roots)`` does.  One bottom-up pass over it fills
+        every node's row, lane-wise as ``truth`` does: atoms, ``~`` and
+        ``&`` open by open, ``K`` with the same per-lane collapse, and
+        ``[]`` down ``space.order``, each open after its children.  The
+        rows come back in the order of ``roots``.
+        """
+        n, full, low, lanes = self.n, self.full, self.low, self.lanes
+        space, vals = self.space, self.vals
+        children = space.children
+        wide = [u * self.rep for u in self.opens]
+        row = {}
+        for g in post:
+            k = g.kind
+            if k == "and":
+                r = list(map(int.__and__, row[g.left], row[g.right]))
+            elif k == "not":
+                # a row lies inside ``wide``, so xor complements it there
+                r = list(map(int.__xor__, wide, row[g.left]))
+            elif k == "atom":
+                v = vals.get(g.name, 0)
+                r = [v & w for w in wide]
+            elif k == "top":
+                r = wide
+            elif k == "bot":
+                r = [0] * len(wide)
+            elif k == "know":
+                r = []
+                for w, t in zip(wide, row[g.left]):
+                    miss = w ^ t
+                    if not miss:
+                        r.append(w)
+                    elif lanes == 1:
+                        r.append(0)
+                    else:
+                        top = ((miss & low) + low | miss) & ~low
+                        r.append(w & ~((top >> n - 1) * full))
+            else:  # box
+                a = row[g.left]
+                r = [0] * len(wide)     # the empty open is in no run
+                for j in space.order:
+                    out = a[j]
+                    for c in children[j]:
+                        out &= ~(wide[c] ^ r[c])
+                    r[j] = out
+            row[g] = r
+        return [row[f] for f in roots]
+
+    def first_failure(self, post, roots) -> list:
+        """First neighborhood falsifying each root, in each lane that has one.
+
+        ``post`` and ``roots`` are as for ``rows``, which evaluates them.
+        Returns one list per root, of ``(lane, bit, u_mask)`` triples in
+        lane order.  Within a lane, opens are tried in the context's order
+        and points from the lowest bit, so a single-model context and a
+        lane of a wide one name the same witness.
         """
         n, full = self.n, self.full
-        pending = (1 << n * self.lanes) - 1
-        found = []
-        for u in self.opens:
-            miss = u * self.rep & ~self.truth(f, u) & pending
-            while miss:
-                pos = (miss & -miss).bit_length() - 1
-                lane = pos // n
-                found.append((lane, pos - lane * n, u))
-                clear = ~(full << lane * n)
-                miss &= clear
-                pending &= clear
-        found.sort()
-        return found
+        wide = [u * self.rep for u in self.opens]
+        out = []
+        for r in self.rows(post, roots):
+            found = []
+            if r != wide:
+                pending = (1 << n * self.lanes) - 1
+                for u, w, t in zip(self.opens, wide, r):
+                    miss = w & ~t & pending
+                    while miss:
+                        pos = (miss & -miss).bit_length() - 1
+                        lane = pos // n
+                        found.append((lane, pos - lane * n, u))
+                        clear = ~(full << lane * n)
+                        miss &= clear
+                        pending &= clear
+                found.sort()
+            out.append(found)
+        return out

@@ -20,7 +20,8 @@ import time
 from .decide import (SearchError, _family_spaces, _valuation,
                      _valuation_masks, formula_pool)
 from .formula import (Formula, SchemaError, SchemaTemplate, SYSTEMS, SCHEMES,
-                      box, instantiate, know, parse, render, scheme)
+                      box, instantiate, know, parse, render, scheme,
+                      subformulas)
 from .model import MaskContext, Model, model_to_dict
 
 __all__ = [
@@ -378,16 +379,20 @@ def soundness_suite(max_points: int = 3, schemes=tuple(range(1, 13)),
     (canonically deduplicated), all valuations of ``atoms`` over them,
     and all instances of the requested schemes over the depth-bounded
     pool.  The models are those of ``enumerate_spaces``, in its order, but
-    each instance is evaluated once per open family: the family's
-    valuations are the lanes of one bit-sliced ``MaskContext``.  A model
-    is built only for a lane that fails.  Violations are ordered by model,
-    then by instance, each at its first failing open and lowest point.
+    the instances are evaluated once per open family: the family's
+    valuations are the lanes of one bit-sliced ``MaskContext``, and the
+    instances' subformulas, listed once children first, are filled in
+    one bottom-up pass per lane block.  A model is built only for a lane
+    that fails.  Violations are ordered by model, then by instance, each
+    at its first failing open and lowest point.
     """
     start = time.monotonic()
     instances = _instances(schemes, atoms, depth, include_constants)
     if not instances:
         raise SearchError("no scheme instance to check: give at least one "
                           "scheme and one atom")
+    roots = [inst for _, inst in instances]
+    post = subformulas(*roots)
     atoms = sorted(atoms)
     found = []
     models = 0
@@ -410,8 +415,9 @@ def soundness_suite(max_points: int = 3, schemes=tuple(range(1, 13)),
                     for a, w in zip(atoms, packed)}
             ctx = MaskContext(space, vals, lanes)
             failed = {}     # lane -> its model, shared by its violations
-            for i_idx, (label, inst) in enumerate(instances):
-                for lane, bit, u in ctx.first_failure(inst):
+            fails = ctx.first_failure(post, roots)
+            for i_idx, ((label, inst), lost) in enumerate(zip(instances, fails)):
+                for lane, bit, u in lost:
                     model = failed.get(lane)
                     if model is None:
                         model = failed[lane] = Model(

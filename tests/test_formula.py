@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from helpers import random_formula
+
 from treelogic import (BOT, TOP, ParseError, SchemaError, ast_dump, atom,
                        atom_names, box, conj, diamond, disj, implies,
                        instantiate, know, neg, parse, poss, render, size,
@@ -131,6 +133,38 @@ def test_subformulas_are_subtrees():
         for g in subs:
             if g.left is not None:
                 assert id(g.left) in whole
+
+
+def _recursive_subformulas(f, seen, out):
+    # the order subformulas had as a recursive walk: left, right, node
+    if id(f) in seen:
+        return
+    for g in (f.left, f.right):
+        if g is not None:
+            _recursive_subformulas(g, seen, out)
+    seen.add(id(f))
+    out.append(f)
+
+
+def test_subformulas_keeps_the_recursive_order():
+    rng = random.Random(31)
+    for _ in range(300):
+        roots = [random_formula(rng, ("A", "B", "C"), rng.randint(0, 6))
+                 for _ in range(rng.randint(1, 4))]
+        seen, want = set(), []
+        for f in roots:
+            _recursive_subformulas(f, seen, want)
+        assert subformulas(*roots) == want
+    assert subformulas() == []
+
+
+def test_subformulas_deep_nesting():
+    # <> desugars to ~[]~: 400 of them are 1,200 levels, past the
+    # recursion limit of a walk that recurses once per level
+    f = parse("<>" * 400 + "A")
+    subs = subformulas(f)
+    assert len(subs) == 1201 and subs[0] is atom("A") and subs[-1] is f
+    assert atom_names(f) == {"A"}
 
 
 def test_instantiate_basics():

@@ -272,6 +272,27 @@ def test_mask_engine_agrees_with_reference(m1):
     assert checked > 200
 
 
+def test_rows_agree_with_truth():
+    # the bottom-up pass against the lazy recursion, root by root: on
+    # every family over up to three points, trees or not, and on random
+    # trees, with one lane and with many lanes of random valuations
+    rng = random.Random(29)
+    spaces = {m.space: None for m in enumerate_spaces(3, treelike=False)}
+    spaces = list(spaces) + [random_treelike_model(rng).space
+                             for _ in range(30)]
+    for space in spaces:
+        n = len(space.points)
+        roots = [random_formula(rng, ("A", "B"), 4) for _ in range(10)]
+        roots.append(roots[0].left or roots[0])     # a root inside a root
+        post = subformulas(*roots)
+        for lanes in (1, 7):
+            vals = {a: rng.getrandbits(n * lanes) for a in ("A", "B")}
+            got = MaskContext(space, vals, lanes).rows(post, roots)
+            ctx = MaskContext(space, vals, lanes)
+            assert got == [[ctx.truth(f, u) for u in space.open_masks]
+                           for f in roots]
+
+
 def test_deep_nesting_evaluates():
     f = atom("Q1")
     for _ in range(400):
