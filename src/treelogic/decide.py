@@ -16,7 +16,7 @@ from functools import lru_cache
 
 from .formula import (BOT, TOP, Formula, atom, atom_names, box, conj,
                       diamond, know, neg, poss, subformulas)
-from .model import MaskContext, Model, SubsetSpace
+from .model import Model, SubsetSpace
 
 __all__ = [
     "Bound", "complexity_bound",
@@ -47,21 +47,23 @@ class Bound:
 
 
 def _family_bound(f: Formula):
-    k = f.kind
-    if k in ("atom", "top", "bot"):
-        return 1
-    if k in ("not", "box"):
-        return _family_bound(f.left)
-    if k == "and":
-        a = _family_bound(f.left)
-        b = _family_bound(f.right)
-        if a is None or b is None or a * b > _SATURATION:
-            return None
-        return a * b
-    a = _family_bound(f.left)  # know
-    if a is None or a > 60 or a * (1 << a) > _SATURATION:
-        return None
-    return a * (1 << a)
+    bound = {}
+    for g in subformulas(f):
+        k = g.kind
+        if k in ("atom", "top", "bot"):
+            b = 1
+        elif k in ("not", "box"):
+            b = bound[g.left]
+        elif k == "and":
+            a, c = bound[g.left], bound[g.right]
+            b = (None if a is None or c is None or a * c > _SATURATION
+                 else a * c)
+        else:  # know
+            a = bound[g.left]
+            b = (None if a is None or a > 60 or a * (1 << a) > _SATURATION
+                 else a * (1 << a))
+        bound[g] = b
+    return bound[f]
 
 
 def complexity_bound(f: Formula) -> Bound:
@@ -427,11 +429,8 @@ def _materialize(n_points: int, opens, atom_masks, atoms) -> Model:
     return Model(SubsetSpace(points, sets), valuation)
 
 
-def _witness(model: Model, ctx: MaskContext, u_mask: int, u, formula):
-    """The first point of ``u`` where ``formula`` holds, re-checked."""
-    t = ctx.truth(formula, u_mask)
-    if not t:
-        return None
+def _witness(model: Model, t: int, u, formula):
+    """The lowest point of ``t``, the truth set at ``u``, re-checked."""
     x = model.space.points[(t & -t).bit_length() - 1]
     if not model.satisfies(x, u, formula):
         raise AssertionError("the witness does not hold in the returned model")
@@ -501,14 +500,11 @@ def satisfiable(formula: Formula, max_points=None, max_opens=None,
             if model_cap is not None and count > model_cap:
                 return None
             stats["models"] += 1
-            ctx = MaskContext.from_model(model)
-            for u_mask, u in zip(ctx.opens, model.space.opens):
-                if not u_mask:
-                    continue
+            # the model keeps the row, so the witness re-check reads it
+            for t, u in zip(model._row(formula, False), model.space.opens):
                 stats["neighborhoods"] += len(u)
-                hit = _witness(model, ctx, u_mask, u, formula)
-                if hit:
-                    return hit
+                if t:
+                    return _witness(model, t, u, formula)
         return None
 
     if not use_bound:
@@ -546,11 +542,11 @@ def satisfiable(formula: Formula, max_points=None, max_opens=None,
                 "steps": types.steps}
     if members is not None:
         model = _materialize(*types.tree(members), atoms)
-        ctx = MaskContext.from_model(model)
-        hit = _witness(model, ctx, ctx.full, model.space.full, formula)
-        if hit is None:
+        t = model._row(formula, False)[0]       # the root open, the full set
+        if not t:
             raise AssertionError("the saturated type is not realised")
-        return finish("sat", hit, searched)
+        return finish("sat", _witness(model, t, model.space.full, formula),
+                      searched)
     if verdict == "unsat_within":
         searched["note"] = "saturation step cap reached"
     return finish(verdict, None, searched)

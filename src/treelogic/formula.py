@@ -350,34 +350,35 @@ def subformulas(*roots: Formula) -> list[Formula]:
     Children come before their parents, the left subtree before the right,
     and the roots in the order given, each after everything below it; with
     one root it is last.  Iterative, so any depth the parser accepts (or
-    deeper) passes through.
+    deeper) passes through: a node stays on the stack until both its
+    children are listed.
     """
     seen = set()
     out = []
-    todo = [(g, False) for g in reversed(roots)]
+    todo = list(reversed(roots))
     while todo:
-        g, ready = todo.pop()
-        if id(g) in seen:
+        g = todo[-1]
+        left = g.left
+        if left is not None and left not in seen:
+            todo.append(left)
             continue
-        if ready:
-            seen.add(id(g))
+        right = g.right
+        if right is not None and right not in seen:
+            todo.append(right)
+            continue
+        todo.pop()
+        if g not in seen:
+            seen.add(g)
             out.append(g)
-            continue
-        todo.append((g, True))
-        if g.right is not None:
-            todo.append((g.right, False))
-        if g.left is not None:
-            todo.append((g.left, False))
     return out
 
 
 def size(f: Formula) -> int:
     """Node count of the desugared tree (counting repeated subtrees)."""
-    if f.left is None:
-        return 1
-    if f.right is None:
-        return 1 + size(f.left)
-    return 1 + size(f.left) + size(f.right)
+    sizes = {}
+    for g in subformulas(f):
+        sizes[g] = 1 + sizes.get(g.left, 0) + sizes.get(g.right, 0)
+    return sizes[f]
 
 
 def atom_names(f: Formula) -> frozenset[str]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from functools import cached_property
 
-from .formula import Formula
+from .formula import Formula, subformulas
 from .model import Model, ModelError, SubsetSpace
 
 __all__ = [
@@ -505,7 +505,7 @@ def bi_satisfies(frame: BiFrame, s, f: Formula) -> bool:
     i = frame._index.get(s)
     if i is None:
         raise FrameError(f"unknown state {s!r}")
-    return bool(_frame_truth(frame, f, {}) >> i & 1)
+    return bool(_frame_truth(frame, f) >> i & 1)
 
 
 def _within(rows, t: int) -> int:
@@ -517,28 +517,28 @@ def _within(rows, t: int) -> int:
     return out
 
 
-def _frame_truth(frame: BiFrame, f: Formula, memo) -> int:
-    hit = memo.get(id(f))
-    if hit is not None:
-        return hit
-    k = f.kind
-    if k == "atom":
-        out = frame._val_masks.get(f.name, 0)
-    elif k == "top":
-        out = (1 << len(frame.states)) - 1
-    elif k == "bot":
-        out = 0
-    elif k == "not":
-        out = (1 << len(frame.states)) - 1 & ~_frame_truth(frame, f.left, memo)
-    elif k == "and":
-        out = (_frame_truth(frame, f.left, memo)
-               & _frame_truth(frame, f.right, memo))
-    elif k == "know":
-        out = _within(frame._k_rows, _frame_truth(frame, f.left, memo))
-    else:  # box
-        out = _within(frame._box_rows, _frame_truth(frame, f.left, memo))
-    memo[id(f)] = out
-    return out
+def _frame_truth(frame: BiFrame, f: Formula) -> int:
+    """Mask of the states where ``f`` holds, one subformula at a time."""
+    full = (1 << len(frame.states)) - 1
+    truth = {}
+    for g in subformulas(f):
+        k = g.kind
+        if k == "atom":
+            out = frame._val_masks.get(g.name, 0)
+        elif k == "top":
+            out = full
+        elif k == "bot":
+            out = 0
+        elif k == "not":
+            out = full & ~truth[g.left]
+        elif k == "and":
+            out = truth[g.left] & truth[g.right]
+        elif k == "know":
+            out = _within(frame._k_rows, truth[g.left])
+        else:  # box
+            out = _within(frame._box_rows, truth[g.left])
+        truth[g] = out
+    return truth[f]
 
 
 def induced_frame(model: Model) -> BiFrame:

@@ -9,28 +9,28 @@ Each space numbers its points once, at construction, keeps every open
 as a bitmask in that order, and links the opens into their inclusion
 tree (each open's maximal strict sub-opens); each model numbers its atoms
 the same way.  Truth is computed here, by the mask engine at the bottom:
-a bitset evaluator over those masks.  It has two paths that follow the
-same rules.  ``MaskContext.truth`` is lazy: it recurses from one formula
-at one carrier, and ``Model.satisfies``, ``truth_set``, ``truth_in`` and
-``is_valid``, the partition layer and the decision sweep use it; a model
-keeps the truth row of the last formula it evaluated, one mask per open,
-so a truth table over all opens evaluates the formula once.
-``MaskContext.rows`` is one bottom-up pass over a children-first list of
-many formulas' subformulas, filling each at every open; the soundness
-harness uses it through ``first_failure``.  Both evaluate ``[]`` down the
-open tree, since ``[]phi`` at U is ``phi`` at U together with ``[]phi``
-at the child of U around the point.  The engine is bit-sliced: one
-context evaluates under many valuations of the same open family at once,
-each valuation an n-bit lane of one int, so a context over a single
-model is the one-lane case.  Tests check it against the independent
-evaluator in ``tests/helpers.py``.
+a bitset evaluator over those masks with one path, ``MaskContext.rows``.
+It makes one bottom-up pass over a children-first list of subformulas
+and fills each at every open (and at any carriers that are not opens),
+evaluating ``[]`` down the open tree, since ``[]phi`` at U is ``phi`` at
+U together with ``[]phi`` at the child of U around the point.
+``MaskContext.truth`` reads one formula's row off that pass and keeps it;
+``Model.satisfies``, ``truth_set``, ``truth_in`` and ``is_valid``, the
+partition layer and the decision sweep use it, and a model keeps the
+truth row of the last formula it evaluated, one mask per open, so a truth
+table over all opens evaluates the formula once.  The soundness harness
+runs the pass over many formulas at once through ``first_failure``.  The
+engine is bit-sliced: one context evaluates under many valuations of the
+same open family at once, each valuation an n-bit lane of one int, so a
+context over a single model is the one-lane case.  Tests check it against
+the independent evaluator in ``tests/helpers.py``.
 """
 
 from __future__ import annotations
 
 import json
 
-from .formula import ATOM_RE, RESERVED, Formula, atom_names
+from .formula import ATOM_RE, RESERVED, Formula, atom_names, subformulas
 
 __all__ = [
     "ModelError", "SubsetSpace", "Model",
@@ -299,8 +299,8 @@ class Model:
 
         The model keeps the row of the last formula asked for, so asking
         again for the same (interned) formula reads it back; another
-        formula replaces it.  One mask context fills it, full set first,
-        so ``[]`` runs down the open tree once.  With ``strict``, every
+        formula replaces it.  One mask context fills it in one bottom-up
+        pass (``MaskContext.truth``).  With ``strict``, every
         atom of ``f`` missing from the valuation is rejected first, on
         every call.
         """
@@ -311,8 +311,7 @@ class Model:
         kept, row = self._kept
         if kept is not f:
             ctx = MaskContext.from_model(self)
-            masks = self.space.open_masks
-            row = tuple([ctx.truth(f, u) if u else 0 for u in masks])
+            row = tuple([ctx.truth(f, u) for u in self.space.open_masks])
             self._kept = (f, row)
         return row
 
@@ -492,22 +491,23 @@ class MaskContext:
 
     Point i of lane l is bit ``l * n + i``.  Opens are n-bit masks shared
     by every lane; atom valuations (``vals``) and truth sets are wide ints
-    holding one n-bit lane per valuation.  ``truth(f, u)`` widens the open
-    ``u`` to every lane by multiplying it with ``rep``, the lane-replication
+    holding one n-bit lane per valuation.  ``rows`` widens each open to
+    every lane by multiplying it with ``rep``, the lane-replication
     constant (bit 0 of every lane set).  With one lane ``rep`` is 1, and
     truth sets are plain n-bit masks over a single model; ``from_model``
     builds that context from the masks the space and the model hold.
 
     ``[]`` follows the space's open tree: at an open U, ``[]phi`` is
     ``phi`` at U and, on each child C of U, ``[]phi`` at C.  One loop over
-    U's children-first run fills the whole subtree, so evaluation recurses
-    only as deep as the formula.  At a carrier that is not open, ``[]phi``
-    is ``[]phi`` on each maximal open inside it.
+    the children-first ``space.order`` fills every open, so evaluation
+    never recurses.  At a carrier that is not open, ``[]phi`` is ``[]phi``
+    on each maximal open inside it.
 
-    ``truth`` evaluates lazily, top-down, and memoises in ``cache``.
-    ``rows`` and ``first_failure`` evaluate many formulas at every open in
-    one bottom-up pass over their shared subformulas, without ``cache``:
-    the soundness harness checks every scheme instance that way.
+    ``rows`` is the one evaluator: a bottom-up pass over a children-first
+    list of subformulas.  ``truth`` runs it for one formula and keeps the
+    formula's row in ``cache``, so ``cache`` holds one row per formula
+    asked for; ``first_failure`` runs it over many formulas at once, as
+    the soundness harness checks every scheme instance, without ``cache``.
     """
 
     __slots__ = ("n", "lanes", "rep", "low", "space", "opens", "full",
@@ -530,83 +530,44 @@ class MaskContext:
         return cls(model.space, model.atom_masks)
 
     def truth(self, f: Formula, u_mask: int) -> int:
-        key = (id(f), u_mask)
-        hit = self.cache.get(key)
-        if hit is not None:
-            return hit
-        k = f.kind
-        if k == "and":
-            out = self.truth(f.left, u_mask) & self.truth(f.right, u_mask)
-        else:
-            wide = u_mask * self.rep
-            if k == "atom":
-                out = self.vals.get(f.name, 0) & wide
-            elif k == "top":
-                out = wide
-            elif k == "bot":
-                out = 0
-            elif k == "not":
-                out = wide & ~self.truth(f.left, u_mask)
-            elif k == "know":
-                miss = wide & ~self.truth(f.left, u_mask)
-                if not miss:
-                    out = wide
-                elif self.lanes == 1:
-                    out = 0
-                else:
-                    # a lane missing any point of u loses all of u: the low
-                    # bits of a lane carry into its top bit, never past it
-                    low = self.low
-                    top = ((miss & low) + low | miss) & ~low
-                    out = wide & ~((top >> self.n - 1) * self.full)
-            else:  # box
-                space, masks = self.space, self.opens
-                rep, cache = self.rep, self.cache
-                i = space._pos.get(u_mask)
-                if i is None:   # a carrier that is not open
-                    out = wide
-                    for c in space._maximal_inside(u_mask):
-                        v = masks[c]
-                        out &= ~(v * rep & ~self.truth(f, v))
-                else:
-                    # a cached open has its whole run cached, so when every
-                    # child is, only U itself is left
-                    fid, g, children = id(f), f.left, space.children
-                    run = (i,)
-                    for c in children[i]:
-                        if (fid, masks[c]) not in cache:
-                            run = space.order[space.first[i]:space.last[i] + 1]
-                            break
-                    for j in run:
-                        v = masks[j]
-                        if (fid, v) in cache:
-                            continue
-                        out = self.truth(g, v)
-                        for c in children[j]:
-                            w = masks[c]
-                            out &= ~(w * rep & ~cache[fid, w])
-                        cache[fid, v] = out
-        self.cache[key] = out
-        return out
+        """``f``'s truth set at the carrier ``u_mask``, in every lane.
+
+        The first call for ``f`` fills its row with ``rows`` and keeps it
+        in ``cache`` under ``f``; an open's truth set is its column of that
+        row.  A carrier that is not open gets a column of its own.
+        """
+        i = self.space._pos.get(u_mask)
+        if i is None:
+            return self.rows(subformulas(f), [f], [u_mask])[0][-1]
+        row = self.cache.get(f)
+        if row is None:
+            row = self.cache[f] = self.rows(subformulas(f), [f])[0]
+        return row[i]
 
     def is_valid(self, f: Formula) -> bool:
         """True when ``f`` holds at every neighborhood in every lane."""
         return all(self.truth(f, u) == u * self.rep for u in self.opens if u)
 
-    def rows(self, post, roots) -> list:
+    def rows(self, post, roots, carriers=()) -> list:
         """Each root's truth row: its truth set at every open of ``opens``.
 
         ``post`` lists every subformula of ``roots`` once, children first,
         as ``subformulas(*roots)`` does.  One bottom-up pass over it fills
-        every node's row, lane-wise as ``truth`` does: atoms, ``~`` and
-        ``&`` open by open, ``K`` with the same per-lane collapse, and
-        ``[]`` down ``space.order``, each open after its children.  The
+        every node's row, lane-wise: atoms, ``~`` and ``&`` open by open,
+        ``K`` with a per-lane collapse, and ``[]`` down ``space.order``,
+        each open after its children.  ``carriers`` are point masks that
+        are not opens; each adds a column after the opens', where ``K``
+        ranges over the carrier and ``[]phi`` is ``[]phi`` on each maximal
+        open inside it (a carrier is not one of its own refinements).  The
         rows come back in the order of ``roots``.
         """
         n, full, low, lanes = self.n, self.full, self.low, self.lanes
-        space, vals = self.space, self.vals
+        space, vals, rep = self.space, self.vals, self.rep
         children = space.children
-        wide = [u * self.rep for u in self.opens]
+        wide = [u * rep for u in self.opens]
+        inside = [(len(wide) + c, space._maximal_inside(w))
+                  for c, w in enumerate(carriers)]
+        wide += [w * rep for w in carriers]
         row = {}
         for g in post:
             k = g.kind
@@ -631,6 +592,9 @@ class MaskContext:
                     elif lanes == 1:
                         r.append(0)
                     else:
+                        # a lane missing any point of the view loses all of
+                        # it: the low bits of a lane carry into its top bit,
+                        # never past it
                         top = ((miss & low) + low | miss) & ~low
                         r.append(w & ~((top >> n - 1) * full))
             else:  # box
@@ -639,6 +603,11 @@ class MaskContext:
                 for j in space.order:
                     out = a[j]
                     for c in children[j]:
+                        out &= ~(wide[c] ^ r[c])
+                    r[j] = out
+                for j, kids in inside:
+                    out = wide[j]
+                    for c in kids:
                         out &= ~(wide[c] ^ r[c])
                     r[j] = out
             row[g] = r

@@ -19,8 +19,8 @@ import time
 
 from .decide import (SearchError, _family_spaces, _valuation,
                      _valuation_masks, formula_pool)
-from .formula import (Formula, SchemaError, SchemaTemplate, SYSTEMS, SCHEMES,
-                      box, instantiate, know, parse, render, scheme,
+from .formula import (BOT, TOP, Formula, SchemaError, SchemaTemplate, SYSTEMS,
+                      SCHEMES, box, instantiate, know, parse, render, scheme,
                       subformulas)
 from .model import MaskContext, Model, model_to_dict
 
@@ -95,17 +95,24 @@ def is_tautology(f: Formula) -> bool:
     bit-sliced: bit b of a value is its truth under assignment b, in
     which letter i is bit i of b, so one pass evaluates every row.
     """
-    letters = {}
-
-    def scan(g: Formula):
+    # the skeleton's connective nodes children first, and its letters;
+    # a node stays on the stack until its children are done
+    post, letters, done, todo = [], {}, set(), [f]
+    while todo:
+        g = todo[-1]
         if g.kind in ("not", "and"):
-            scan(g.left)
-            if g.kind == "and":
-                scan(g.right)
+            if g.left not in done:
+                todo.append(g.left)
+                continue
+            if g.right is not None and g.right not in done:
+                todo.append(g.right)
+                continue
+            if g not in done:
+                post.append(g)
         elif g.kind not in ("top", "bot"):
-            letters.setdefault(id(g), len(letters))
-
-    scan(f)
+            letters.setdefault(g, len(letters))
+        todo.pop()
+        done.add(g)
     if len(letters) > _MAX_SKELETON_VARS:
         raise ProofError("boolean skeleton too large to decide by truth table")
     # each letter doubles the table: the rows so far, then them again
@@ -116,19 +123,14 @@ def is_tautology(f: Formula) -> bool:
         column.append(((1 << rows) - 1) << rows)
         rows *= 2
     full = (1 << rows) - 1
-
-    def ev(g: Formula) -> int:
+    value = {g: column[i] for g, i in letters.items()}
+    value[TOP], value[BOT] = full, 0
+    for g in post:
         if g.kind == "not":
-            return full & ~ev(g.left)
-        if g.kind == "and":
-            return ev(g.left) & ev(g.right)
-        if g.kind == "top":
-            return full
-        if g.kind == "bot":
-            return 0
-        return column[letters[id(g)]]
-
-    return ev(f) == full
+            value[g] = full & ~value[g.left]
+        else:
+            value[g] = value[g.left] & value[g.right]
+    return value[f] == full
 
 
 def _is_implication(candidate: Formula, antecedent: Formula,

@@ -253,6 +253,24 @@ def test_parse_prints_deep_formulas(capsys):
         assert out.rstrip().endswith("atom A")
 
 
+@pytest.mark.parametrize("argv, want", [
+    # <> desugars to ~[]~, so these nest 990 and 1,200 levels deep
+    (["check", "--model", ORACLE, "--point", "q1", "--open", "top",
+      "<>" * 330 + "Q1"], 0),
+    (["sat", "--max-points", "1", "<>" * 400 + "A"], 0),
+    # the budget is below the bound (four points): inconclusive, not false
+    (["sat", "--max-points", "1", "<>" * 400 + "false"], 2),
+    (["sat", "--max-points", "4", "<>" * 400 + "false"], 1),
+    (["extract", "--model", ORACLE, "-o", "OUT", "<>" * 400 + "Q1"], 0),
+    (["filtrate", "--model", ORACLE, "-o", "OUT", "<>" * 400 + "Q1"], 0),
+])
+def test_deep_formulas_get_a_verdict(tmp_path, capsys, argv, want):
+    # every formula the parser accepts is evaluated, never exit 3
+    argv = [str(tmp_path / "out.json") if a == "OUT" else a for a in argv]
+    code, _, err = run(capsys, *argv)
+    assert code == want, err
+
+
 def test_undecodable_input_file_exits_2(tmp_path, capsys):
     path = tmp_path / "formula.txt"
     path.write_bytes(b"\xff\xfe A")

@@ -165,6 +165,11 @@ def test_subformulas_deep_nesting():
     subs = subformulas(f)
     assert len(subs) == 1201 and subs[0] is atom("A") and subs[-1] is f
     assert atom_names(f) == {"A"}
+    assert size(f) == 1201
+    g = atom("A")
+    for _ in range(1200):
+        g = box(g)
+    assert size(conj(g, g)) == 2403
 
 
 def test_instantiate_basics():

@@ -6,9 +6,9 @@ from helpers import (FIXTURES, naive_check_frame, naive_class_le,
                      oracle_model, random_raw_frame, random_treelike_model,
                      same_model)
 
-from treelogic import (BiFrame, FrameError, TOP, bi_satisfies, check_frame,
-                       class_order, formula_pool, induced_frame, load_frame,
-                       load_model, parse, unfold)
+from treelogic import (BiFrame, FrameError, TOP, bi_satisfies, box,
+                       check_frame, class_order, formula_pool, induced_frame,
+                       load_frame, load_model, parse, unfold)
 
 
 def test_closure_from_generators(fig_frame):
@@ -105,6 +105,16 @@ def test_bi_satisfies(fig_frame):
     for f in formula_pool(("P",), 2)[:40]:
         inst = parse(f"[]({f}) -> ({f})")
         assert all(bi_satisfies(fig_frame, s, inst) for s in fig_frame.states)
+
+
+def test_bi_satisfies_deep_nesting(fig_frame):
+    # built with box, past the parser's reach: 1,200 levels
+    f = parse("P")
+    for _ in range(1200):
+        f = box(f)
+    for s in fig_frame.states:
+        assert bi_satisfies(fig_frame, s, f) == bi_satisfies(
+            fig_frame, s, parse("[]P"))
 
 
 def test_unfold_equivalence_on_fixture(fig_frame):

@@ -273,24 +273,40 @@ def test_mask_engine_agrees_with_reference(m1):
 
 
 def test_rows_agree_with_truth():
-    # the bottom-up pass against the lazy recursion, root by root: on
-    # every family over up to three points, trees or not, and on random
-    # trees, with one lane and with many lanes of random valuations
+    # the bottom-up pass against the independent evaluator, lane by lane
+    # and root by root, at every open and at carriers that are not open:
+    # on every family over up to three points, trees or not, and on
+    # random trees, with one lane and with many lanes of random valuations
     rng = random.Random(29)
     spaces = {m.space: None for m in enumerate_spaces(3, treelike=False)}
     spaces = list(spaces) + [random_treelike_model(rng).space
                              for _ in range(30)]
+    carried = 0
     for space in spaces:
-        n = len(space.points)
+        n, points = len(space.points), space.points
         roots = [random_formula(rng, ("A", "B"), 4) for _ in range(10)]
         roots.append(roots[0].left or roots[0])     # a root inside a root
         post = subformulas(*roots)
+        carriers = [m for m in dict.fromkeys(rng.getrandbits(n)
+                                             for _ in range(3))
+                    if m not in space.open_masks]
+        carried += len(carriers)
+        columns = [{p for i, p in enumerate(points) if m >> i & 1}
+                   for m in space.open_masks + tuple(carriers)]
         for lanes in (1, 7):
             vals = {a: rng.getrandbits(n * lanes) for a in ("A", "B")}
-            got = MaskContext(space, vals, lanes).rows(post, roots)
-            ctx = MaskContext(space, vals, lanes)
-            assert got == [[ctx.truth(f, u) for u in space.open_masks]
-                           for f in roots]
+            got = MaskContext(space, vals, lanes).rows(post, roots, carriers)
+            for lane in range(lanes):
+                model = Model(space, {
+                    a: {p for i, p in enumerate(points)
+                        if v >> lane * n + i & 1}
+                    for a, v in vals.items()})
+                for f, row in zip(roots, got):
+                    assert [t >> lane * n & (1 << n) - 1 for t in row] == [
+                        sum(1 << i for i, p in enumerate(points)
+                            if p in c and naive_satisfies(model, p, c, f))
+                        for c in columns]
+    assert carried > 50
 
 
 def test_deep_nesting_evaluates():

@@ -63,6 +63,14 @@ def test_tautology_oracle_agrees_with_truth_tables():
         is_tautology(parse(f"({' & '.join(letters)}) -> A21"))
 
 
+def test_tautology_deep_skeleton():
+    # a chain of 400 implications nests 1,200 connectives, past the
+    # recursion limit of a walk that recurses once per level
+    assert is_tautology(parse(" -> ".join(["A"] * 400)))
+    assert not is_tautology(parse(" -> ".join(["A"] * 399 + ["B"])))
+    assert is_tautology(parse("~" * 800 + "true"))
+
+
 def _line(text, by):
     data = {"formula": text, "by": by}
     return data
