@@ -4,8 +4,8 @@ Exit codes are uniform across commands: 0 for success / a true answer,
 1 for a false answer, a rejected proof or a found counterexample,
 2 for usage or file-format problems (an error of one of the package's
 own classes, or an unreadable input file), and 3 for an internal error
-(any other exception, such as a ``RecursionError`` on very deep input or
-a bare ``ValueError`` from a bug), so that a crash never reads as a false
+(any other exception, such as a bare ``ValueError`` or an
+``AssertionError`` from a bug), so that a crash never reads as a false
 answer or as bad input.
 """
 
@@ -274,16 +274,11 @@ def _finish_report(args, report) -> int:
 
 
 def _search_kwargs(args):
-    kwargs = {"treelike": not args.all_spaces}
-    if args.use_bound:
-        kwargs["use_bound"] = True
-    else:
-        kwargs["max_points"] = args.max_points
-        kwargs["max_opens"] = args.max_opens
-        if args.max_points is None:
-            raise UsageError("give --max-points (and optionally --max-opens) "
-                             "or --use-bound")
-    return kwargs
+    if not args.use_bound and args.max_points is None:
+        raise UsageError("give --max-points (and optionally --max-opens) "
+                         "or --use-bound")
+    return {"treelike": not args.all_spaces, "use_bound": args.use_bound,
+            "max_points": args.max_points, "max_opens": args.max_opens}
 
 
 def _cmd_sat(args) -> int:

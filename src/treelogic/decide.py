@@ -16,7 +16,7 @@ from functools import lru_cache
 
 from .formula import (BOT, TOP, Formula, atom, atom_names, box, conj,
                       diamond, know, neg, poss, subformulas)
-from .model import Model, SubsetSpace
+from .model import MaskContext, Model, SubsetSpace
 
 __all__ = [
     "Bound", "complexity_bound",
@@ -84,76 +84,76 @@ def complexity_bound(f: Formula) -> Bound:
 # ---------------------------------------------------------------------------
 # plain enumeration of small spaces
 
-def _family_key(family, index):
-    return tuple(sorted((len(u), tuple(sorted(index[p] for p in u)))
-                        for u in family))
-
-
 @lru_cache(maxsize=None)
 def _families(n: int, max_opens, treelike: bool):
-    """Labels and a space per open family over n points, deduped for n <= 4.
+    """One space per open family over n points, up to relabelling.
 
-    Cached: the relabelling pass costs n! per family, and the searches
+    An open is a point mask, ranked by its size, then its ascending bits,
+    and a family is the ascending tuple of its members' ranks (the full
+    set ranks last).  Families are walked by their size, then by that
+    tuple.  One not met yet is kept, and its orbit, closed under swapping
+    adjacent points, is marked as met, so each class keeps its least
+    labelling, at every point count.  The swaps cost the orbit's size,
+    not n!, so many points with few opens stay cheap.  Cached: searches
     and the soundness harness ask for the same few point counts again.
     """
-    points = tuple(f"p{i + 1}" for i in range(n))
-    index = {p: i for i, p in enumerate(points)}
-    full = frozenset(points)
-    candidates = []
-    for mask in range(1 << n):
-        u = frozenset(points[i] for i in range(n) if mask >> i & 1)
-        if u != full:
-            candidates.append(u)
-    candidates.sort(key=lambda u: (len(u), tuple(sorted(index[p] for p in u))))
+    masks = sorted(range(1 << n), key=lambda m: (
+        m.bit_count(), [i for i in range(n) if m >> i & 1]))
+    rank = {m: r for r, m in enumerate(masks)}
+    top = len(masks) - 1
     limit = None if max_opens is None else max_opens - 1
 
     families = []
 
-    def compatible(u, chosen):
-        return all(u <= v or v <= u or not (u & v) for v in chosen)
-
     def rec(start, chosen):
-        families.append(frozenset(chosen) | {full})
+        families.append((*chosen, top))
         if limit is not None and len(chosen) >= limit:
             return
-        for i in range(start, len(candidates)):
-            u = candidates[i]
-            if not treelike or compatible(u, chosen):
-                chosen.append(u)
-                rec(i + 1, chosen)
+        for r in range(start, top):
+            u = masks[r]
+            if not treelike or all(u & masks[c] in (0, u, masks[c])
+                                   for c in chosen):
+                chosen.append(r)
+                rec(r + 1, chosen)
                 chosen.pop()
 
     rec(0, [])
+    families.sort(key=lambda fam: (len(fam), fam))
 
-    if n <= 4:
-        from itertools import permutations
-        seen = {}
-        for fam in families:
-            best = None
-            for perm in permutations(range(n)):
-                relabel = {points[i]: points[perm[i]] for i in range(n)}
-                mapped = frozenset(frozenset(relabel[p] for p in u) for u in fam)
-                key = _family_key(mapped, index)
-                if best is None or key < best[0]:
-                    best = (key, mapped)
-            seen.setdefault(best[0], best[1])
-        families = list(seen.values())
+    # swaps[i][r]: the rank of open r with points i and i + 1 exchanged
+    swaps = [[rank[m ^ ((m >> i ^ m >> i + 1) & 1) * (3 << i)] for m in masks]
+             for i in range(n - 1)]
+    kept, seen = [], set()
+    for fam in families:
+        if fam in seen:
+            continue
+        kept.append(fam)
+        seen.add(fam)
+        todo = [fam]
+        while todo:
+            f = todo.pop()
+            for swap in swaps:
+                g = tuple(sorted([swap[r] for r in f]))
+                if g not in seen:
+                    seen.add(g)
+                    todo.append(g)
 
-    families.sort(key=lambda fam: (len(fam), _family_key(fam, index)))
-    return points, tuple(SubsetSpace(points, fam) for fam in families)
+    # zero-padded from ten points on, so that sorted order is bit order
+    points = tuple(f"p{i + 1:0{len(str(n))}d}" for i in range(n))
+    return tuple(SubsetSpace(points, [
+        [p for i, p in enumerate(points) if masks[r] >> i & 1] for r in fam])
+        for fam in kept)
 
 
 def _family_spaces(max_points: int, max_opens, treelike: bool):
-    """(labels, space) for every open family, in enumeration order.
+    """The space of every open family, in enumeration order.
 
-    ``labels`` are the point names in the bit order of valuation masks.
+    Point i of a space (``space.points[i]``) is bit i of its masks.
     """
     if max_points < 1 or (max_opens is not None and max_opens < 1):
         raise SearchError("budget must allow at least one point and open")
     for n in range(1, max_points + 1):
-        points, spaces = _families(n, max_opens, treelike)
-        for space in spaces:
-            yield points, space
+        yield from _families(n, max_opens, treelike)
 
 
 def enumerate_spaces(max_points: int, max_opens=None, atoms=(),
@@ -161,13 +161,13 @@ def enumerate_spaces(max_points: int, max_opens=None, atoms=(),
     """Every open family over up to ``max_points`` points, with valuations.
 
     Yields models in a fixed order: point count, then family size, then
-    family shape, then valuation masks in binary order.  Families over
-    up to four points are deduplicated up to point permutation.
+    family shape, then valuation masks in binary order.  Families are
+    deduplicated up to point permutation at every point count.
     """
     atoms = sorted(atoms)
-    for points, space in _family_spaces(max_points, max_opens, treelike):
-        for k in range(1 << len(points) * len(atoms)):
-            yield Model(space, _valuation(points, atoms, k))
+    for space in _family_spaces(max_points, max_opens, treelike):
+        for k in range(1 << len(space.points) * len(atoms)):
+            yield Model(space, _valuation(space, atoms, k))
 
 
 def _valuation_masks(k: int, n_atoms: int, n_points: int):
@@ -177,11 +177,11 @@ def _valuation_masks(k: int, n_atoms: int, n_points: int):
                  for j in range(n_atoms))
 
 
-def _valuation(points, atoms, k: int) -> dict:
-    """Valuation number ``k`` of sorted ``atoms`` over the labels ``points``."""
-    masks = _valuation_masks(k, len(atoms), len(points))
-    return {a: frozenset(p for i, p in enumerate(points) if masks[j] >> i & 1)
-            for j, a in enumerate(atoms)}
+def _valuation(space, atoms, k: int) -> dict:
+    """Valuation number ``k`` of sorted ``atoms`` over ``space``'s points."""
+    masks = _valuation_masks(k, len(atoms), len(space.points))
+    return {a: frozenset(p for i, p in enumerate(space.points) if m >> i & 1)
+            for a, m in zip(atoms, masks)}
 
 
 # ---------------------------------------------------------------------------
@@ -479,12 +479,15 @@ def satisfiable(formula: Formula, max_points=None, max_opens=None,
     With an explicit budget, enumerates every space within it (points
     ascending, then family shape, then valuation) and returns the first
     witness; exhausting a budget at least as large as the computed bound
-    proves unsatisfiability.  With ``use_bound`` (treelike only), a small
-    plain sweep for a smallest-first witness is followed by exact type
-    saturation, whose witness tree is built from the types' provenance;
-    only saturation that spends ``SATURATION_STEPS`` ends unsat_within.
+    proves unsatisfiability.  Each model is a one-lane ``MaskContext``, and
+    only the witness becomes a ``Model``.  With ``use_bound`` (treelike
+    only, no budget), a small plain sweep for a smallest-first witness is
+    followed by exact type saturation, whose witness tree is built from
+    the types' provenance; only saturation that spends
+    ``SATURATION_STEPS`` ends unsat_within.
     """
-    atoms = sorted(atom_names(formula))
+    post = subformulas(formula)
+    atoms = sorted(g.name for g in post if g.kind == "atom")
     stats = {"models": 0, "neighborhoods": 0}
     start = time.monotonic()
 
@@ -493,20 +496,25 @@ def satisfiable(formula: Formula, max_points=None, max_opens=None,
         return SatOutcome(verdict, witness, searched, dict(stats))
 
     def plain_sweep(max_points, max_opens, model_cap=None):
-        count = 0
-        for model in enumerate_spaces(max_points, max_opens, atoms,
-                                      treelike=treelike):
-            count += 1
-            if model_cap is not None and count > model_cap:
-                return None
-            stats["models"] += 1
-            # the model keeps the row, so the witness re-check reads it
-            for t, u in zip(model._row(formula, False), model.space.opens):
-                stats["neighborhoods"] += len(u)
-                if t:
-                    return _witness(model, t, u, formula)
+        for space in _family_spaces(max_points, max_opens, treelike):
+            n = len(space.points)
+            for k in range(1 << n * len(atoms)):
+                if model_cap is not None and stats["models"] == model_cap:
+                    return None
+                stats["models"] += 1
+                vals = zip(atoms, _valuation_masks(k, len(atoms), n))
+                row = MaskContext(space, vals).rows(post, [formula])[0]
+                for t, u in zip(row, space.opens):
+                    stats["neighborhoods"] += len(u)
+                    if t:
+                        # the model keeps the row for the witness re-check
+                        model = Model(space, _valuation(space, atoms, k))
+                        model._kept = (formula, tuple(row))
+                        return _witness(model, t, u, formula)
         return None
 
+    if use_bound and (max_points is not None or max_opens is not None):
+        raise SearchError("use_bound takes no max_points/max_opens budget")
     if not use_bound:
         if max_points is None:
             raise SearchError("give a budget (max_points/max_opens) or use_bound")

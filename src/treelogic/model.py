@@ -15,11 +15,12 @@ and fills each at every open (and at any carriers that are not opens),
 evaluating ``[]`` down the open tree, since ``[]phi`` at U is ``phi`` at
 U together with ``[]phi`` at the child of U around the point.
 ``MaskContext.truth`` reads one formula's row off that pass and keeps it;
-``Model.satisfies``, ``truth_set``, ``truth_in`` and ``is_valid``, the
-partition layer and the decision sweep use it, and a model keeps the
-truth row of the last formula it evaluated, one mask per open, so a truth
-table over all opens evaluates the formula once.  The soundness harness
-runs the pass over many formulas at once through ``first_failure``.  The
+``Model.satisfies``, ``truth_set``, ``truth_in`` and ``is_valid`` and the
+partition layer use it, and a model keeps the truth row of the last
+formula it evaluated, one mask per open, so a truth table over all opens
+evaluates the formula once.  The soundness harness runs the pass over
+many formulas at once through ``first_failure``; the decision sweep runs
+it once per model and hands a hit's row to its witness model.  The
 engine is bit-sliced: one context evaluates under many valuations of the
 same open family at once, each valuation an n-bit lane of one int, so a
 context over a single model is the one-lane case.  Tests check it against
@@ -393,7 +394,8 @@ def build_question_tree(points, questions) -> Model:
     level in two.  Empty cells are kept as opens; the valuation maps each
     question name to its yes-set.
     """
-    points = frozenset(points)
+    ids = list(points)
+    points = frozenset(ids)
     opens = {points}
     level = [points]
     names = []
@@ -408,7 +410,7 @@ def build_question_tree(points, questions) -> Model:
         valuation[name] = yes
         level = [cell for prev in level for cell in (prev & yes, prev - yes)]
         opens.update(level)
-    space = SubsetSpace(points, opens)
+    space = SubsetSpace(ids, opens)      # rejects repeated point ids
     return Model(space, valuation)
 
 

@@ -398,8 +398,8 @@ def soundness_suite(max_points: int = 3, schemes=tuple(range(1, 13)),
     atoms = sorted(atoms)
     found = []
     models = 0
-    for points, space in _family_spaces(max_points, max_opens, treelike):
-        n = len(points)
+    for space in _family_spaces(max_points, max_opens, treelike):
+        n = len(space.points)
         open_names = dict(zip(space.open_masks, space.names))
         total = 1 << n * len(atoms)
         per_block = max(1, LANE_BLOCK_BITS // n)
@@ -409,13 +409,7 @@ def soundness_suite(max_points: int = 3, schemes=tuple(range(1, 13)),
             for lane in range(lanes):
                 for j, m in enumerate(_valuation_masks(lo + lane, len(atoms), n)):
                     packed[j] |= m << lane * n
-            rep = ((1 << n * lanes) - 1) // ((1 << n) - 1)
-            # the context numbers points in space order; valuation masks
-            # number them in label order, which differs from p10 on
-            vals = {a: sum((w >> i & rep) << space.index[p]
-                           for i, p in enumerate(points))
-                    for a, w in zip(atoms, packed)}
-            ctx = MaskContext(space, vals, lanes)
+            ctx = MaskContext(space, zip(atoms, packed), lanes)
             failed = {}     # lane -> its model, shared by its violations
             fails = ctx.first_failure(post, roots)
             for i_idx, ((label, inst), lost) in enumerate(zip(instances, fails)):
@@ -423,7 +417,7 @@ def soundness_suite(max_points: int = 3, schemes=tuple(range(1, 13)),
                     model = failed.get(lane)
                     if model is None:
                         model = failed[lane] = Model(
-                            space, _valuation(points, atoms, lo + lane))
+                            space, _valuation(space, atoms, lo + lane))
                     found.append((models + lo + lane, i_idx, Violation(
                         label, inst, model, space.points[bit],
                         open_names[u])))

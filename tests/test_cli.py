@@ -235,11 +235,24 @@ def test_unexpected_exception_exits_3(capsys, monkeypatch, exc, line):
     # nesting past the parser's recursion is bad input, not a crash
     (["parse", "(" * 900 + "A" + ")" * 900], "formula nests too deeply"),
     (["parse", "~" * 1000 + "A"], "formula nests too deeply"),
+    # the exact decision takes no budget: one given must not be dropped
+    (["sat", "--use-bound", "--max-opens", "0", "A"], "takes no max_points"),
+    (["sat", "--use-bound", "--max-points", "2", "A"], "takes no max_points"),
+    (["valid", "--use-bound", "--max-points", "3", "--max-opens", "3", "A"],
+     "takes no max_points"),
 ])
 def test_bad_input_exits_2(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and message in err
+
+
+def test_build_oracle_rejects_repeated_points(capsys, tmp_path):
+    target = tmp_path / "m.json"
+    code, out, err = run(capsys, "build-oracle", "--points", "a,b,a",
+                         "--question", "Q=a", "-o", str(target))
+    assert (code, out, err) == (2, "", "error: duplicate point ids\n")
+    assert not target.exists()
 
 
 def test_parse_prints_deep_formulas(capsys):

@@ -93,6 +93,57 @@ def test_enumerate_matches_brute_force_counts():
         assert len(seen) == sum(brute(n, treelike) for n in (1, 2, 3))
 
 
+def test_five_point_families_are_one_per_class():
+    # one space per relabelling class, the least labelling of its class:
+    # the orbits of the kept spaces cover every labelled family once
+    spaces = [s for s in decide._family_spaces(5, None, True)
+              if len(s.points) == 5]
+    assert len(spaces) == 340
+    least, labelled = set(), 0
+    for space in spaces:
+        images = {frozenset(frozenset(perm[space.index[p]] for p in u)
+                            for u in space.opens)
+                  for perm in itertools.permutations(range(5))}
+        keys = [tuple(sorted((len(u), tuple(sorted(u))) for u in fam))
+                for fam in images]
+        own = tuple(sorted((len(u), tuple(sorted(space.index[p] for p in u)))
+                           for u in space.opens))
+        assert own == min(keys)
+        least.add(own)
+        labelled += len(images)
+    assert len(least) == 340
+    assert labelled == 15_104
+
+
+def test_point_names_sort_in_bit_order():
+    # valuation masks number a space's points in sorted order
+    (space,) = decide._families(10, 1, True)
+    assert space.points == tuple(f"p{i:02d}" for i in range(1, 11))
+    for bit in range(10):
+        model = Model(space, decide._valuation(space, ["A"], 1 << bit))
+        assert model.atom_masks == {"A": 1 << bit}
+
+
+def test_five_point_search_visits_each_class_once():
+    outcome = satisfiable(parse("false"), max_points=5)
+    assert outcome.verdict == "unsat_proved"
+    assert outcome.stats["models"] == 2 + 6 + 20 + 80 + 340
+    # the first hit is the least labelling of its class, which the
+    # labelled enumeration also reached first
+    f = parse("L(A & ~B) & L(~A & B) & L(~A & ~B) & L(A & B & <>K(A & B))"
+              " & L(A & B & []~K B)")
+    outcome = satisfiable(f, max_points=5)
+    assert (outcome.stats["models"], outcome.stats["neighborhoods"]) == \
+        (24_148, 206_639)
+    model, x, u = outcome.witness
+    assert model.space.opens == (frozenset(model.space.points),
+                                 frozenset({"p1"}))
+    assert model.valuation == {"A": {"p1", "p2", "p3"},
+                               "B": {"p1", "p2", "p4"}}
+    assert (x, u) == ("p1", model.space.full)
+    assert naive_satisfies(model, x, u, f)
+
+
 def test_satisfiable_epistemic_uncertainty():
     outcome = satisfiable(parse("L A & L ~A"), use_bound=True)
     assert outcome.verdict == "sat"
@@ -182,6 +233,11 @@ def test_satisfiable_budget_modes():
         satisfiable(parse("A"))
     with pytest.raises(ValueError):
         satisfiable(parse("A"), max_points=0)
+    # the exact decision rejects a budget rather than ignore it
+    for budget in ({"max_points": 2}, {"max_opens": 0},
+                   {"max_points": 3, "max_opens": 3}):
+        with pytest.raises(decide.SearchError, match="takes no max_points"):
+            satisfiable(parse("A"), use_bound=True, **budget)
 
 
 def test_conflicting_discoveries_are_unsatisfiable():

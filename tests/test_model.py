@@ -412,6 +412,8 @@ def test_build_question_tree_degenerate():
     assert set(single.space.opens) == {frozenset({"p"}), frozenset()}
     with pytest.raises(ModelError):
         build_question_tree(["p"], [("Q", {"zz"})])
+    with pytest.raises(ModelError, match="duplicate point ids"):
+        build_question_tree(["p", "q", "p"], [])
 
 
 def test_build_stream_space():
