@@ -16,7 +16,8 @@ import json
 import sys
 
 from . import decide, kripke, partition, proofs
-from .formula import ParseError, SchemaError, ast_dump, parse, render
+from .formula import (RESERVED, ParseError, SchemaError, ast_dump, parse,
+                      render)
 from .model import (ModelError, build_question_tree, build_stream_space,
                     dump_model, load_model)
 
@@ -132,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--schemes", default="1-12",
                    help="comma list with ranges, e.g. 1-12 or 1-10,S13,C10")
     s.add_argument("--atoms", type=int, default=2,
-                   help="number of atoms (A, B, ...)")
+                   help="number of atoms (A, B, ..., skipping K and L)")
     s.add_argument("--depth", type=int, default=1,
                    help="connective depth of the instantiation pool")
     s.add_argument("--all-spaces", action="store_true",
@@ -181,11 +182,13 @@ def _parse_schemes(listing: str):
 
 
 def _atom_names(count: int):
+    """A, B, ... skipping the reserved K and L, then A1, B1, ..."""
+    letters = [c for c in "ABCDEFGHIJKLMNOPQRSTUVWXYZ" if c not in RESERVED]
     names = []
     for i in range(count):
-        name = chr(ord("A") + i % 26)
-        if i >= 26:
-            name += str(i // 26)
+        name = letters[i % len(letters)]
+        if i >= len(letters):
+            name += str(i // len(letters))
         names.append(name)
     return names
 

@@ -19,7 +19,8 @@ import json
 from functools import cached_property
 
 from .formula import Formula, subformulas
-from .model import Model, ModelError, SubsetSpace
+from .model import (Model, ModelError, SubsetSpace, _checked_valuation,
+                    _strings)
 
 __all__ = [
     "FrameError", "BiFrame", "CheckResult", "FrameReport", "check_frame",
@@ -582,9 +583,19 @@ def frame_from_dict(data: dict) -> BiFrame:
         states = data["states"]
     except (TypeError, KeyError):
         raise FrameError("frame file needs a states list") from None
-    return BiFrame(states, data.get("box", ()), data.get("k", ()),
-                   data.get("valuation", {}),
-                   close=data.get("close", True))
+    relations = []
+    for key in ("box", "k"):
+        pairs = data.get(key, [])
+        if not isinstance(pairs, list):
+            raise FrameError(f"{key} must be a list of pairs")
+        for pair in pairs:
+            _strings(pair, f"each {key} pair", FrameError)
+        relations.append(pairs)
+    close = data.get("close", True)
+    if not isinstance(close, bool):
+        raise FrameError("close must be true or false")
+    return BiFrame(_strings(states, "states", FrameError), *relations,
+                   _checked_valuation(data, FrameError), close=close)
 
 
 def frame_to_dict(frame: BiFrame) -> dict:

@@ -6,14 +6,15 @@ x in U in O.  K quantifies over the points of the current open, [] over
 the opens shrinking the current one around the current point.
 
 Each space numbers its points once, at construction, keeps every open
-as a bitmask in that order, and links the opens into their inclusion
-tree (each open's maximal strict sub-opens); each model numbers its atoms
-the same way.  Truth is computed here, by the mask engine at the bottom:
-a bitset evaluator over those masks with one path, ``MaskContext.rows``.
-It makes one bottom-up pass over a children-first list of subformulas
-and fills each at every open (and at any carriers that are not opens),
-evaluating ``[]`` down the open tree, since ``[]phi`` at U is ``phi`` at
-U together with ``[]phi`` at the child of U around the point.
+as a bitmask in that order, sorts the opens largest first, and links
+them into their inclusion tree (each open's maximal strict sub-opens);
+each model numbers its atoms the same way.  Truth is computed here, by
+the mask engine at the bottom: a bitset evaluator over those masks with
+one path, ``MaskContext.rows``.  It makes one bottom-up pass over a
+children-first list of subformulas and fills each at every open (and at
+any carriers that are not opens), evaluating ``[]`` over the opens from
+the smallest up, since ``[]phi`` at U is ``phi`` at U together with
+``[]phi`` at the child of U around the point.
 ``MaskContext.truth`` reads one formula's row off that pass and keeps it;
 ``Model.satisfies``, ``truth_set``, ``truth_in`` and ``is_valid`` and the
 partition layer use it, and a model keeps the truth row of the last
@@ -63,16 +64,13 @@ class SubsetSpace:
     sorted order, and ``open_masks[i]`` is ``opens[i]`` as a bitmask over
     that numbering.
 
-    The constructor also builds the open tree, as tuples of open indices.
-    ``children[i]`` holds the maximal strict sub-opens of open i other
-    than the empty open: its children on a tree, its covers on any other
-    family.  ``order[first[i]:last[i] + 1]`` is the run of open i: every
-    nonempty open inside it, children first, ending with i itself.  On a
-    tree ``order`` is one children-first order of the nonempty opens, built
-    in one pass over the size-sorted opens, and each open's subtree is a
-    contiguous run of it.  Off trees an open can lie below two covers, and
-    ``order`` is the concatenation of every open's own run.  The empty
-    open has no children and an empty run.
+    ``opens`` is sorted largest first (``_open_sort_key``), so a strict
+    sub-open always comes after every open that contains it, and walking
+    the indices backwards visits children first.  The constructor also
+    builds the open tree, as tuples of open indices: ``children[i]`` holds
+    the maximal strict sub-opens of open i other than the empty open, its
+    children on a tree and its covers on any other family.  The empty open
+    has no children.
     """
 
     def __init__(self, points, opens, names=None):
@@ -115,13 +113,14 @@ class SubsetSpace:
         self._build_tree()
 
     def _build_tree(self):
-        """Set ``children``, ``order``, ``first`` and ``last``.
+        """Set ``children`` and the flag that ``is_treelike`` returns.
 
         On a tree each open's parent is the smallest earlier open (in the
         size-sorted order) around its points, so one pass that keeps, per
-        point, the last open placed around it finds every parent; the pass
-        stops at the first open whose points have different owners, and
-        the covers of such a family are then found pairwise.
+        point, the last open placed around it finds every parent.  The pass
+        stops at the first open whose points have different owners, which
+        is the first open partly overlapping an earlier one, and the covers
+        of such a family are then found pairwise.
         """
         masks, index = self.open_masks, self.index
         kids = [[] for _ in masks]
@@ -148,26 +147,8 @@ class SubsetSpace:
                     v = masks[j]
                     if v and not v & ~u and all(v & ~masks[c] for c in kids[i]):
                         kids[i].append(j)
-        # children first, each open's run a contiguous stretch: one walk
-        # from the full set on a tree; off trees one walk per open,
-        # ancestors first, so that each open's own walk sets its run last
-        order, first, last = [], [0] * len(masks), [-1] * len(masks)
-        for root in [0] if tree else [i for i, m in enumerate(masks) if m]:
-            seen, stack = set(), [root]
-            while stack:
-                i = stack.pop()
-                if i < 0:
-                    last[~i] = len(order)
-                    order.append(~i)
-                elif i not in seen:
-                    seen.add(i)
-                    first[i] = len(order)
-                    stack.append(~i)
-                    stack += reversed(kids[i])
         self.children = tuple(map(tuple, kids))
-        self.order = tuple(order)
-        self.first = tuple(first)
-        self.last = tuple(last)
+        self._tree = tree
 
     def open_named(self, name: str) -> frozenset:
         try:
@@ -182,56 +163,17 @@ class SubsetSpace:
         raise ModelError("unknown open")
 
     def is_treelike(self) -> bool:
-        """Every pair of opens is nested or disjoint.
-
-        That holds exactly when the maximal strict sub-opens of every open
-        are pairwise disjoint, which the tree answers in O(opens).
-        """
-        masks = self.open_masks
-        for kids in self.children:
-            seen = 0
-            for c in kids:
-                if seen & masks[c]:
-                    return False
-                seen |= masks[c]
-        return True
+        """Every pair of opens is nested or disjoint (see ``_build_tree``)."""
+        return self._tree
 
     def down_set(self, u) -> frozenset:
         """All opens contained in ``u`` (an open, by name or by set)."""
         i = self._position(self._resolve(u))
         if i is None:
             raise ModelError("down_set expects a member of the open family")
-        return self._opens_in_runs([i])
-
-    def _within(self, w) -> frozenset:
-        """Opens contained in ``w``, any subset of the points."""
-        return self._opens_in_runs(self._maximal_inside(self._mask(w)))
-
-    def _maximal_inside(self, w: int) -> list:
-        """Indices of the maximal nonempty opens inside the point mask ``w``.
-
-        Found by descending from the full set through the opens that meet
-        ``w``.  Off trees the list may repeat an open or hold one inside
-        another; their runs still hold every nonempty open inside ``w``.
-        """
-        masks, children = self.open_masks, self.children
-        found, stack = [], [0]
-        while stack:
-            i = stack.pop()
-            v = masks[i]
-            if not v & ~w:
-                found.append(i)
-            elif v & w:
-                stack.extend(children[i])
-        return found
-
-    def _opens_in_runs(self, indices) -> frozenset:
-        """The opens in the runs of ``indices``, and the empty open if any."""
-        order, first, last, opens = self.order, self.first, self.last, self.opens
-        out = {opens[j] for i in indices for j in order[first[i]:last[i] + 1]}
-        if 0 in self._pos:
-            out.add(frozenset())
-        return frozenset(out)
+        w = self.open_masks[i]
+        return frozenset(v for v, m in zip(self.opens, self.open_masks)
+                         if not m & ~w)
 
     def _position(self, u):
         """Index of the open with the members ``u``, or None."""
@@ -443,22 +385,45 @@ def _bit_strings(n: int):
 # ---------------------------------------------------------------------------
 # files
 
+def _strings(value, what: str, error=ModelError) -> list:
+    """``value`` if it is a JSON list of strings; ``error`` otherwise."""
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise error(f"{what} must be a list of strings")
+    return value
+
+
+def _checked_valuation(data: dict, error=ModelError) -> dict:
+    """The ``valuation`` field of a model or frame file: lists of strings."""
+    val = data.get("valuation", {})
+    if not isinstance(val, dict):
+        raise error("valuation must map atom names to lists")
+    for name, members in val.items():
+        _strings(members, f"valuation of {name!r}", error)
+    return val
+
+
 def model_from_dict(data: dict) -> Model:
+    """Model from parsed JSON; every list in it is a list of strings."""
     try:
         points = data["points"]
         raw_opens = data["opens"]
     except (TypeError, KeyError) as exc:
         raise ModelError(f"model file missing field: {exc}") from None
+    if not isinstance(raw_opens, list):
+        raise ModelError("opens must be a list")
     names = []
     sets = []
     for entry in raw_opens:
         try:
-            names.append(entry["name"])
-            sets.append(frozenset(entry["members"]))
+            name, members = entry["name"], entry["members"]
         except (TypeError, KeyError):
             raise ModelError("each open needs a name and a members list") from None
-    space = SubsetSpace(points, sets, names)
-    return Model(space, data.get("valuation", {}))
+        if not isinstance(name, str):
+            raise ModelError(f"open names must be strings, got {name!r}")
+        names.append(name)
+        sets.append(frozenset(_strings(members, f"members of {name!r}")))
+    space = SubsetSpace(_strings(points, "points"), sets, names)
+    return Model(space, _checked_valuation(data))
 
 
 def model_to_dict(model: Model) -> dict:
@@ -501,9 +466,10 @@ class MaskContext:
 
     ``[]`` follows the space's open tree: at an open U, ``[]phi`` is
     ``phi`` at U and, on each child C of U, ``[]phi`` at C.  One loop over
-    the children-first ``space.order`` fills every open, so evaluation
-    never recurses.  At a carrier that is not open, ``[]phi`` is ``[]phi``
-    on each maximal open inside it.
+    the open indices from the last (smallest) to the first fills every
+    open after its children, so evaluation never recurses.  At a carrier
+    that is not open, ``[]phi`` is ``[]phi`` on each nonempty open inside
+    it.
 
     ``rows`` is the one evaluator: a bottom-up pass over a children-first
     list of subformulas.  ``truth`` runs it for one formula and keeps the
@@ -556,18 +522,20 @@ class MaskContext:
         ``post`` lists every subformula of ``roots`` once, children first,
         as ``subformulas(*roots)`` does.  One bottom-up pass over it fills
         every node's row, lane-wise: atoms, ``~`` and ``&`` open by open,
-        ``K`` with a per-lane collapse, and ``[]`` down ``space.order``,
-        each open after its children.  ``carriers`` are point masks that
-        are not opens; each adds a column after the opens', where ``K``
-        ranges over the carrier and ``[]phi`` is ``[]phi`` on each maximal
-        open inside it (a carrier is not one of its own refinements).  The
-        rows come back in the order of ``roots``.
+        ``K`` with a per-lane collapse, and ``[]`` over the opens in
+        reverse size order, each open after its children.  ``carriers``
+        are point masks that are not opens; each adds a column after the
+        opens', where ``K`` ranges over the carrier and ``[]phi`` is
+        ``[]phi`` on each nonempty open inside it (a carrier is not one of
+        its own refinements).  The rows come back in the order of ``roots``.
         """
         n, full, low, lanes = self.n, self.full, self.low, self.lanes
-        space, vals, rep = self.space, self.vals, self.rep
-        children = space.children
+        vals, rep, children = self.vals, self.rep, self.space.children
         wide = [u * rep for u in self.opens]
-        inside = [(len(wide) + c, space._maximal_inside(w))
+        # children first; the empty open, if any, is last and stays 0
+        down = range(len(wide) - 1 - (wide[-1] == 0), -1, -1)
+        inside = [(len(wide) + c, [i for i, v in enumerate(self.opens)
+                                   if v and not v & ~w])
                   for c, w in enumerate(carriers)]
         wide += [w * rep for w in carriers]
         row = {}
@@ -601,8 +569,8 @@ class MaskContext:
                         r.append(w & ~((top >> n - 1) * full))
             else:  # box
                 a = row[g.left]
-                r = [0] * len(wide)     # the empty open is in no run
-                for j in space.order:
+                r = [0] * len(wide)
+                for j in down:
                     out = a[j]
                     for c in children[j]:
                         out &= ~(wide[c] ^ r[c])

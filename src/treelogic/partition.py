@@ -10,8 +10,6 @@ model satisfying the same subformulas at corresponding neighborhoods.
 
 from __future__ import annotations
 
-from functools import cached_property
-
 from .decide import complexity_bound
 from .formula import Formula, atom_names, render, subformulas
 from .model import MaskContext, Model, SubsetSpace, _open_sort_key
@@ -58,11 +56,11 @@ def remainder(model: Model, family, u) -> frozenset:
     u = frozenset(u)
     if u not in family:
         raise PartitionError("remainder expects a member of the family")
-    out = set(model.space._within(u))
-    for other in family:
-        if not u <= other:
-            out -= model.space._within(other)
-    return frozenset(out)
+    space = model.space
+    w = space._mask(u)
+    others = [space._mask(o) for o in family if not u <= o]
+    return frozenset(v for v, m in zip(space.opens, space.open_masks)
+                     if not m & ~w and all(m & ~o for o in others))
 
 
 def is_stable(model: Model, opens_subset, f: Formula) -> bool:
@@ -87,11 +85,8 @@ class PartitionTable:
     """Per-subformula stable partitions for one formula.
 
     ``families`` maps each subformula to its intersection-closed family;
-    ``family`` is the top formula's.  ``remainders`` and ``truth`` are
-    taken with respect to the top family: ``truth[(psi, u)]`` is the set
-    of points of the member ``u`` where ``psi`` holds with ``u`` as the
-    current view.  ``truth`` is built on first read, through one mask
-    context of its own; the pipeline itself never reads it.
+    ``family`` is the top formula's.  ``remainders`` are taken with
+    respect to the top family.
     """
 
     def __init__(self, model, formula, families):
@@ -102,12 +97,6 @@ class PartitionTable:
         self.members = ordered_family(self.family)
         self.remainders = {u: remainder(model, self.family, u)
                            for u in self.members}
-
-    @cached_property
-    def truth(self) -> dict:
-        ctx = MaskContext.from_model(self.model)
-        return {(psi, u): self.model._truth(u, psi, ctx)
-                for psi in subformulas(self.formula) for u in self.members}
 
     def family_sizes(self) -> dict:
         return {render(psi): len(fam) for psi, fam in self.families.items()}

@@ -204,7 +204,7 @@ def check_proof(proof: Proof, system: str = "mpt") -> CheckOutcome:
 # proof files
 
 def _parse_scheme_id(raw):
-    if isinstance(raw, int):
+    if type(raw) is int:        # a JSON integer; true/false are not ids
         return raw
     if isinstance(raw, str) and raw.upper() in SCHEMES:
         return raw.upper()
@@ -213,11 +213,18 @@ def _parse_scheme_id(raw):
     raise ProofError(f"unknown scheme id {raw!r}")
 
 
+def _line_refs(k: int, refs, count: int) -> list:
+    """``refs`` if it is a list of ``count`` line numbers (JSON integers)."""
+    if (isinstance(refs, list) and len(refs) == count
+            and all(type(i) is int for i in refs)):
+        return refs
+    raise ProofError(f"line {k}: expected {count} line number(s), got {refs!r}")
+
+
 def proof_from_dict(data: dict) -> Proof:
-    try:
-        raw_lines = data["lines"]
-    except (TypeError, KeyError):
-        raise ProofError("proof file needs a lines list") from None
+    raw_lines = data.get("lines") if isinstance(data, dict) else None
+    if not isinstance(raw_lines, list):
+        raise ProofError("proof file needs a lines list")
     lines = []
     for k, entry in enumerate(raw_lines, start=1):
         try:
@@ -225,18 +232,22 @@ def proof_from_dict(data: dict) -> Proof:
             by = entry["by"]
         except (TypeError, KeyError):
             raise ProofError(f"line {k}: needs formula and by") from None
+        if not isinstance(text, str) or not isinstance(by, dict):
+            raise ProofError(f"line {k}: formula must be a string, by an object")
         formula = parse(text)
         if "axiom" in by:
-            substitution = {name: parse(value)
-                            for name, value in by.get("subst", {}).items()}
+            subst = by.get("subst", {})
+            if not isinstance(subst, dict) or not all(
+                    isinstance(v, str) for v in subst.values()):
+                raise ProofError(f"line {k}: subst must map names to formulas")
+            substitution = {name: parse(value) for name, value in subst.items()}
             just = ("axiom", _parse_scheme_id(by["axiom"]), substitution)
         elif "mp" in by:
-            i, j = by["mp"]
-            just = ("mp", int(i), int(j))
+            just = ("mp", *_line_refs(k, by["mp"], 2))
         elif "neck" in by:
-            just = ("neck", int(by["neck"]))
+            just = ("neck", *_line_refs(k, [by["neck"]], 1))
         elif "necbox" in by:
-            just = ("necbox", int(by["necbox"]))
+            just = ("necbox", *_line_refs(k, [by["necbox"]], 1))
         else:
             raise ProofError(f"line {k}: unknown justification {by!r}")
         lines.append(ProofLine(formula, just))

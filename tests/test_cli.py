@@ -291,6 +291,65 @@ def test_undecodable_input_file_exits_2(tmp_path, capsys):
     assert code == 2 and err.startswith("error: ")
 
 
+# Small well-formed inputs; each case below replaces one field with a value
+# of the wrong JSON type.  Strings must not be read as lists of characters.
+MALFORMED_BASES = {
+    "model": {"points": ["a", "b"],
+              "opens": [{"name": "top", "members": ["a", "b"]},
+                        {"name": "U", "members": ["a"]}],
+              "valuation": {"A": ["a"]}},
+    "frame": {"states": ["a", "b"], "box": [["a", "b"]],
+              "valuation": {"A": ["a", "b"]}},
+    "proof": {"lines": [{"formula": "K A -> A",
+                         "by": {"axiom": 7, "subst": {"phi": "A"}}}]},
+}
+
+
+@pytest.mark.parametrize("kind, path, value", [
+    ("model", ["valuation"], ["A"]),
+    ("model", ["valuation"], {"A": 5}),
+    ("model", ["valuation"], {"A": "a"}),
+    ("model", ["points"], [["a"]]),
+    ("model", ["points"], ["a", 1]),
+    ("model", ["opens", 0, "name"], ["top"]),
+    ("frame", ["valuation"], ["A"]),
+    ("frame", ["valuation"], {"A": 5}),
+    ("frame", ["states"], [["a"]]),
+    ("frame", ["states"], ["a", 1]),
+    ("frame", ["states"], "ab"),
+    ("frame", ["box"], 5),
+    ("frame", ["close"], "no"),
+    ("proof", ["lines"], 5),
+    ("proof", ["lines", 0, "by"], "mp"),
+    ("proof", ["lines", 0, "by"], {"mp": [1]}),
+    ("proof", ["lines", 0, "by"], {"neck": "x"}),
+    ("proof", ["lines", 0, "by", "subst"], []),
+    ("proof", ["lines", 0, "by", "subst"], {"phi": 5}),
+    ("proof", ["lines", 0, "formula"], 5),
+    ("proof", ["lines", 0, "by", "axiom"], True),
+])
+def test_malformed_input_file_exits_2(tmp_path, capsys, kind, path, value):
+    data = json.loads(json.dumps(MALFORMED_BASES[kind]))
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    src = tmp_path / "input.json"
+    src.write_text(json.dumps(data))
+    argv = {"model": ["valid-in-model", "--model", str(src), "A"],
+            "frame": ["unfold", "--frame", str(src), "--root", "a",
+                      "-o", str(tmp_path / "out.json")],
+            "proof": ["prove", "--proof", str(src)]}[kind]
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and "internal" not in err, err
+
+
+def test_soundness_names_atoms_past_the_reserved_letters(capsys):
+    code, _, err = run(capsys, "soundness", "--atoms", "12", "--max-points",
+                       "1", "--schemes", "4", "--depth", "0")
+    assert code == 0, err
+
+
 def test_console_entry_point_runs():
     result = subprocess.run(
         [sys.executable, "-m", "treelogic", "parse", "K A -> A"],

@@ -44,6 +44,12 @@ def _tree_test_spaces():
     spaces += [random_treelike_model(rng).space for _ in range(100)]
     spaces += [build_stream_space(depth).space for depth in range(1, 6)]
     spaces += [random_question_model(rng).space for _ in range(40)]
+    # the only overlap comes late in the size order: two small opens under
+    # a third beside a disjoint one, and two opens of equal size
+    spaces.append(SubsetSpace("abcde", map(frozenset, [
+        "abcde", "abc", "de", "ab", "bc"])))
+    spaces.append(SubsetSpace("abcdefgh", map(frozenset, [
+        "abcdefgh", "abcd", "efgh", "ab", "cd", "ef", "fg"])))
     return spaces
 
 
@@ -57,26 +63,14 @@ def test_is_treelike_agrees_with_pairwise_definition():
 
 
 def test_open_tree_agrees_with_pairwise_definitions():
-    # children are the maximal nonempty strict sub-opens; each open's run
-    # holds every nonempty open inside it once, children first, ending
-    # with the open itself; on a tree the runs nest in one order
+    # children are the maximal nonempty strict sub-opens
     for space in _tree_test_spaces():
         opens = space.opens
         for i, u in enumerate(opens):
             kids = [opens[c] for c in space.children[i]]
             assert len(set(kids)) == len(kids)
             assert set(kids) == naive_children(space, u)
-            run = space.order[space.first[i]:space.last[i] + 1]
-            assert len(set(run)) == len(run)
-            assert {opens[j] for j in run} == {v for v in opens if v and v <= u}
-            assert not u or run[-1] == i
-            done = set()
-            for j in run:
-                assert done.issuperset(space.children[j])
-                done.add(j)
             assert space.down_set(u) == {v for v in opens if v <= u}
-        if space.is_treelike():
-            assert sorted(space.order) == [i for i, u in enumerate(opens) if u]
 
 
 @pytest.mark.parametrize("points, opens, names, message", [

@@ -125,8 +125,8 @@ def test_build_stable_partitions_golden(m1):
     assert table.remainders[U12] == frozenset({U12, EMPTY})
     assert build_stable_partitions(m1, parse("Q1")).family == frozenset({X})
     assert build_stable_partitions(m1, parse("<>K Q1")).family == table.family
-    assert table.truth[(kq1, U12)] == U12
-    assert table.truth[(kq1, X)] == frozenset()
+    assert m1.truth_in(U12, kq1) == U12
+    assert m1.truth_in(X, kq1) == frozenset()
 
 
 def test_build_stable_partitions_requires_treelike():
@@ -153,13 +153,13 @@ def test_partition_families_monotone_closed_stable():
 
 
 def test_partition_truth_sets_match_naive_oracle():
-    # one mask context serves every carrier of the table; each truth set
-    # must still be the one read off the clauses at that carrier
+    # table members need not be opens; the truth set at each member must
+    # be the one read off the clauses at that carrier
     for model, f in corpus(103, 60):
         table = build_stable_partitions(model, f)
         for psi in subformulas(f):
             for u in table.members:
-                assert table.truth[(psi, u)] == frozenset(
+                assert model.truth_in(u, psi) == frozenset(
                     x for x in u if naive_satisfies(model, x, u, psi)), \
                     (render(f), render(psi), sorted(u))
 
