@@ -6,13 +6,15 @@ Exit codes are uniform across commands: 0 for success / a true answer,
 own classes, or an unreadable input file), and 3 for an internal error
 (any other exception, such as a bare ``ValueError`` or an
 ``AssertionError`` from a bug), so that a crash never reads as a false
-answer or as bad input.
+answer or as bad input.  A stdout closed by its reader ends the command
+with 141 (128 + SIGPIPE) and nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import decide, kripke, partition, proofs
@@ -329,7 +331,7 @@ def _cmd_soundness(args) -> int:
         print(f"{len(report.violations)} violations")
         for v in report.violations[:20]:
             print(f"  {v.label} as {render(v.instance)} "
-                  f"fails at ({v.point}, {v.open_name})")
+                  f"fails at ({v.point}, {v.open_name}) in model {v.number}")
         if len(report.violations) > 20:
             print(f"  ... and {len(report.violations) - 20} more")
     return 0 if report.ok else 1
@@ -399,7 +401,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        code = _HANDLERS[args.command](args)
+        sys.stdout.flush()      # a closed stdout shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader has gone, as with ``| head``: stop quietly, as a filter
+        # killed by SIGPIPE does, and leave nothing for the exit flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except _FORMAT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

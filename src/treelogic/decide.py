@@ -497,13 +497,13 @@ def satisfiable(formula: Formula, max_points=None, max_opens=None,
 
     def plain_sweep(max_points, max_opens, model_cap=None):
         for space in _family_spaces(max_points, max_opens, treelike):
-            n = len(space.points)
+            n, run = len(space.points), ((space, 1),)
             for k in range(1 << n * len(atoms)):
                 if model_cap is not None and stats["models"] == model_cap:
                     return None
                 stats["models"] += 1
                 vals = zip(atoms, _valuation_masks(k, len(atoms), n))
-                row = MaskContext(space, vals).rows(post, [formula])[0]
+                row = MaskContext(run, vals).rows(post, [formula])[0]
                 for t, u in zip(row, space.opens):
                     stats["neighborhoods"] += len(u)
                     if t:

@@ -22,10 +22,14 @@ formula it evaluated, one mask per open, so a truth table over all opens
 evaluates the formula once.  The soundness harness runs the pass over
 many formulas at once through ``first_failure``; the decision sweep runs
 it once per model and hands a hit's row to its witness model.  The
-engine is bit-sliced: one context evaluates under many valuations of the
-same open family at once, each valuation an n-bit lane of one int, so a
-context over a single model is the one-lane case.  Tests check it against
-the independent evaluator in ``tests/helpers.py``.
+engine is bit-sliced: each lane of one int is an n-bit copy of a model,
+and a context evaluates all its lanes at once.  Its lanes come in runs,
+one per open family over the same n points, and its slot j is open j of
+each lane's family, so one context can hold many valuations of many
+families; a context over a single model is the one-lane case.  ``[]``
+walks the union of the families' children, which is exact only when the
+families are trees, so only treelike families share a context.  Tests
+check the engine against the independent evaluator in ``tests/helpers.py``.
 """
 
 from __future__ import annotations
@@ -454,48 +458,89 @@ def dump_model(model: Model, path):
 # mask engine (the bit-sliced evaluator behind every entry point)
 
 class MaskContext:
-    """Bitset view of one space's open family under ``lanes`` valuations.
+    """Bitset view of open families under many valuations at once.
 
-    Point i of lane l is bit ``l * n + i``.  Opens are n-bit masks shared
-    by every lane; atom valuations (``vals``) and truth sets are wide ints
-    holding one n-bit lane per valuation.  ``rows`` widens each open to
-    every lane by multiplying it with ``rep``, the lane-replication
-    constant (bit 0 of every lane set).  With one lane ``rep`` is 1, and
-    truth sets are plain n-bit masks over a single model; ``from_model``
-    builds that context from the masks the space and the model hold.
+    ``runs`` lists ``(space, lanes)`` pairs, one run of lanes per open
+    family, all over n points.  Lane l is bits ``l * n`` to ``l * n + n - 1``
+    of an int, point i of the lane's family is its bit i, and the runs'
+    lanes follow one another.  Atom valuations (``vals``) and truth sets
+    are such wide ints: a lane is one (family, valuation) pair.
 
-    ``[]`` follows the space's open tree: at an open U, ``[]phi`` is
-    ``phi`` at U and, on each child C of U, ``[]phi`` at C.  One loop over
-    the open indices from the last (smallest) to the first fills every
-    open after its children, so evaluation never recurses.  At a carrier
-    that is not open, ``[]phi`` is ``[]phi`` on each nonempty open inside
-    it.
+    Slot j is, in each lane, open j of that lane's family in its
+    largest-first order, and empty in a lane whose family has fewer opens:
+    ``wide[j]`` is the slot in every lane.  ``kids[j]`` lists the slots
+    that are children of slot j in some family of the context.  Atoms,
+    ``top``, ``~``, ``&`` and ``K`` (with a per-lane collapse) are lane-wise,
+    so they run on the slots as they would on one family's opens.
+
+    ``[]`` follows the open tree: at an open U, ``[]phi`` is ``phi`` at U
+    and, on each child C of U, ``[]phi`` at C.  One loop over the slots
+    from the last (smallest) to the first fills every slot after its
+    children, so evaluation never recurses.  The union of the families'
+    children is exact on trees: in a lane whose family does not have slot
+    c as a child of slot j, open c is disjoint from open j, so it clears no
+    bit there, or strictly inside it, where ``[]phi`` failing at a point of
+    c fails at the child of j around that point as well.  Off trees a later
+    open can partly overlap open j, so a context stacks several families
+    only if all are treelike; a family of any shape can have a context of
+    its own.
+
+    With one run, ``space`` is its family and ``kids`` its ``children``;
+    a stack of several runs has ``space`` None.  ``from_model`` builds the
+    one-lane context of a single model from the masks the space and the
+    model hold.  ``rep`` is the lane-replication constant (bit 0 of every
+    lane set), 1 with one lane.
 
     ``rows`` is the one evaluator: a bottom-up pass over a children-first
     list of subformulas.  ``truth`` runs it for one formula and keeps the
     formula's row in ``cache``, so ``cache`` holds one row per formula
     asked for; ``first_failure`` runs it over many formulas at once, as
     the soundness harness checks every scheme instance, without ``cache``.
+    ``truth``, ``is_valid`` and carriers that are not open read the opens
+    of ``space``, so they take a context of one run.
     """
 
-    __slots__ = ("n", "lanes", "rep", "low", "space", "opens", "full",
+    __slots__ = ("n", "lanes", "rep", "low", "full", "space", "wide", "kids",
                  "vals", "cache")
 
-    def __init__(self, space: SubsetSpace, vals, lanes: int = 1):
+    def __init__(self, runs, vals):
+        (space, lanes), *more = runs
         self.n = n = len(space.points)
+        self.full = full = (1 << n) - 1
+        rep = ((1 << n * lanes) - 1) // full
+        wide = [u * rep for u in space.open_masks]
+        kids = space.children
+        if more:
+            if not all(len(s.points) == n and s.is_treelike()
+                       for s, _ in ((space, lanes), *more)):
+                raise ModelError("only treelike families of one point count "
+                                 "can share a mask context")
+            kids = [set(c) for c in kids]
+            for s, count in more:
+                rep = ((1 << n * count) - 1) // full << n * lanes
+                lanes += count
+                for j, (u, c) in enumerate(zip(s.open_masks, s.children)):
+                    if j == len(wide):
+                        wide.append(0)
+                        kids.append(set())
+                    wide[j] |= u * rep
+                    kids[j].update(c)
+            kids = [sorted(k) for k in kids]
+            rep = ((1 << n * lanes) - 1) // full
+            space = None
         self.lanes = lanes
-        self.full = (1 << n) - 1
-        self.rep = 1 if lanes == 1 else ((1 << n * lanes) - 1) // self.full
+        self.rep = rep
         # the low n-1 bits of every lane, for the per-lane collapse of K
-        self.low = self.rep * (self.full >> 1)
+        self.low = rep * (full >> 1)
         self.space = space
-        self.opens = space.open_masks
+        self.wide = wide
+        self.kids = kids
         self.vals = dict(vals)
         self.cache = {}
 
     @classmethod
     def from_model(cls, model: Model) -> "MaskContext":
-        return cls(model.space, model.atom_masks)
+        return cls(((model.space, 1),), model.atom_masks)
 
     def truth(self, f: Formula, u_mask: int) -> int:
         """``f``'s truth set at the carrier ``u_mask``, in every lane.
@@ -514,30 +559,33 @@ class MaskContext:
 
     def is_valid(self, f: Formula) -> bool:
         """True when ``f`` holds at every neighborhood in every lane."""
-        return all(self.truth(f, u) == u * self.rep for u in self.opens if u)
+        return all(self.truth(f, u) == w
+                   for u, w in zip(self.space.open_masks, self.wide) if u)
 
     def rows(self, post, roots, carriers=()) -> list:
-        """Each root's truth row: its truth set at every open of ``opens``.
+        """Each root's truth row: its truth set at every slot of ``wide``.
 
         ``post`` lists every subformula of ``roots`` once, children first,
         as ``subformulas(*roots)`` does.  One bottom-up pass over it fills
-        every node's row, lane-wise: atoms, ``~`` and ``&`` open by open,
-        ``K`` with a per-lane collapse, and ``[]`` over the opens in
-        reverse size order, each open after its children.  ``carriers``
-        are point masks that are not opens; each adds a column after the
-        opens', where ``K`` ranges over the carrier and ``[]phi`` is
+        every node's row, lane-wise: atoms, ``~`` and ``&`` slot by slot,
+        ``K`` with a per-lane collapse, and ``[]`` over the slots in
+        reverse, each slot after its ``kids``.  ``carriers`` are point
+        masks that are not opens of ``space``; each adds a column after the
+        slots', where ``K`` ranges over the carrier and ``[]phi`` is
         ``[]phi`` on each nonempty open inside it (a carrier is not one of
         its own refinements).  The rows come back in the order of ``roots``.
         """
         n, full, low, lanes = self.n, self.full, self.low, self.lanes
-        vals, rep, children = self.vals, self.rep, self.space.children
-        wide = [u * rep for u in self.opens]
-        # children first; the empty open, if any, is last and stays 0
+        vals, wide, kids = self.vals, self.wide, self.kids
+        # children first; an empty last slot, if any, stays 0
         down = range(len(wide) - 1 - (wide[-1] == 0), -1, -1)
-        inside = [(len(wide) + c, [i for i, v in enumerate(self.opens)
-                                   if v and not v & ~w])
-                  for c, w in enumerate(carriers)]
-        wide += [w * rep for w in carriers]
+        inside = []
+        if carriers:
+            opens = self.space.open_masks
+            inside = [(len(wide) + c, [i for i, v in enumerate(opens)
+                                       if v and not v & ~w])
+                      for c, w in enumerate(carriers)]
+            wide = wide + [w * self.rep for w in carriers]
         row = {}
         for g in post:
             k = g.kind
@@ -572,12 +620,12 @@ class MaskContext:
                 r = [0] * len(wide)
                 for j in down:
                     out = a[j]
-                    for c in children[j]:
+                    for c in kids[j]:
                         out &= ~(wide[c] ^ r[c])
                     r[j] = out
-                for j, kids in inside:
+                for j, inner in inside:
                     out = wide[j]
-                    for c in kids:
+                    for c in inner:
                         out &= ~(wide[c] ^ r[c])
                     r[j] = out
             row[g] = r
@@ -587,24 +635,24 @@ class MaskContext:
         """First neighborhood falsifying each root, in each lane that has one.
 
         ``post`` and ``roots`` are as for ``rows``, which evaluates them.
-        Returns one list per root, of ``(lane, bit, u_mask)`` triples in
-        lane order.  Within a lane, opens are tried in the context's order
-        and points from the lowest bit, so a single-model context and a
-        lane of a wide one name the same witness.
+        Returns one list per root, of ``(lane, bit, slot)`` triples in lane
+        order.  Within a lane, slots are tried in order, which is the lane's
+        family's order of its opens, and points from the lowest bit, so a
+        single-model context and a lane of a stacked one name the same
+        witness.
         """
-        n, full = self.n, self.full
-        wide = [u * self.rep for u in self.opens]
+        n, full, wide = self.n, self.full, self.wide
         out = []
         for r in self.rows(post, roots):
             found = []
             if r != wide:
                 pending = (1 << n * self.lanes) - 1
-                for u, w, t in zip(self.opens, wide, r):
+                for j, (w, t) in enumerate(zip(wide, r)):
                     miss = w & ~t & pending
                     while miss:
                         pos = (miss & -miss).bit_length() - 1
                         lane = pos // n
-                        found.append((lane, pos - lane * n, u))
+                        found.append((lane, pos - lane * n, j))
                         clear = ~(full << lane * n)
                         miss &= clear
                         pending &= clear

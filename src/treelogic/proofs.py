@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import json
 import time
+from bisect import bisect_right
+from itertools import groupby
 
 from .decide import (SearchError, _family_spaces, _valuation,
                      _valuation_masks, formula_pool)
@@ -295,18 +297,26 @@ TAUTOLOGY_REPS = (
 
 
 class Violation:
-    __slots__ = ("label", "instance", "model", "point", "open_name")
+    """A scheme instance falsified at ``(point, open_name)`` in ``model``.
 
-    def __init__(self, label, instance, model, point, open_name):
+    ``number`` is the model's 1-based place in ``enumerate_spaces`` order
+    for the run's configuration; it tells apart lines that would otherwise
+    read the same, and stays off ``to_dict``.
+    """
+
+    __slots__ = ("label", "instance", "model", "point", "open_name", "number")
+
+    def __init__(self, label, instance, model, point, open_name, number):
         self.label = label
         self.instance = instance
         self.model = model
         self.point = point
         self.open_name = open_name
+        self.number = number
 
     def __repr__(self):
         return (f"Violation({self.label} as {render(self.instance)!r} "
-                f"at ({self.point}, {self.open_name}))")
+                f"at ({self.point}, {self.open_name}) in model {self.number})")
 
     def to_dict(self):
         return {"scheme": self.label, "instance": render(self.instance),
@@ -341,14 +351,17 @@ class SoundnessReport:
 
 
 def _instances(schemes, atoms, depth, include_constants):
+    """Each distinct scheme instance over the pool, in order of first
+    appearance, as ``(instance, scheme id, metavariable names, their
+    formulas)``; ``_label`` renders the last three."""
     pool = formula_pool(atoms, depth, include_constants)
     out = []
     seen = set()
 
-    def add(label, f):
+    def add(f, *source):
         if id(f) not in seen:
             seen.add(id(f))
-            out.append((label, f))
+            out.append((f, *source))
 
     for sid in schemes:
         templates = []
@@ -369,16 +382,21 @@ def _instances(schemes, atoms, depth, include_constants):
                 stack = [got + (c,) for got in stack for c in choices]
             for combo in stack:
                 substitution = dict(zip(names, combo))
-                label = (f"scheme {template.scheme_id} "
-                         + "{" + ", ".join(f"{n}: {render(v)}"
-                                           for n, v in zip(names, combo)) + "}")
-                add(label, instantiate(template, substitution))
+                add(instantiate(template, substitution), template.scheme_id,
+                    names, combo)
     return out
 
 
-# Bits one context may hold across its lanes.  A family with more
-# valuations than fit is checked block by block, so truth sets stay small
-# whatever the number of atoms and points.
+def _label(scheme_id, names, combo) -> str:
+    """An instance's name, for example ``scheme 3 {phi: A, psi: K B}``."""
+    return (f"scheme {scheme_id} "
+            + "{" + ", ".join(f"{n}: {render(v)}"
+                              for n, v in zip(names, combo)) + "}")
+
+
+# Bits one context may hold across its lanes.  The lanes of a point
+# count's families are cut into blocks of this many bits, so truth sets
+# stay small whatever the number of atoms and points.
 LANE_BLOCK_BITS = 1024
 
 
@@ -392,49 +410,89 @@ def soundness_suite(max_points: int = 3, schemes=tuple(range(1, 13)),
     (canonically deduplicated), all valuations of ``atoms`` over them,
     and all instances of the requested schemes over the depth-bounded
     pool.  The models are those of ``enumerate_spaces``, in its order, but
-    the instances are evaluated once per open family: the family's
-    valuations are the lanes of one bit-sliced ``MaskContext``, and the
-    instances' subformulas, listed once children first, are filled in
-    one bottom-up pass per lane block.  A model is built only for a lane
-    that fails.  Violations are ordered by model, then by instance, each
-    at its first failing open and lowest point.
+    the instances are not evaluated model by model.  Every (family,
+    valuation) pair of a point count is one lane, in that order, and the
+    lanes are cut into blocks of ``LANE_BLOCK_BITS`` bits, a family's
+    lanes straddling two blocks where the cut falls inside them.  A
+    block's families are the runs of one stacked ``MaskContext``, and the
+    instances' subformulas, listed once children first, are filled in one
+    bottom-up pass per block.  Only treelike families share a block (see
+    ``MaskContext``): any other family's lanes get blocks of their own.
+    A model is built only for a lane that fails, and an instance's label
+    only when it fails.  Violations are ordered by model, then by
+    instance, each at its first failing open, in the family's order, and
+    lowest point.
     """
     start = time.monotonic()
     instances = _instances(schemes, atoms, depth, include_constants)
     if not instances:
         raise SearchError("no scheme instance to check: give at least one "
                           "scheme and one atom")
-    roots = [inst for _, inst in instances]
+    roots = [inst for inst, *_ in instances]
     post = subformulas(*roots)
     atoms = sorted(atoms)
-    found = []
+    found = []      # (model number, instance index, model, point, open name)
+
+    def check(block):
+        """Evaluate one block of ``(space, first valuation, lanes, first
+        model number)`` runs and collect its failures."""
+        n = len(block[0][0].points)
+        packed = [0] * len(atoms)
+        starts, shift = [], 0
+        for _, lo, lanes, _ in block:
+            starts.append(shift // n)
+            for k in range(lo, lo + lanes):
+                for j, m in enumerate(_valuation_masks(k, len(atoms), n)):
+                    packed[j] |= m << shift
+                shift += n
+        ctx = MaskContext([(space, lanes) for space, _, lanes, _ in block],
+                          zip(atoms, packed))
+        failed = {}     # lane -> its model, shared by its violations
+        for i, lost in enumerate(ctx.first_failure(post, roots)):
+            for lane, bit, slot in lost:
+                r = bisect_right(starts, lane) - 1
+                space, lo, _, number = block[r]
+                k = lane - starts[r]
+                model = failed.get(lane)
+                if model is None:
+                    model = failed[lane] = Model(
+                        space, _valuation(space, atoms, lo + k))
+                found.append((number + k, i, model, space.points[bit],
+                              space.names[slot]))
+
     models = 0
-    for space in _family_spaces(max_points, max_opens, treelike):
-        n = len(space.points)
-        open_names = dict(zip(space.open_masks, space.names))
+    for n, spaces in groupby(_family_spaces(max_points, max_opens, treelike),
+                             key=lambda space: len(space.points)):
         total = 1 << n * len(atoms)
         per_block = max(1, LANE_BLOCK_BITS // n)
-        for lo in range(0, total, per_block):
-            lanes = min(per_block, total - lo)
-            packed = [0] * len(atoms)
-            for lane in range(lanes):
-                for j, m in enumerate(_valuation_masks(lo + lane, len(atoms), n)):
-                    packed[j] |= m << lane * n
-            ctx = MaskContext(space, zip(atoms, packed), lanes)
-            failed = {}     # lane -> its model, shared by its violations
-            fails = ctx.first_failure(post, roots)
-            for i_idx, ((label, inst), lost) in enumerate(zip(instances, fails)):
-                for lane, bit, u in lost:
-                    model = failed.get(lane)
-                    if model is None:
-                        model = failed[lane] = Model(
-                            space, _valuation(space, atoms, lo + lane))
-                    found.append((models + lo + lane, i_idx, Violation(
-                        label, inst, model, space.points[bit],
-                        open_names[u])))
-        models += total
-    found.sort(key=lambda t: (t[0], t[1]))
-    violations = [v for _, _, v in found]
+        block, free = [], per_block
+        for space in spaces:
+            alone = not space.is_treelike()
+            if alone and block:
+                check(block)
+                block, free = [], per_block
+            lo = 0
+            while lo < total:
+                lanes = min(free, total - lo)
+                block.append((space, lo, lanes, models + lo))
+                lo += lanes
+                free -= lanes
+                if not free or alone and lo == total:
+                    check(block)
+                    block, free = [], per_block
+            models += total
+        if block:
+            check(block)
+    found.sort(key=lambda t: t[:2])
+    labels = {}
+    violations = []
+    for number, i, model, point, open_name in found:
+        inst, *source = instances[i]
+        label = labels.get(i)
+        if label is None:
+            label = labels[i] = _label(*source)
+        violations.append(Violation(label, inst, model, point, open_name,
+                                    number + 1))
     config = {"max_points": max_points,
               "schemes": [getattr(s, "scheme_id", s) for s in schemes],
               "atoms": atoms, "depth": depth,

@@ -350,6 +350,29 @@ def test_soundness_names_atoms_past_the_reserved_letters(capsys):
     assert code == 0, err
 
 
+def test_soundness_text_lines_name_their_model(capsys):
+    # models with valuations B={p2} and A={p1}, B={p2} fail the same
+    # instance at the same neighborhood; each line names its model
+    code, out, _ = run(capsys, "soundness", "--max-points", "3",
+                       "--schemes", "C10", "--atoms", "2")
+    lines = out.splitlines()[1:21]
+    assert code == 1 and len(set(lines)) == len(lines) == 20
+    assert lines[0].endswith("fails at (p2, top) in model 43")
+
+
+def test_closed_stdout_exits_141_quietly():
+    # the reader stops after one line, as ``| head -1`` does, while a
+    # large output is still being written: neither bad input nor a crash
+    with subprocess.Popen(
+            [sys.executable, "-m", "treelogic", "soundness", "--max-points",
+             "3", "--schemes", "C10", "--atoms", "2", "--json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 141
+        assert proc.stderr.read() == b""
+
+
 def test_console_entry_point_runs():
     result = subprocess.run(
         [sys.executable, "-m", "treelogic", "parse", "K A -> A"],

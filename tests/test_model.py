@@ -202,7 +202,7 @@ def _agrees_with_reference(model, formulas, carriers):
                        [{x for x in c if naive_satisfies(model, x, c, f)}
                         for c in carriers])
         at_opens, at_carriers = want[f]
-        for u_mask, u, w in zip(ctx.opens, opens, at_opens):
+        for u_mask, u, w in zip(model.space.open_masks, opens, at_opens):
             got = {points[i] for i in range(len(points))
                    if ctx.truth(f, u_mask) >> i & 1}
             assert got == w
@@ -289,7 +289,8 @@ def test_rows_agree_with_truth():
                    for m in space.open_masks + tuple(carriers)]
         for lanes in (1, 7):
             vals = {a: rng.getrandbits(n * lanes) for a in ("A", "B")}
-            got = MaskContext(space, vals, lanes).rows(post, roots, carriers)
+            got = MaskContext([(space, lanes)], vals).rows(post, roots,
+                                                           carriers)
             for lane in range(lanes):
                 model = Model(space, {
                     a: {p for i, p in enumerate(points)
@@ -301,6 +302,49 @@ def test_rows_agree_with_truth():
                             if p in c and naive_satisfies(model, p, c, f))
                         for c in columns]
     assert carried > 50
+
+
+def test_stacked_rows_match_each_family():
+    # a lane of a stacked context reads what a one-lane context over the
+    # lane's family reads, and 0 at the slots past the family's last open:
+    # treelike families of one point count share a context in runs of 1 to
+    # 5 lanes, any other family gets a multi-lane context of its own, and
+    # a stack that mixes the two is refused
+    rng = random.Random(31)
+    roots = [random_formula(rng, ("A", "B"), 4) for _ in range(12)]
+    roots += [parse(text) for text in (
+        "[]L A", "<>K B", "[]K A -> K[]A", "<>[]L A -> []<>L A")]
+    post = subformulas(*roots)
+    by_points = {}
+    for m in enumerate_spaces(4, treelike=False):
+        by_points.setdefault(len(m.space.points), []).append(m.space)
+    stacks = 0
+    for n, spaces in by_points.items():
+        trees = [s for s in spaces if s.is_treelike()]
+        others = [s for s in spaces if not s.is_treelike()]
+        contexts = [[(s, rng.randint(1, 5))
+                     for s in rng.sample(trees, min(len(trees), 30))]]
+        contexts += [[(s, rng.randint(1, 5))]
+                     for s in rng.sample(others, min(len(others), 12))]
+        for runs in contexts:
+            lanes = sum(count for _, count in runs)
+            vals = {a: rng.getrandbits(n * lanes) for a in ("A", "B")}
+            got = MaskContext(runs, vals).rows(post, roots)
+            lane = 0
+            for space, count in runs:
+                for _ in range(count):
+                    one = {a: v >> lane * n & (1 << n) - 1
+                           for a, v in vals.items()}
+                    want = MaskContext([(space, 1)], one).rows(post, roots)
+                    for row, one_row in zip(got, want):
+                        assert [t >> lane * n & (1 << n) - 1 for t in row] == (
+                            one_row + [0] * (len(row) - len(one_row)))
+                    lane += 1
+            stacks += len(runs) > 1
+        if trees and others:
+            with pytest.raises(ModelError, match="treelike"):
+                MaskContext([(trees[0], 1), (others[0], 1)], {})
+    assert stacks == 4
 
 
 def test_deep_nesting_evaluates():

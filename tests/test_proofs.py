@@ -11,7 +11,7 @@ from treelogic import (MaskContext, Proof, ProofError, ProofLine, SearchError,
                        atom, check_proof, enumerate_spaces, instantiate,
                        is_tautology, know, load_proof, model_to_dict, parse,
                        proof_from_dict, proof_to_dict, render, soundness_suite)
-from treelogic.proofs import LANE_BLOCK_BITS, _instances
+from treelogic.proofs import LANE_BLOCK_BITS, _instances, _label
 
 FIXTURE = FIXTURES / "proof_scheme10_from_scheme12.json"
 
@@ -267,13 +267,14 @@ def _expected_violations(max_points, schemes, atoms, depth, treelike=True,
     out = []
     for model in enumerate_spaces(max_points, max_opens, atoms,
                                   treelike=treelike):
-        for label, inst in instances:
+        for inst, *source in instances:
             witness = next(((x, name) for name, u in zip(model.space.names,
                                                           model.space.opens)
                             for x in sorted(u)
                             if not naive_satisfies(model, x, u, inst)), None)
             if witness is not None:
-                out.append({"scheme": label, "instance": render(inst),
+                out.append({"scheme": _label(*source),
+                            "instance": render(inst),
                             "model": model_to_dict(model),
                             "point": witness[0], "open": witness[1]})
     return out
@@ -289,13 +290,22 @@ def test_soundness_suite_matches_naive_oracle():
         # 2^(3 points x 3 atoms) lanes of 3 bits: more than one lane block
         dict(max_points=3, schemes=("C10",), atoms=("A", "B", "C"), depth=1,
              max_opens=2),
+        # a block holds the lanes of many treelike families of different
+        # shapes, with violations in many of them
+        dict(max_points=4, schemes=("C10",), atoms=("A",), depth=1),
+        # treelike and non-treelike families of one point count: only the
+        # treelike ones may share a block
+        dict(max_points=3, schemes=("S13", "S15"), atoms=("A", "B"),
+             depth=1, treelike=False, max_opens=3),
     ]
     assert (1 << 3 * 3) * 3 > LANE_BLOCK_BITS
     for config in configs:
         report = soundness_suite(**config)
         expected = _expected_violations(**config)
         assert [v.to_dict() for v in report.violations] == expected, config
-        models = enumerate_spaces(config["max_points"],
-                                  config.get("max_opens"), config["atoms"],
-                                  treelike=config.get("treelike", True))
-        assert report.models_checked == sum(1 for _ in models), config
+        models = list(enumerate_spaces(
+            config["max_points"], config.get("max_opens"), config["atoms"],
+            treelike=config.get("treelike", True)))
+        assert report.models_checked == len(models), config
+        assert all(models[v.number - 1] == v.model
+                   for v in report.violations), config
