@@ -16,7 +16,7 @@ from functools import lru_cache
 
 from .formula import (BOT, TOP, Formula, atom, atom_names, box, conj,
                       diamond, know, neg, poss, subformulas)
-from .model import MaskContext, Model, SubsetSpace
+from .model import MaskContext, Model, SubsetSpace, _check_atom_name
 
 __all__ = [
     "Bound", "complexity_bound",
@@ -165,9 +165,15 @@ def enumerate_spaces(max_points: int, max_opens=None, atoms=(),
     deduplicated up to point permutation at every point count.
     """
     atoms = sorted(atoms)
+    for a in atoms:
+        _check_atom_name(a)
+    members = {}        # point count -> point mask -> its frozenset
     for space in _family_spaces(max_points, max_opens, treelike):
-        for k in range(1 << len(space.points) * len(atoms)):
-            yield Model(space, _valuation(space, atoms, k))
+        n = len(space.points)
+        subsets = members.setdefault(n, {})
+        for k in range(1 << n * len(atoms)):
+            masks = zip(atoms, _valuation_masks(k, len(atoms), n))
+            yield Model._from_masks(space, dict(masks), subsets)
 
 
 def _valuation_masks(k: int, n_atoms: int, n_points: int):
@@ -175,13 +181,6 @@ def _valuation_masks(k: int, n_atoms: int, n_points: int):
     full = (1 << n_points) - 1
     return tuple(k >> n_points * (n_atoms - 1 - j) & full
                  for j in range(n_atoms))
-
-
-def _valuation(space, atoms, k: int) -> dict:
-    """Valuation number ``k`` of sorted ``atoms`` over ``space``'s points."""
-    masks = _valuation_masks(k, len(atoms), len(space.points))
-    return {a: frozenset(p for i, p in enumerate(space.points) if m >> i & 1)
-            for a, m in zip(atoms, masks)}
 
 
 # ---------------------------------------------------------------------------
@@ -423,10 +422,8 @@ def _materialize(n_points: int, opens, atom_masks, atoms) -> Model:
     points = tuple(f"p{i + 1:0{width}d}" for i in range(n_points))
     sets = [frozenset(points[i] for i in range(n_points) if m >> i & 1)
             for m in opens]
-    valuation = {a: frozenset(points[i] for i in range(n_points)
-                              if atom_masks[j] >> i & 1)
-                 for j, a in enumerate(atoms)}
-    return Model(SubsetSpace(points, sets), valuation)
+    return Model._from_masks(SubsetSpace(points, sets),
+                             dict(zip(atoms, atom_masks)), {})
 
 
 def _witness(model: Model, t: int, u, formula):
@@ -502,13 +499,15 @@ def satisfiable(formula: Formula, max_points=None, max_opens=None,
                 if model_cap is not None and stats["models"] == model_cap:
                     return None
                 stats["models"] += 1
-                vals = zip(atoms, _valuation_masks(k, len(atoms), n))
-                row = MaskContext(run, vals).rows(post, [formula])[0]
+                masks = _valuation_masks(k, len(atoms), n)
+                row = MaskContext(run, zip(atoms, masks)).rows(
+                    post, [formula])[0]
                 for t, u in zip(row, space.opens):
                     stats["neighborhoods"] += len(u)
                     if t:
                         # the model keeps the row for the witness re-check
-                        model = Model(space, _valuation(space, atoms, k))
+                        model = Model._from_masks(
+                            space, dict(zip(atoms, masks)), {})
                         model._kept = (formula, tuple(row))
                         return _witness(model, t, u, formula)
         return None

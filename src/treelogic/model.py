@@ -24,12 +24,13 @@ many formulas at once through ``first_failure``; the decision sweep runs
 it once per model and hands a hit's row to its witness model.  The
 engine is bit-sliced: each lane of one int is an n-bit copy of a model,
 and a context evaluates all its lanes at once.  Its lanes come in runs,
-one per open family over the same n points, and its slot j is open j of
-each lane's family, so one context can hold many valuations of many
-families; a context over a single model is the one-lane case.  ``[]``
-walks the union of the families' children, which is exact only when the
-families are trees, so only treelike families share a context.  Tests
-check the engine against the independent evaluator in ``tests/helpers.py``.
+one per open family, each lane as wide as the widest family, and its
+slot j is open j of each lane's family, so one context can hold many
+valuations of many families of any point counts; a context over a single
+model is the one-lane case.  ``[]`` walks the union of the families'
+children, which is exact only when the families are trees, so only
+treelike families share a context.  Tests check the engine against the
+independent evaluator in ``tests/helpers.py``.
 """
 
 from __future__ import annotations
@@ -213,7 +214,8 @@ class Model:
     Unknown atoms evaluate to the empty set unless ``strict_atoms`` is
     passed to the evaluation entry points, which then reject them.
     ``atom_masks`` holds each atom's points as a bitmask in the space's
-    point order, built once with the valuation.
+    point order, built once with the valuation; the enumerators build a
+    model the other way round, from its masks (``_from_masks``).
 
     ``satisfies``, ``truth_set``, ``is_valid`` and ``truth_in`` at an open
     read the model's kept row: the truth mask of the last formula asked
@@ -238,6 +240,32 @@ class Model:
         self.valuation = val
         self.atom_masks = masks
         self._kept = (None, ())     # (formula, its row): see ``_row``
+
+    @classmethod
+    def _from_masks(cls, space: SubsetSpace, atom_masks: dict,
+                    members: dict) -> "Model":
+        """The model whose atoms hold at the points of ``atom_masks``.
+
+        It equals ``Model(space, valuation)`` for the valuation those
+        masks spell out, but the atom names and masks are taken as checked,
+        and the model keeps ``atom_masks`` itself.  ``members`` maps a
+        point mask to its frozenset of ``space``'s points and is filled as
+        masks are met, so the models of one point set can share it, and
+        each subset's frozenset is built once.
+        """
+        model = cls.__new__(cls)
+        model.space = space
+        val = {}
+        for name, m in atom_masks.items():
+            points = members.get(m)
+            if points is None:
+                points = members[m] = frozenset(
+                    p for i, p in enumerate(space.points) if m >> i & 1)
+            val[name] = points
+        model.valuation = val
+        model.atom_masks = atom_masks
+        model._kept = (None, ())
+        return model
 
     # -- evaluation (thin wrappers over the mask engine) -------------------
 
@@ -461,17 +489,22 @@ class MaskContext:
     """Bitset view of open families under many valuations at once.
 
     ``runs`` lists ``(space, lanes)`` pairs, one run of lanes per open
-    family, all over n points.  Lane l is bits ``l * n`` to ``l * n + n - 1``
-    of an int, point i of the lane's family is its bit i, and the runs'
-    lanes follow one another.  Atom valuations (``vals``) and truth sets
-    are such wide ints: a lane is one (family, valuation) pair.
+    family, and n is the point count of the widest family.  Lane l is bits
+    ``l * n`` to ``l * n + n - 1`` of an int, point i of the lane's family
+    is its bit i, and the runs' lanes follow one another.  A family over
+    fewer points fills the low bits of its lanes; the bits above them,
+    the padding, lie outside every open.  Atom valuations (``vals``) and
+    truth sets are such wide ints: a lane is one (family, valuation) pair.
 
     Slot j is, in each lane, open j of that lane's family in its
     largest-first order, and empty in a lane whose family has fewer opens:
     ``wide[j]`` is the slot in every lane.  ``kids[j]`` lists the slots
     that are children of slot j in some family of the context.  Atoms,
     ``top``, ``~``, ``&`` and ``K`` (with a per-lane collapse) are lane-wise,
-    so they run on the slots as they would on one family's opens.
+    so they run on the slots as they would on one family's opens.  Padding
+    stays 0 in every row: atoms and ``top`` are cut to ``wide``, which has
+    no padding, ``~`` xors against ``wide``, and ``K``'s collapse reads
+    only the bits that its miss mask sets, which lie inside ``wide``.
 
     ``[]`` follows the open tree: at an open U, ``[]phi`` is ``phi`` at U
     and, on each child C of U, ``[]phi`` at C.  One loop over the slots
@@ -505,16 +538,18 @@ class MaskContext:
 
     def __init__(self, runs, vals):
         (space, lanes), *more = runs
-        self.n = n = len(space.points)
+        n = len(space.points)
+        if more:
+            n = max(n, *(len(s.points) for s, _ in more))
+        self.n = n
         self.full = full = (1 << n) - 1
         rep = ((1 << n * lanes) - 1) // full
         wide = [u * rep for u in space.open_masks]
         kids = space.children
         if more:
-            if not all(len(s.points) == n and s.is_treelike()
-                       for s, _ in ((space, lanes), *more)):
-                raise ModelError("only treelike families of one point count "
-                                 "can share a mask context")
+            if not all(s.is_treelike() for s, _ in ((space, lanes), *more)):
+                raise ModelError("only treelike families can share a mask "
+                                 "context")
             kids = [set(c) for c in kids]
             for s, count in more:
                 rep = ((1 << n * count) - 1) // full << n * lanes

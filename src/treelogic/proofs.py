@@ -17,10 +17,8 @@ from __future__ import annotations
 import json
 import time
 from bisect import bisect_right
-from itertools import groupby
 
-from .decide import (SearchError, _family_spaces, _valuation,
-                     _valuation_masks, formula_pool)
+from .decide import SearchError, _family_spaces, formula_pool
 from .formula import (BOT, TOP, Formula, SchemaError, SchemaTemplate, SYSTEMS,
                       SCHEMES, box, instantiate, know, parse, render, scheme,
                       subformulas)
@@ -350,10 +348,50 @@ class SoundnessReport:
                 "config": self.config}
 
 
+# Scheme instances a soundness run may build.  The pool and the instances
+# grow doubly exponentially with the depth, so a run is sized before any
+# of them is built.  This admits schemes 1-12 at depth 2 over two atoms
+# (802,732 instances), not at depth 3 over one.
+INSTANCE_BUDGET = 2_000_000
+
+
+def _instance_bound(templates, n_atoms, depth, include_constants):
+    """An upper bound on the instances of ``templates`` over the pool, or
+    None once the pool alone is bound to pass ``INSTANCE_BUDGET``.
+
+    A pool layer adds at most five unary formulas and one conjunction per
+    pair, so |P(d+1)| <= 6|P(d)| + |P(d)|^2, and a template has at most
+    |P| choices per metavariable.
+    """
+    pool = n_atoms + 2 * include_constants
+    for _ in range(depth):
+        pool = 6 * pool + pool * pool
+        if pool > INSTANCE_BUDGET:
+            return None
+    return max(pool, sum(pool ** len(t.metavars) for t in templates))
+
+
 def _instances(schemes, atoms, depth, include_constants):
     """Each distinct scheme instance over the pool, in order of first
     appearance, as ``(instance, scheme id, metavariable names, their
-    formulas)``; ``_label`` renders the last three."""
+    formulas)``; ``_label`` renders the last three.  A request whose
+    ``_instance_bound`` passes ``INSTANCE_BUDGET`` is refused before the
+    pool is built."""
+    templates = []
+    for sid in schemes:
+        if sid == 1:
+            templates += TAUTOLOGY_REPS
+        else:
+            templates.append(sid if isinstance(sid, SchemaTemplate)
+                             else scheme(sid))
+    size = _instance_bound(templates, len(atoms), depth, include_constants)
+    if size is None or size > INSTANCE_BUDGET:
+        amount = (f"more than {INSTANCE_BUDGET:,}" if size is None
+                  else f"up to {size:,}")
+        raise SearchError(f"{amount} scheme instances at depth {depth} over "
+                          f"{len(atoms)} atom{'s' * (len(atoms) != 1)} "
+                          f"exceed the budget of {INSTANCE_BUDGET:,}: "
+                          "lower --depth or --atoms")
     pool = formula_pool(atoms, depth, include_constants)
     out = []
     seen = set()
@@ -363,27 +401,20 @@ def _instances(schemes, atoms, depth, include_constants):
             seen.add(id(f))
             out.append((f, *source))
 
-    for sid in schemes:
-        templates = []
-        if sid == 1:
-            templates = list(TAUTOLOGY_REPS)
-        else:
-            templates = [scheme(sid) if not isinstance(sid, SchemaTemplate)
-                         else sid]
-        for template in templates:
-            names = sorted(template.metavars)
-            kinds = [template.metavars[n] for n in names]
-            choice_lists = [
-                [f for f in pool if f.kind == "atom"] if kind == "atom"
-                else pool
-                for kind in kinds]
-            stack = [()]
-            for choices in choice_lists:
-                stack = [got + (c,) for got in stack for c in choices]
-            for combo in stack:
-                substitution = dict(zip(names, combo))
-                add(instantiate(template, substitution), template.scheme_id,
-                    names, combo)
+    for template in templates:
+        names = sorted(template.metavars)
+        kinds = [template.metavars[n] for n in names]
+        choice_lists = [
+            [f for f in pool if f.kind == "atom"] if kind == "atom"
+            else pool
+            for kind in kinds]
+        stack = [()]
+        for choices in choice_lists:
+            stack = [got + (c,) for got in stack for c in choices]
+        for combo in stack:
+            substitution = dict(zip(names, combo))
+            add(instantiate(template, substitution), template.scheme_id,
+                names, combo)
     return out
 
 
@@ -394,10 +425,33 @@ def _label(scheme_id, names, combo) -> str:
                               for n, v in zip(names, combo)) + "}")
 
 
-# Bits one context may hold across its lanes.  The lanes of a point
-# count's families are cut into blocks of this many bits, so truth sets
-# stay small whatever the number of atoms and points.
+# Bits one context may hold across its lanes.  The lanes of a run's
+# families are cut into blocks of this many bits, so truth sets stay small
+# whatever the number of atoms and points.
 LANE_BLOCK_BITS = 1024
+
+
+def _packed_valuations(n_atoms: int, n_points: int, width: int) -> list:
+    """Each atom's mask under every valuation of ``n_points`` points.
+
+    Valuation k, numbered as ``_valuation_masks`` numbers it, is lane k,
+    bits ``k * width`` on, of each atom's int.  Atom j's mask stays put
+    for ``run`` valuations at a time and steps through every mask, so
+    its int repeats one period of ``run << n_points`` lanes.
+    """
+    ones = (1 << width) - 1
+    out = []
+    for j in range(n_atoms):
+        run = 1 << n_points * (n_atoms - 1 - j)
+        bits = run * width
+        spread = ((1 << bits) - 1) // ones      # bit 0 of each of run lanes
+        period = 0
+        for m in range(1 << n_points):
+            period |= m * spread << m * bits
+        span = bits << n_points
+        repeats = 1 << n_points * j
+        out.append(period * (((1 << span * repeats) - 1) // ((1 << span) - 1)))
+    return out
 
 
 def soundness_suite(max_points: int = 3, schemes=tuple(range(1, 13)),
@@ -411,15 +465,19 @@ def soundness_suite(max_points: int = 3, schemes=tuple(range(1, 13)),
     and all instances of the requested schemes over the depth-bounded
     pool.  The models are those of ``enumerate_spaces``, in its order, but
     the instances are not evaluated model by model.  Every (family,
-    valuation) pair of a point count is one lane, in that order, and the
-    lanes are cut into blocks of ``LANE_BLOCK_BITS`` bits, a family's
-    lanes straddling two blocks where the cut falls inside them.  A
-    block's families are the runs of one stacked ``MaskContext``, and the
-    instances' subformulas, listed once children first, are filled in one
-    bottom-up pass per block.  Only treelike families share a block (see
+    valuation) pair of the run is one lane, in that order, whatever the
+    family's point count, and the lanes are cut into blocks of
+    ``LANE_BLOCK_BITS`` bits, a family's lanes straddling two blocks where
+    the cut falls inside them.  A block's lanes are as wide as its widest
+    family, a narrower family filling their low bits.  A block's families
+    are the runs of one stacked ``MaskContext``, and the instances'
+    subformulas, listed once children first, are filled in one bottom-up
+    pass per block.  Only treelike families share a block (see
     ``MaskContext``): any other family's lanes get blocks of their own.
-    A model is built only for a lane that fails, and an instance's label
-    only when it fails.  Violations are ordered by model, then by
+    Each atom's masks under every valuation of a point count are packed
+    once, and a run's valuations are cut out of them.  A model is built
+    only for a lane that fails, from its atom masks, and an instance's
+    label only when it fails.  Violations are ordered by model, then by
     instance, each at its first failing open, in the family's order, and
     lowest point.
     """
@@ -432,57 +490,65 @@ def soundness_suite(max_points: int = 3, schemes=tuple(range(1, 13)),
     post = subformulas(*roots)
     atoms = sorted(atoms)
     found = []      # (model number, instance index, model, point, open name)
+    packed = {}     # (point count, lane width) -> ``_packed_valuations``
+    members = {}    # point count -> point mask -> its frozenset of points
 
     def check(block):
         """Evaluate one block of ``(space, first valuation, lanes, first
         model number)`` runs and collect its failures."""
-        n = len(block[0][0].points)
-        packed = [0] * len(atoms)
+        n = max(len(space.points) for space, *_ in block)
+        vals = [0] * len(atoms)
         starts, shift = [], 0
-        for _, lo, lanes, _ in block:
-            starts.append(shift // n)
-            for k in range(lo, lo + lanes):
-                for j, m in enumerate(_valuation_masks(k, len(atoms), n)):
-                    packed[j] |= m << shift
-                shift += n
+        for space, lo, lanes, _ in block:
+            key = (len(space.points), n)
+            if key not in packed:
+                packed[key] = _packed_valuations(len(atoms), *key)
+            cut = (1 << lanes * n) - 1
+            for j, v in enumerate(packed[key]):
+                vals[j] |= (v >> lo * n & cut) << shift * n
+            starts.append(shift)
+            shift += lanes
         ctx = MaskContext([(space, lanes) for space, _, lanes, _ in block],
-                          zip(atoms, packed))
+                          zip(atoms, vals))
         failed = {}     # lane -> its model, shared by its violations
         for i, lost in enumerate(ctx.first_failure(post, roots)):
             for lane, bit, slot in lost:
                 r = bisect_right(starts, lane) - 1
-                space, lo, _, number = block[r]
-                k = lane - starts[r]
+                space, _, _, number = block[r]
                 model = failed.get(lane)
                 if model is None:
-                    model = failed[lane] = Model(
-                        space, _valuation(space, atoms, lo + k))
-                found.append((number + k, i, model, space.points[bit],
-                              space.names[slot]))
+                    m = len(space.points)
+                    masks = {a: v >> lane * n & (1 << m) - 1
+                             for a, v in zip(atoms, vals)}
+                    model = failed[lane] = Model._from_masks(
+                        space, masks, members.setdefault(m, {}))
+                found.append((number + lane - starts[r], i, model,
+                              space.points[bit], space.names[slot]))
 
+    # point counts ascend, so a block's lanes are as wide as its last
+    # family's points, and a wider family shrinks the room left in it
     models = 0
-    for n, spaces in groupby(_family_spaces(max_points, max_opens, treelike),
-                             key=lambda space: len(space.points)):
+    block, used = [], 0
+    for space in _family_spaces(max_points, max_opens, treelike):
+        n = len(space.points)
         total = 1 << n * len(atoms)
         per_block = max(1, LANE_BLOCK_BITS // n)
-        block, free = [], per_block
-        for space in spaces:
-            alone = not space.is_treelike()
-            if alone and block:
-                check(block)
-                block, free = [], per_block
-            lo = 0
-            while lo < total:
-                lanes = min(free, total - lo)
-                block.append((space, lo, lanes, models + lo))
-                lo += lanes
-                free -= lanes
-                if not free or alone and lo == total:
-                    check(block)
-                    block, free = [], per_block
-            models += total
-        if block:
+        alone = not space.is_treelike()
+        if block and (alone or used >= per_block):
             check(block)
+            block, used = [], 0
+        lo = 0
+        while lo < total:
+            lanes = min(per_block - used, total - lo)
+            block.append((space, lo, lanes, models + lo))
+            lo += lanes
+            used += lanes
+            if used == per_block or alone and lo == total:
+                check(block)
+                block, used = [], 0
+        models += total
+    if block:
+        check(block)
     found.sort(key=lambda t: t[:2])
     labels = {}
     violations = []

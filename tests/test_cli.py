@@ -1,12 +1,13 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
 from helpers import FIXTURES, oracle_model, same_model
 
-from treelogic import cli, load_model, model_from_dict, parse
+from treelogic import cli, load_model, model_from_dict, parse, proofs
 from treelogic.cli import main
 
 ORACLE = str(FIXTURES / "fig_oracle.json")
@@ -348,6 +349,23 @@ def test_soundness_names_atoms_past_the_reserved_letters(capsys):
     code, _, err = run(capsys, "soundness", "--atoms", "12", "--max-points",
                        "1", "--schemes", "4", "--depth", "0")
     assert code == 0, err
+
+
+def test_soundness_refuses_an_oversized_pool_unbuilt(capsys, monkeypatch):
+    # the instance set is sized from the pool's recurrence first: a pool
+    # built to depth 99 would not fit in memory
+    def build(*args):
+        raise AssertionError("the pool was built")
+
+    monkeypatch.setattr(proofs, "formula_pool", build)
+    start = time.monotonic()
+    code, out, err = run(capsys, "soundness", "--max-points", "2",
+                         "--schemes", "4", "--depth", "99")
+    assert time.monotonic() - start < 1
+    assert code == 2 and out == ""
+    assert err.startswith("error: more than 2,000,000 scheme instances at "
+                          "depth 99 over 2 atoms")
+    assert "lower --depth or --atoms" in err
 
 
 def test_soundness_text_lines_name_their_model(capsys):

@@ -116,12 +116,29 @@ def test_five_point_families_are_one_per_class():
 
 
 def test_point_names_sort_in_bit_order():
-    # valuation masks number a space's points in sorted order
+    # valuation masks number a space's points in sorted order, and a model
+    # built from masks equals the one built from the valuation they spell
     (space,) = decide._families(10, 1, True)
     assert space.points == tuple(f"p{i:02d}" for i in range(1, 11))
+    members = {}
+    models = []
     for bit in range(10):
-        model = Model(space, decide._valuation(space, ["A"], 1 << bit))
-        assert model.atom_masks == {"A": 1 << bit}
+        model = Model._from_masks(space, {"A": 1 << bit, "B": 0}, members)
+        plain = Model(space, {"A": {f"p{bit + 1:02d}"}, "B": ()})
+        assert model.valuation == plain.valuation
+        assert model.atom_masks == plain.atom_masks == {"A": 1 << bit, "B": 0}
+        assert model == plain and hash(model) == hash(plain)
+        models.append(model)
+    # each point mask's frozenset is built once and shared
+    assert len(members) == 11
+    assert all(m.valuation["B"] is members[0] for m in models)
+
+
+def test_enumerated_models_equal_their_valuations():
+    for model in enumerate_spaces(3, None, ("B", "A")):
+        plain = Model(model.space, model.valuation)
+        assert list(model.valuation) == ["A", "B"]
+        assert model.atom_masks == plain.atom_masks and model == plain
 
 
 def test_five_point_search_visits_each_class_once():

@@ -305,11 +305,13 @@ def test_rows_agree_with_truth():
 
 
 def test_stacked_rows_match_each_family():
-    # a lane of a stacked context reads what a one-lane context over the
-    # lane's family reads, and 0 at the slots past the family's last open:
-    # treelike families of one point count share a context in runs of 1 to
-    # 5 lanes, any other family gets a multi-lane context of its own, and
-    # a stack that mixes the two is refused
+    # a lane of a stacked context reads, in its low bits, what a one-lane
+    # context over the lane's family reads, 0 in the padding above them,
+    # and 0 at the slots past the family's last open: treelike families of
+    # one point count, and of 1 to 4 points mixed in any order, share a
+    # context in runs of 1 to 5 lanes as wide as the widest family, any
+    # other family gets a multi-lane context of its own, and a stack that
+    # mixes the two is refused
     rng = random.Random(31)
     roots = [random_formula(rng, ("A", "B"), 4) for _ in range(12)]
     roots += [parse(text) for text in (
@@ -318,33 +320,50 @@ def test_stacked_rows_match_each_family():
     by_points = {}
     for m in enumerate_spaces(4, treelike=False):
         by_points.setdefault(len(m.space.points), []).append(m.space)
-    stacks = 0
+    contexts = []
+    every_tree = []
     for n, spaces in by_points.items():
         trees = [s for s in spaces if s.is_treelike()]
         others = [s for s in spaces if not s.is_treelike()]
-        contexts = [[(s, rng.randint(1, 5))
-                     for s in rng.sample(trees, min(len(trees), 30))]]
+        contexts.append([(s, rng.randint(1, 5))
+                         for s in rng.sample(trees, min(len(trees), 30))])
         contexts += [[(s, rng.randint(1, 5))]
                      for s in rng.sample(others, min(len(others), 12))]
-        for runs in contexts:
-            lanes = sum(count for _, count in runs)
-            vals = {a: rng.getrandbits(n * lanes) for a in ("A", "B")}
-            got = MaskContext(runs, vals).rows(post, roots)
-            lane = 0
-            for space, count in runs:
-                for _ in range(count):
-                    one = {a: v >> lane * n & (1 << n) - 1
-                           for a, v in vals.items()}
-                    want = MaskContext([(space, 1)], one).rows(post, roots)
-                    for row, one_row in zip(got, want):
-                        assert [t >> lane * n & (1 << n) - 1 for t in row] == (
-                            one_row + [0] * (len(row) - len(one_row)))
-                    lane += 1
-            stacks += len(runs) > 1
+        every_tree.append(trees)
         if trees and others:
-            with pytest.raises(ModelError, match="treelike"):
+            with pytest.raises(ModelError, match="only treelike families "
+                                                 "can share a mask context"):
                 MaskContext([(trees[0], 1), (others[0], 1)], {})
-    assert stacks == 4
+    for _ in range(4):
+        mixed = [rng.choice(trees) for trees in every_tree]
+        mixed += rng.sample([s for trees in every_tree for s in trees], 20)
+        rng.shuffle(mixed)
+        contexts.append([(s, rng.randint(1, 5)) for s in mixed])
+    stacks = mixed_stacks = 0
+    for runs in contexts:
+        lanes = sum(count for _, count in runs)
+        width = max(len(s.points) for s, _ in runs)
+        # random bits in the padding too: atoms are cut to the opens
+        vals = {a: rng.getrandbits(width * lanes) for a in ("A", "B")}
+        ctx = MaskContext(runs, vals)
+        assert ctx.n == width
+        got = ctx.rows(post, roots)
+        lane = 0
+        for space, count in runs:
+            n = len(space.points)
+            for _ in range(count):
+                one = {a: v >> lane * width & (1 << n) - 1
+                       for a, v in vals.items()}
+                want = MaskContext([(space, 1)], one).rows(post, roots)
+                for row, one_row in zip(got, want):
+                    cells = [t >> lane * width & (1 << width) - 1 for t in row]
+                    assert [c & (1 << n) - 1 for c in cells] == (
+                        one_row + [0] * (len(row) - len(one_row)))
+                    assert not any(c >> n for c in cells)
+                lane += 1
+        stacks += len(runs) > 1
+        mixed_stacks += len({len(s.points) for s, _ in runs}) == 4
+    assert (stacks, mixed_stacks) == (8, 4)
 
 
 def test_deep_nesting_evaluates():

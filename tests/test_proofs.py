@@ -8,10 +8,14 @@ import pytest
 from helpers import FIXTURES, naive_satisfies
 
 from treelogic import (MaskContext, Proof, ProofError, ProofLine, SearchError,
-                       atom, check_proof, enumerate_spaces, instantiate,
-                       is_tautology, know, load_proof, model_to_dict, parse,
-                       proof_from_dict, proof_to_dict, render, soundness_suite)
-from treelogic.proofs import LANE_BLOCK_BITS, _instances, _label
+                       atom, check_proof, enumerate_spaces, formula_pool,
+                       instantiate, is_tautology, know, load_proof,
+                       model_to_dict, parse, proof_from_dict, proof_to_dict,
+                       render, scheme, soundness_suite)
+from treelogic import proofs
+from treelogic.proofs import (INSTANCE_BUDGET, LANE_BLOCK_BITS,
+                              TAUTOLOGY_REPS, _instance_bound, _instances,
+                              _label)
 
 FIXTURE = FIXTURES / "proof_scheme10_from_scheme12.json"
 
@@ -255,6 +259,53 @@ def test_soundness_suite_rejects_vacuous_requests():
     assert report.ok and report.instances > 0 and report.models_checked > 0
 
 
+def test_instance_bound_sizes_the_pool_before_it_is_built():
+    # |P(d+1)| <= 6|P(d)| + |P(d)|^2 from one atom: 1, 7, 91, 8,827, then
+    # 77,968,891, past the budget; a template with k metavariables has at
+    # most |P|^k instances
+    one, two = [scheme(4)], [scheme(3)]
+    for depth, bound in enumerate((1, 7, 91, 8827)):
+        assert _instance_bound(one, 1, depth, False) == bound
+        assert _instance_bound(two, 1, depth, False) == bound ** 2
+        assert len(formula_pool(("A",), depth)) <= bound
+    assert _instance_bound(one, 1, 4, False) is None
+    assert _instance_bound(one, 1, 0, True) == 3
+    # schemes 1-12 at depth 2 over two atoms (802,732 instances) pass
+    templates = list(TAUTOLOGY_REPS) + [scheme(s) for s in range(2, 13)]
+    size = _instance_bound(templates, 2, 2, False)
+    assert 802_732 <= size <= INSTANCE_BUDGET
+    assert _instance_bound(templates, 1, 3, False) > INSTANCE_BUDGET
+    with pytest.raises(SearchError, match="lower --depth or --atoms"):
+        _instances(tuple(range(1, 13)), ("A",), 3, False)
+
+
+def test_soundness_blocks_span_point_counts(monkeypatch):
+    # every treelike family of a run shares the lane blocks, whatever its
+    # point count; a family that is not treelike gets blocks of its own
+    blocks = []
+
+    class Recording(MaskContext):
+        def __init__(self, runs, vals):
+            super().__init__(runs, vals)
+            blocks.append(([len(s.points) for s, _ in runs], self.lanes,
+                           self.n, [s.is_treelike() for s, _ in runs]))
+
+    monkeypatch.setattr(proofs, "MaskContext", Recording)
+    soundness_suite(max_points=3, schemes=tuple(range(1, 13)), atoms=("A",))
+    assert [(sorted(set(counts)), lanes, n)
+            for counts, lanes, n, _ in blocks] == [([1, 2, 3], 188, 3)]
+    blocks.clear()
+    soundness_suite(max_points=3, schemes=("C10",), atoms=("A", "B"))
+    assert [lanes for _, lanes, _, _ in blocks] == [341] * 4 + [20]
+    assert sorted(set(blocks[0][0])) == [1, 2, 3]
+    blocks.clear()
+    soundness_suite(max_points=3, schemes=("S13",), atoms=("A",),
+                    treelike=False)
+    alone = [counts for counts, _, _, trees in blocks if not all(trees)]
+    assert len(alone) == 20 and all(counts == [3] for counts in alone)
+    assert sum(lanes for _, lanes, _, _ in blocks) == 348
+
+
 def _expected_violations(max_points, schemes, atoms, depth, treelike=True,
                          max_opens=None, include_constants=False):
     """The harness's violation list, rebuilt model by model.
@@ -282,6 +333,7 @@ def _expected_violations(max_points, schemes, atoms, depth, treelike=True,
 
 def test_soundness_suite_matches_naive_oracle():
     configs = [
+        # one block spans point counts 1-3, its lanes three bits wide
         dict(max_points=3, schemes=("C10",), atoms=("A", "B"), depth=1),
         dict(max_points=3, schemes=("S13",), atoms=("A",), depth=1,
              treelike=False),
@@ -291,7 +343,7 @@ def test_soundness_suite_matches_naive_oracle():
         dict(max_points=3, schemes=("C10",), atoms=("A", "B", "C"), depth=1,
              max_opens=2),
         # a block holds the lanes of many treelike families of different
-        # shapes, with violations in many of them
+        # shapes and point counts, with violations in many of them
         dict(max_points=4, schemes=("C10",), atoms=("A",), depth=1),
         # treelike and non-treelike families of one point count: only the
         # treelike ones may share a block
