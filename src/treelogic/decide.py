@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import time
 from functools import lru_cache
+from math import comb
 
 from .formula import (BOT, TOP, Formula, atom, atom_names, box, conj,
                       diamond, know, neg, poss, subformulas)
@@ -145,13 +146,58 @@ def _families(n: int, max_opens, treelike: bool):
         for fam in kept)
 
 
+# Labelled open families ``_families`` may list over one point count off
+# trees before it removes relabelled copies.  Four points list 32,768 and
+# five points with up to six opens 206,368; five points with no cap on the
+# opens list 2,147,483,648.
+FAMILY_BUDGET = 250_000
+
+
+def _family_count(n: int, max_opens):
+    """The labelled families ``_families(n, max_opens, False)`` lists, or
+    None past 2**63.
+
+    A family is the full set and at most ``max_opens - 1`` of the other
+    2^n - 1 point masks, so the count is a sum of binomials; the terms grow
+    fast enough that the sum passes 2**63 within a few dozen of them.
+    """
+    most = None if max_opens is None else max_opens - 1
+    if most == 0:
+        return 1
+    if n > 63:
+        return None
+    masks = (1 << n) - 1
+    total = 0
+    for k in range(masks + 1 if most is None else min(most, masks) + 1):
+        total += comb(masks, k)
+        if total > 1 << 63:
+            return None
+    return total
+
+
+def _check_family_budget(max_points: int, max_opens):
+    """Refuse an off-tree enumeration whose largest point count would list
+    more than ``FAMILY_BUDGET`` labelled families, before listing any."""
+    count = _family_count(max_points, max_opens)
+    if count is None or count > FAMILY_BUDGET:
+        amount = "more than 2**63" if count is None else f"{count:,}"
+        raise SearchError(f"{amount} labelled open families over "
+                          f"{max_points} points exceed the budget of "
+                          f"{FAMILY_BUDGET:,}: lower --max-points or "
+                          "--max-opens")
+
+
 def _family_spaces(max_points: int, max_opens, treelike: bool):
     """The space of every open family, in enumeration order.
 
-    Point i of a space (``space.points[i]``) is bit i of its masks.
+    Point i of a space (``space.points[i]``) is bit i of its masks.  Off
+    trees the families are sized first (``_check_family_budget``); the
+    count grows with the point count, so the largest one decides.
     """
     if max_points < 1 or (max_opens is not None and max_opens < 1):
         raise SearchError("budget must allow at least one point and open")
+    if not treelike:
+        _check_family_budget(max_points, max_opens)
     for n in range(1, max_points + 1):
         yield from _families(n, max_opens, treelike)
 

@@ -395,6 +395,13 @@ class SchemaTemplate:
     atom-kinded metavariables accept only atoms when instantiated.
     Scheme 1 (all propositional tautologies) has no body; the proof
     checker validates its instances by a boolean-skeleton decision.
+
+    A body is compiled once, here, for ``instantiate``: ``_cells`` holds
+    the body's subformulas children first, each with its own node where it
+    stays fixed under substitution and None elsewhere, ``_binds`` the
+    ``(cell, metavariable)`` pairs to fill from a substitution, and
+    ``_steps`` the ``(cell, kind, left cell, right cell or None)``
+    connectives to rebuild above them, in the same order.
     """
 
     def __init__(self, scheme_id, body: Formula | None,
@@ -403,6 +410,21 @@ class SchemaTemplate:
         self.body = body
         self.metavars = dict(metavars)
         self.note = note
+        self._cells, self._binds, self._steps = [], (), ()
+        if body is not None:
+            post = subformulas(body)
+            at = {g: i for i, g in enumerate(post)}
+            bound = [g.kind == _ATOM and g.name in self.metavars for g in post]
+            moved = set()
+            for i, g in enumerate(post):
+                if bound[i] or g.left in moved or g.right in moved:
+                    moved.add(g)
+            self._cells = [None if g in moved else g for g in post]
+            self._binds = tuple((i, g.name) for i, g in enumerate(post)
+                                if bound[i])
+            self._steps = tuple((i, g.kind, at[g.left], at.get(g.right))
+                                for i, g in enumerate(post)
+                                if g in moved and not bound[i])
 
     def __repr__(self):
         if self.body is None:
@@ -460,7 +482,14 @@ def scheme(scheme_id) -> SchemaTemplate:
 
 
 def instantiate(template, substitution: dict[str, Formula]) -> Formula:
-    """Simultaneous substitution of metavariables in a scheme body."""
+    """Simultaneous substitution of metavariables in a scheme body.
+
+    The bindings are checked first: every metavariable bound, atom-kinded
+    ones to atoms, and no other name.  The instance is then built from the
+    body the template compiled once (see ``SchemaTemplate``), one
+    children-first walk over the connectives above the metavariables, so
+    the substitution neither recurses nor revisits the fixed parts.
+    """
     if not isinstance(template, SchemaTemplate):
         template = scheme(template)
     if template.body is None:
@@ -479,14 +508,15 @@ def instantiate(template, substitution: dict[str, Formula]) -> Formula:
             raise SchemaError(f"unknown metavariable {name!r} for scheme "
                               f"{template.scheme_id}")
 
-    def subst(g: Formula) -> Formula:
-        if g.kind == _ATOM and g.name in substitution:
-            return substitution[g.name]
-        if g.left is None:
-            return g
-        left = subst(g.left)
-        if g.right is None:
-            return Formula(g.kind, left=left)
-        return Formula(g.kind, left=left, right=subst(g.right))
-
-    return subst(template.body)
+    # rebuild the connectives above the metavariables from the compiled
+    # body, looking each node up in the intern table as ``Formula`` does
+    cells = template._cells.copy()
+    for i, name in template._binds:
+        cells[i] = substitution[name]
+    interned, blank = Formula._interned, id(None)
+    for i, kind, left, right in template._steps:
+        a = cells[left]
+        b = None if right is None else cells[right]
+        node = interned.get((kind, None, id(a), blank if b is None else id(b)))
+        cells[i] = node if node is not None else Formula(kind, left=a, right=b)
+    return cells[-1]

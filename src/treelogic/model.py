@@ -27,7 +27,9 @@ and a context evaluates all its lanes at once.  Its lanes come in runs,
 one per open family, each lane as wide as the widest family, and its
 slot j is open j of each lane's family, so one context can hold many
 valuations of many families of any point counts; a context over a single
-model is the one-lane case.  ``[]`` walks the union of the families'
+model is the one-lane case.  A formula's truth row holds all slots in
+one int, one after another, so every connective but ``[]`` costs one
+int operation per subformula.  ``[]`` walks the union of the families'
 children, which is exact only when the families are trees, so only
 treelike families share a context.  Tests check the engine against the
 independent evaluator in ``tests/helpers.py``.
@@ -493,47 +495,57 @@ class MaskContext:
     ``l * n`` to ``l * n + n - 1`` of an int, point i of the lane's family
     is its bit i, and the runs' lanes follow one another.  A family over
     fewer points fills the low bits of its lanes; the bits above them,
-    the padding, lie outside every open.  Atom valuations (``vals``) and
-    truth sets are such wide ints: a lane is one (family, valuation) pair.
+    the padding, lie outside every open.  Atom valuations (``vals``) are
+    such ints: a lane is one (family, valuation) pair.
 
     Slot j is, in each lane, open j of that lane's family in its
     largest-first order, and empty in a lane whose family has fewer opens:
     ``wide[j]`` is the slot in every lane.  ``kids[j]`` lists the slots
-    that are children of slot j in some family of the context.  Atoms,
-    ``top``, ``~``, ``&`` and ``K`` (with a per-lane collapse) are lane-wise,
-    so they run on the slots as they would on one family's opens.  Padding
-    stays 0 in every row: atoms and ``top`` are cut to ``wide``, which has
-    no padding, ``~`` xors against ``wide``, and ``K``'s collapse reads
-    only the bits that its miss mask sets, which lie inside ``wide``.
+    that are children of slot j in some family of the context.
+
+    A truth row is one int, slot-major: slot j of the row sits at bits
+    ``j * S`` on, where ``S = n * lanes``, so the row is ``lanes * len(wide)``
+    lanes of n bits back to back.  ``top`` is ``wide`` packed that way, the
+    row of ``top``.  Atoms, ``top``, ``~`` and ``&`` are one big-int
+    operation per node on the whole row.  So is ``K``: a lane missing any
+    point of its view loses all of it, and the collapse adds the low n-1
+    bits of every lane into the lane's top bit.  The carry never leaves its
+    lane, and every slot starts on a lane boundary, so the collapse stays
+    inside each (slot, lane) cell of the row as it does inside each lane of
+    one slot.  Padding stays 0 in every row: atoms and ``top`` are cut to
+    ``top``, which has no padding, ``~`` xors against ``top``, and ``K``
+    only clears bits.
 
     ``[]`` follows the open tree: at an open U, ``[]phi`` is ``phi`` at U
-    and, on each child C of U, ``[]phi`` at C.  One loop over the slots
-    from the last (smallest) to the first fills every slot after its
-    children, so evaluation never recurses.  The union of the families'
-    children is exact on trees: in a lane whose family does not have slot
-    c as a child of slot j, open c is disjoint from open j, so it clears no
-    bit there, or strictly inside it, where ``[]phi`` failing at a point of
-    c fails at the child of j around that point as well.  Off trees a later
-    open can partly overlap open j, so a context stacks several families
-    only if all are treelike; a family of any shape can have a context of
-    its own.
+    and, on each child C of U, ``[]phi`` at C.  It cuts its operand's row
+    into slots with shifts and masks and fills them from the last
+    (smallest) to the first, every slot after its children, so evaluation
+    never recurses.  The union of the families' children is exact on
+    trees: in a lane whose family does not have slot c as a child of slot
+    j, open c is disjoint from open j, so it clears no bit there, or
+    strictly inside it, where ``[]phi`` failing at a point of c fails at
+    the child of j around that point as well.  Off trees a later open can
+    partly overlap open j, so a context stacks several families only if
+    all are treelike; a family of any shape can have a context of its own.
 
     With one run, ``space`` is its family and ``kids`` its ``children``;
     a stack of several runs has ``space`` None.  ``from_model`` builds the
     one-lane context of a single model from the masks the space and the
-    model hold.  ``rep`` is the lane-replication constant (bit 0 of every
-    lane set), 1 with one lane.
+    model hold.  ``rep`` is the lane-replication constant of one slot (bit
+    0 of every lane set), 1 with one lane.
 
     ``rows`` is the one evaluator: a bottom-up pass over a children-first
-    list of subformulas.  ``truth`` runs it for one formula and keeps the
-    formula's row in ``cache``, so ``cache`` holds one row per formula
-    asked for; ``first_failure`` runs it over many formulas at once, as
-    the soundness harness checks every scheme instance, without ``cache``.
-    ``truth``, ``is_valid`` and carriers that are not open read the opens
-    of ``space``, so they take a context of one run.
+    list of subformulas that returns each root's row cut into slots.
+    ``truth`` runs it for one formula and keeps the formula's row in
+    ``cache``, so ``cache`` holds one row per formula asked for;
+    ``first_failure`` runs the same pass over many formulas at once, as
+    the soundness harness checks every scheme instance, without ``cache``,
+    and cuts up only the rows that differ from ``top``.  ``truth``,
+    ``is_valid`` and carriers that are not open read the opens of
+    ``space``, so they take a context of one run.
     """
 
-    __slots__ = ("n", "lanes", "rep", "low", "full", "space", "wide", "kids",
+    __slots__ = ("n", "lanes", "rep", "full", "space", "wide", "top", "kids",
                  "vals", "cache")
 
     def __init__(self, runs, vals):
@@ -565,10 +577,11 @@ class MaskContext:
             space = None
         self.lanes = lanes
         self.rep = rep
-        # the low n-1 bits of every lane, for the per-lane collapse of K
-        self.low = rep * (full >> 1)
         self.space = space
         self.wide = wide
+        size = n * lanes
+        self.top = sum(map(int.__lshift__, wide,
+                           range(0, size * len(wide), size)))
         self.kids = kids
         self.vals = dict(vals)
         self.cache = {}
@@ -582,11 +595,13 @@ class MaskContext:
 
         The first call for ``f`` fills its row with ``rows`` and keeps it
         in ``cache`` under ``f``; an open's truth set is its column of that
-        row.  A carrier that is not open gets a column of its own.
+        row.  A carrier that is not open gets a column of its own, the
+        last slot of a packed row that is not cut up.
         """
         i = self.space._pos.get(u_mask)
         if i is None:
-            return self.rows(subformulas(f), [f], [u_mask])[0][-1]
+            row = self._fill(subformulas(f), [f], [u_mask])[0]
+            return row >> self.n * self.lanes * len(self.wide)
         row = self.cache.get(f)
         if row is None:
             row = self.cache[f] = self.rows(subformulas(f), [f])[0]
@@ -602,16 +617,24 @@ class MaskContext:
 
         ``post`` lists every subformula of ``roots`` once, children first,
         as ``subformulas(*roots)`` does.  One bottom-up pass over it fills
-        every node's row, lane-wise: atoms, ``~`` and ``&`` slot by slot,
-        ``K`` with a per-lane collapse, and ``[]`` over the slots in
-        reverse, each slot after its ``kids``.  ``carriers`` are point
-        masks that are not opens of ``space``; each adds a column after the
-        slots', where ``K`` ranges over the carrier and ``[]phi`` is
-        ``[]phi`` on each nonempty open inside it (a carrier is not one of
-        its own refinements).  The rows come back in the order of ``roots``.
+        every node's packed row (``_fill``), and each root's row comes back
+        cut into its slots, in the order of ``roots``.  ``carriers`` are
+        point masks that are not opens of ``space``; each adds a slot after
+        those of ``wide``, where ``K`` ranges over the carrier and
+        ``[]phi`` is ``[]phi`` on each nonempty open inside it (a carrier
+        is not one of its own refinements).
         """
-        n, full, low, lanes = self.n, self.full, self.low, self.lanes
-        vals, wide, kids = self.vals, self.wide, self.kids
+        size = self.n * self.lanes
+        cell = (1 << size) - 1
+        shifts = range(0, size * (len(self.wide) + len(carriers)), size)
+        return [[r >> s & cell for s in shifts]
+                for r in self._fill(post, roots, carriers)]
+
+    def _fill(self, post, roots, carriers=()) -> list:
+        """The packed rows of ``roots`` after one pass over ``post``."""
+        n, full = self.n, self.full
+        size = n * self.lanes
+        vals, wide, kids, top = self.vals, self.wide, self.kids, self.top
         # children first; an empty last slot, if any, stays 0
         down = range(len(wide) - 1 - (wide[-1] == 0), -1, -1)
         inside = []
@@ -621,40 +644,45 @@ class MaskContext:
                                        if v and not v & ~w])
                       for c, w in enumerate(carriers)]
             wide = wide + [w * self.rep for w in carriers]
+            top |= sum(w * self.rep << (len(self.wide) + c) * size
+                       for c, w in enumerate(carriers))
+        bits = size * len(wide)
+        cell = (1 << size) - 1
+        shifts = range(0, bits, size)
+        # bit 0 of every slot, and of every lane of every slot
+        slots = ((1 << bits) - 1) // cell
+        lanes = ((1 << bits) - 1) // full
+        low = lanes * (full >> 1)       # the low n-1 bits of every lane
+        high = low + lanes              # the top bit of every lane
         row = {}
         for g in post:
             k = g.kind
             if k == "and":
-                r = list(map(int.__and__, row[g.left], row[g.right]))
+                r = row[g.left] & row[g.right]
             elif k == "not":
-                # a row lies inside ``wide``, so xor complements it there
-                r = list(map(int.__xor__, wide, row[g.left]))
+                # a row lies inside ``top``, so xor complements it there
+                r = top ^ row[g.left]
             elif k == "atom":
-                v = vals.get(g.name, 0)
-                r = [v & w for w in wide]
+                r = (vals.get(g.name, 0) & cell) * slots & top
             elif k == "top":
-                r = wide
+                r = top
             elif k == "bot":
-                r = [0] * len(wide)
+                r = 0
             elif k == "know":
-                r = []
-                for w, t in zip(wide, row[g.left]):
-                    miss = w ^ t
-                    if not miss:
-                        r.append(w)
-                    elif lanes == 1:
-                        r.append(0)
-                    else:
-                        # a lane missing any point of the view loses all of
-                        # it: the low bits of a lane carry into its top bit,
-                        # never past it
-                        top = ((miss & low) + low | miss) & ~low
-                        r.append(w & ~((top >> n - 1) * full))
+                miss = top ^ row[g.left]
+                if miss:
+                    # a lane missing any point of the view loses all of it:
+                    # the low bits of a lane carry into its top bit, never
+                    # past it
+                    lost = ((miss & low) + low | miss) & high
+                    r = top & ~((lost >> n - 1) * full)
+                else:
+                    r = top
             else:  # box
                 a = row[g.left]
-                r = [0] * len(wide)
+                r = [a >> s & cell for s in shifts]
                 for j in down:
-                    out = a[j]
+                    out = r[j]
                     for c in kids[j]:
                         out &= ~(wide[c] ^ r[c])
                     r[j] = out
@@ -663,33 +691,37 @@ class MaskContext:
                     for c in inner:
                         out &= ~(wide[c] ^ r[c])
                     r[j] = out
+                r = sum(map(int.__lshift__, r, shifts))
             row[g] = r
         return [row[f] for f in roots]
 
     def first_failure(self, post, roots) -> list:
         """First neighborhood falsifying each root, in each lane that has one.
 
-        ``post`` and ``roots`` are as for ``rows``, which evaluates them.
-        Returns one list per root, of ``(lane, bit, slot)`` triples in lane
-        order.  Within a lane, slots are tried in order, which is the lane's
-        family's order of its opens, and points from the lowest bit, so a
-        single-model context and a lane of a stacked one name the same
-        witness.
+        ``post`` and ``roots`` are as for ``rows``, and ``_fill`` evaluates
+        them.  Returns one list per root, of ``(lane, bit, slot)`` triples
+        in lane order.  Within a lane, slots are tried in order, which is
+        the lane's family's order of its opens, and points from the lowest
+        bit, so a single-model context and a lane of a stacked one name the
+        same witness.  A root whose row equals ``top`` holds everywhere and
+        is never cut into slots.
         """
-        n, full, wide = self.n, self.full, self.wide
+        n, full, top = self.n, self.full, self.top
+        size = n * self.lanes
+        cell = (1 << size) - 1
         out = []
-        for r in self.rows(post, roots):
+        for r in self._fill(post, roots):
             found = []
-            if r != wide:
-                pending = (1 << n * self.lanes) - 1
-                for j, (w, t) in enumerate(zip(wide, r)):
-                    miss = w & ~t & pending
-                    while miss:
-                        pos = (miss & -miss).bit_length() - 1
+            if r != top:
+                miss, pending = top ^ r, cell
+                for j in range(len(self.wide)):
+                    m = miss >> j * size & pending
+                    while m:
+                        pos = (m & -m).bit_length() - 1
                         lane = pos // n
                         found.append((lane, pos - lane * n, j))
                         clear = ~(full << lane * n)
-                        miss &= clear
+                        m &= clear
                         pending &= clear
                 found.sort()
             out.append(found)

@@ -489,13 +489,14 @@ def soundness_suite(max_points: int = 3, schemes=tuple(range(1, 13)),
     roots = [inst for inst, *_ in instances]
     post = subformulas(*roots)
     atoms = sorted(atoms)
-    found = []      # (model number, instance index, model, point, open name)
+    violations = []
+    labels = {}     # instance index -> its label
     packed = {}     # (point count, lane width) -> ``_packed_valuations``
     members = {}    # point count -> point mask -> its frozenset of points
 
     def check(block):
         """Evaluate one block of ``(space, first valuation, lanes, first
-        model number)`` runs and collect its failures."""
+        model number)`` runs and add its violations, in model order."""
         n = max(len(space.points) for space, *_ in block)
         vals = [0] * len(atoms)
         starts, shift = [], 0
@@ -510,23 +511,32 @@ def soundness_suite(max_points: int = 3, schemes=tuple(range(1, 13)),
             shift += lanes
         ctx = MaskContext([(space, lanes) for space, _, lanes, _ in block],
                           zip(atoms, vals))
-        failed = {}     # lane -> its model, shared by its violations
-        for i, lost in enumerate(ctx.first_failure(post, roots)):
-            for lane, bit, slot in lost:
-                r = bisect_right(starts, lane) - 1
-                space, _, _, number = block[r]
-                model = failed.get(lane)
-                if model is None:
-                    m = len(space.points)
-                    masks = {a: v >> lane * n & (1 << m) - 1
-                             for a, v in zip(atoms, vals)}
-                    model = failed[lane] = Model._from_masks(
-                        space, masks, members.setdefault(m, {}))
-                found.append((number + lane - starts[r], i, model,
-                              space.points[bit], space.names[slot]))
+        lost = [(lane, i, bit, slot)
+                for i, fails in enumerate(ctx.first_failure(post, roots))
+                for lane, bit, slot in fails]
+        lost.sort()
+        last = None
+        for lane, i, bit, slot in lost:
+            if lane != last:
+                # lanes ascend, so a failing lane's run is found once
+                last, r = lane, bisect_right(starts, lane) - 1
+                space, _, _, first = block[r]
+                m = len(space.points)
+                masks = {a: v >> lane * n & (1 << m) - 1
+                         for a, v in zip(atoms, vals)}
+                model = Model._from_masks(space, masks,
+                                          members.setdefault(m, {}))
+                number = first + lane - starts[r] + 1
+            label = labels.get(i)
+            if label is None:
+                label = labels[i] = _label(*instances[i][1:])
+            violations.append(Violation(label, roots[i], model,
+                                        space.points[bit], space.names[slot],
+                                        number))
 
     # point counts ascend, so a block's lanes are as wide as its last
-    # family's points, and a wider family shrinks the room left in it
+    # family's points, and a wider family shrinks the room left in it;
+    # blocks follow the models' order
     models = 0
     block, used = [], 0
     for space in _family_spaces(max_points, max_opens, treelike):
@@ -549,16 +559,6 @@ def soundness_suite(max_points: int = 3, schemes=tuple(range(1, 13)),
         models += total
     if block:
         check(block)
-    found.sort(key=lambda t: t[:2])
-    labels = {}
-    violations = []
-    for number, i, model, point, open_name in found:
-        inst, *source = instances[i]
-        label = labels.get(i)
-        if label is None:
-            label = labels[i] = _label(*source)
-        violations.append(Violation(label, inst, model, point, open_name,
-                                    number + 1))
     config = {"max_points": max_points,
               "schemes": [getattr(s, "scheme_id", s) for s in schemes],
               "atoms": atoms, "depth": depth,

@@ -3,8 +3,9 @@
 import random
 from pathlib import Path
 
-from treelogic import (Model, SubsetSpace, atom, box, build_question_tree,
-                       conj, diamond, disj, implies, know, neg, parse, poss)
+from treelogic import (Formula, Model, SubsetSpace, atom, box,
+                       build_question_tree, conj, diamond, disj, implies, know,
+                       neg, parse, poss)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -33,6 +34,19 @@ def naive_satisfies(model, x, u, f):
         return all(naive_satisfies(model, x, v, f.left)
                    for v in model.space.opens if v <= u and x in v)
     raise AssertionError(f"unknown kind {kind}")
+
+
+def naive_instantiate(body, substitution):
+    """Plain recursive substitution of metavariables in a scheme body."""
+    if body.kind == "atom" and body.name in substitution:
+        return substitution[body.name]
+    if body.left is None:
+        return body
+    left = naive_instantiate(body.left, substitution)
+    if body.right is None:
+        return Formula(body.kind, left=left)
+    return Formula(body.kind, left=left,
+                   right=naive_instantiate(body.right, substitution))
 
 
 def naive_is_treelike(space):

@@ -1,14 +1,16 @@
 import itertools
+import math
 import random
+import re
 
 import pytest
 
 from helpers import naive_satisfies, random_formula, random_treelike_model
 
-from treelogic import (Model, SubsetSpace, atom, atom_names, complexity_bound,
-                       decide, enumerate_spaces, extract_finite_model,
-                       instantiate, know, parse, satisfiable, subformulas,
-                       valid)
+from treelogic import (Model, SearchError, SubsetSpace, atom, atom_names,
+                       complexity_bound, decide, enumerate_spaces,
+                       extract_finite_model, instantiate, know, parse,
+                       satisfiable, subformulas, valid)
 
 
 def test_bound_frozen_values():
@@ -113,6 +115,31 @@ def test_five_point_families_are_one_per_class():
         labelled += len(images)
     assert len(least) == 340
     assert labelled == 15_104
+
+
+def test_off_tree_families_are_sized_before_listing():
+    # off trees a family is the full set and up to max_opens - 1 of the
+    # other 2^n - 1 masks; the count is checked, never an over-budget run
+    assert [decide._family_count(n, None) for n in (1, 2, 3, 4)] == [
+        2, 8, 128, 32_768]
+    assert decide._family_count(5, None) == 2 ** 31
+    assert decide._family_count(5, 6) == sum(
+        math.comb(31, k) for k in range(6)) == 206_368
+    assert decide._family_count(3, 2) == 8
+    assert decide._family_count(10 ** 6, 1) == 1
+    assert decide._family_count(7, None) is None
+    assert decide._family_count(10 ** 6, 2) is None
+    # what the tests and the benchmark enumerate off trees passes
+    for max_points, max_opens in ((3, None), (4, None), (3, 3), (5, 6)):
+        decide._check_family_budget(max_points, max_opens)
+    for max_points, max_opens, amount in ((5, None, "2,147,483,648"),
+                                          (5, 7, "942,649"),
+                                          (7, None, "more than 2**63")):
+        with pytest.raises(SearchError, match=re.escape(
+                f"{amount} labelled open families over {max_points} points "
+                "exceed the budget of 250,000: lower --max-points or "
+                "--max-opens")):
+            decide._check_family_budget(max_points, max_opens)
 
 
 def test_point_names_sort_in_bit_order():

@@ -1,13 +1,15 @@
+import itertools
 import random
 
 import pytest
 
-from helpers import random_formula
+from helpers import naive_instantiate, random_formula
 
 from treelogic import (BOT, TOP, ParseError, SchemaError, ast_dump, atom,
                        atom_names, box, conj, diamond, disj, implies,
-                       instantiate, know, neg, parse, poss, render, size,
-                       subformulas)
+                       SCHEMES, formula_pool, instantiate, know, neg, parse,
+                       poss, render, size, subformulas)
+from treelogic.proofs import TAUTOLOGY_REPS
 
 
 def test_parse_desugars_diamond():
@@ -194,6 +196,28 @@ def test_instantiate_compositional():
     s1 = {"phi": conj(atom("A"), atom("B")), "psi": box(atom("A"))}
     s2 = {"phi": conj(atom("A"), atom("B")), "psi": box(atom("A"))}
     assert instantiate(12, s1) is instantiate(12, s2)
+
+
+def test_instantiate_matches_plain_substitution():
+    # every instance over a depth-1 pool of two atoms and the constants,
+    # of every scheme with a body and every tautology representative, is
+    # the node a plain recursive substitution builds: S14's three
+    # metavariables and scheme 2's atom-kinded one included
+    pool = formula_pool(("A", "B"), 1, include_constants=True)
+    atoms = [f for f in pool if f.kind == "atom"]
+    templates = [t for t in SCHEMES.values() if t.body is not None]
+    templates += TAUTOLOGY_REPS
+    checked = 0
+    for template in templates:
+        names = sorted(template.metavars)
+        choices = [atoms if template.metavars[n] == "atom" else pool
+                   for n in names]
+        for combo in itertools.product(*choices):
+            substitution = dict(zip(names, combo))
+            assert instantiate(template, substitution) is naive_instantiate(
+                template.body, substitution)
+            checked += 1
+    assert checked == 2 + 12 * 40 + 7 * 40 ** 2 + 40 ** 3
 
 
 def test_size_and_atoms():

@@ -339,6 +339,8 @@ def test_stacked_rows_match_each_family():
         mixed += rng.sample([s for trees in every_tree for s in trees], 20)
         rng.shuffle(mixed)
         contexts.append([(s, rng.randint(1, 5)) for s in mixed])
+    # one-point families stacked: a lane has no low bits for K's collapse
+    contexts.append([(s, rng.randint(1, 5)) for s in by_points[1] * 2])
     stacks = mixed_stacks = 0
     for runs in contexts:
         lanes = sum(count for _, count in runs)
@@ -363,7 +365,28 @@ def test_stacked_rows_match_each_family():
                 lane += 1
         stacks += len(runs) > 1
         mixed_stacks += len({len(s.points) for s, _ in runs}) == 4
-    assert (stacks, mixed_stacks) == (8, 4)
+    assert (stacks, mixed_stacks) == (9, 4)
+    # a one-run context of many lanes reads carriers that are not open as
+    # extra columns, each lane as a one-lane context reads them
+    carried = 0
+    for runs in contexts:
+        (space, count), *more = runs
+        n = len(space.points)
+        carriers = [m for m in range(1, 1 << n)
+                    if m not in space.open_masks][:3]
+        if more or count == 1 or not carriers:
+            continue
+        vals = {a: rng.getrandbits(n * count) for a in ("A", "B")}
+        got = MaskContext(runs, vals).rows(post, roots, carriers)
+        for lane in range(count):
+            one = {a: v >> lane * n & (1 << n) - 1 for a, v in vals.items()}
+            want = MaskContext([(space, 1)], one).rows(
+                post, roots, carriers)
+            for row, one_row in zip(got, want):
+                assert len(row) == len(space.opens) + len(carriers)
+                assert [t >> lane * n & (1 << n) - 1 for t in row] == one_row
+        carried += 1
+    assert carried > 10
 
 
 def test_deep_nesting_evaluates():

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import itertools
 import json
 import random
@@ -361,3 +362,34 @@ def test_soundness_suite_matches_naive_oracle():
         assert report.models_checked == len(models), config
         assert all(models[v.number - 1] == v.model
                    for v in report.violations), config
+
+
+# sha256 of ``json.dumps(report.to_dict(), indent=2)``, as ``--json``
+# prints it, and of the violations' ``repr`` lines joined by newlines
+PINNED_REPORTS = [
+    (dict(max_points=3, schemes=("C10",), atoms=("A", "B")),
+     "c8263149d2792614acd64b1b770a6b35653f46a7278ba4d4e5ba043baa3f264c",
+     "128d95bf48f54db212ffa7abb92642de634bf358e2fcb31bc822409f1fdfaf84"),
+    (dict(max_points=4, schemes=tuple(range(1, 13)), atoms=("A",)),
+     "0666e30324c69d06f8267b265b0702e9f93ea569672bc2830f29b39f0794081f",
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (dict(max_points=3, schemes=tuple(range(1, 13)), atoms=("A", "B")),
+     "a137da58f40bf91bf0ce1f9177920e674608ea7630b7143042e60c405be92f24",
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (dict(max_points=3, schemes=("C10", "S13"), atoms=("A",),
+          treelike=False),
+     "35a0339df18cb4e48167b8ad4202c72ce6fd66481c718bb2b72c508cc23b717b",
+     "dffec315cb7ea1745203da26f0073e32018a632a04dbe5595fea7d0eb8ba2791"),
+]
+
+
+@pytest.mark.parametrize("config, json_digest, repr_digest", PINNED_REPORTS)
+def test_soundness_bytes_are_pinned(config, json_digest, repr_digest):
+    # the C10 sweep the benchmark runs, criterion 01 over one atom at four
+    # points and over two atoms at three, and C10 with S13 off trees: the
+    # reports' bytes, violations and witnesses included, stay put
+    report = soundness_suite(**config)
+    text = json.dumps(report.to_dict(), indent=2)
+    lines = "\n".join(map(repr, report.violations))
+    assert hashlib.sha256(text.encode()).hexdigest() == json_digest
+    assert hashlib.sha256(lines.encode()).hexdigest() == repr_digest
