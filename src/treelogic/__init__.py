@@ -9,8 +9,8 @@ small-model pipeline, Hilbert-style proof checking for the twelve-scheme
 system, and satisfiability search that is exact on treelike spaces.
 """
 
-from .decide import (Bound, SatOutcome, SearchError, complexity_bound,
-                     enumerate_spaces, formula_pool, satisfiable, valid)
+from .decide import (SatOutcome, SearchError, enumerate_spaces, formula_pool,
+                     satisfiable, valid)
 from .formula import (BOT, SCHEMES, SYSTEMS, TOP, Formula, ParseError,
                       SchemaError, SchemaTemplate, ast_dump, atom, atom_names,
                       box, conj, diamond, disj, implies, instantiate, know,
@@ -22,9 +22,10 @@ from .kripke import (BiFrame, ClassOrder, FrameError, FrameReport,
 from .model import (MaskContext, Model, ModelError, SubsetSpace,
                     build_question_tree, build_stream_space, dump_model,
                     load_model, model_from_dict, model_to_dict)
-from .partition import (ExtractResult, FiltrationResult, PartitionError,
-                        PartitionTable, build_stable_partitions,
-                        closure_intersection, extract_finite_model, filtrate,
+from .partition import (Bound, ExtractResult, FiltrationResult,
+                        PartitionError, PartitionTable,
+                        build_stable_partitions, closure_intersection,
+                        complexity_bound, extract_finite_model, filtrate,
                         is_stable, ordered_family, point_quotient, remainder,
                         size_report)
 from .proofs import (CheckOutcome, Proof, ProofError, ProofLine,

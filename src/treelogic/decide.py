@@ -1,12 +1,10 @@
-"""Size bounds, model enumeration, and satisfiability/validity search.
+"""Model enumeration, and satisfiability/validity search.
 
-The bound mirrors the growth of the stable-partition construction:
-conjunction multiplies family sizes, knowledge recloses with truth sets
-(factor 2^f), the open collapse yields at most f*2^f classes, and the
-point quotient at most 2^(opens + atoms) points.  The bounds are loose
-upper bounds; a search with an explicit budget relies on them for
-refutation coverage.  The bound-driven search instead decides treelike
-satisfiability exactly by type saturation (``_Types``).
+A search sweeps the small spaces within a budget (points ascending, then
+family shape, then valuation) for a smallest-first witness.  On treelike
+spaces a sweep that finds none is followed by type saturation
+(``_Types``), which decides treelike satisfiability exactly; off trees
+the sweep is all there is.
 """
 
 from __future__ import annotations
@@ -15,73 +13,15 @@ import time
 from functools import lru_cache
 from math import comb
 
-from .formula import (BOT, TOP, Formula, atom, atom_names, box, conj,
-                      diamond, know, neg, poss, subformulas)
+from .formula import (BOT, TOP, Formula, atom, box, conj, diamond, know, neg,
+                      poss, subformulas)
 from .model import MaskContext, Model, SubsetSpace, _check_atom_name
 
 __all__ = [
-    "Bound", "complexity_bound",
     "enumerate_spaces",
     "SatOutcome", "satisfiable", "valid",
     "formula_pool", "SearchError",
 ]
-
-_SATURATION = 10 ** 12
-
-
-class Bound:
-    """Family/opens/points bounds for one formula; None fields = saturated."""
-
-    __slots__ = ("max_family", "max_opens", "max_points", "saturated")
-
-    def __init__(self, max_family, max_opens, max_points, saturated):
-        self.max_family = max_family
-        self.max_opens = max_opens
-        self.max_points = max_points
-        self.saturated = saturated
-
-    def __repr__(self):
-        if self.saturated:
-            return "Bound(astronomical)"
-        return (f"Bound(family={self.max_family}, opens={self.max_opens}, "
-                f"points={self.max_points})")
-
-
-def _family_bound(f: Formula):
-    bound = {}
-    for g in subformulas(f):
-        k = g.kind
-        if k in ("atom", "top", "bot"):
-            b = 1
-        elif k in ("not", "box"):
-            b = bound[g.left]
-        elif k == "and":
-            a, c = bound[g.left], bound[g.right]
-            b = (None if a is None or c is None or a * c > _SATURATION
-                 else a * c)
-        else:  # know
-            a = bound[g.left]
-            b = (None if a is None or a > 60 or a * (1 << a) > _SATURATION
-                 else a * (1 << a))
-        bound[g] = b
-    return bound[f]
-
-
-def complexity_bound(f: Formula) -> Bound:
-    """Upper bounds on the finite-model sizes reachable for ``f``."""
-    fam = _family_bound(f)
-    if fam is None:
-        return Bound(None, None, None, True)
-    opens = fam * (1 << fam) if fam <= 60 else None
-    if opens is None or opens > _SATURATION:
-        return Bound(fam, None, None, True)
-    exponent = opens + len(atom_names(f))
-    points = (1 << exponent) if exponent <= 60 else None
-    if points is None or points > _SATURATION:
-        return Bound(fam, opens, None, True)
-    return Bound(fam, opens, points, False)
-
-
 # ---------------------------------------------------------------------------
 # plain enumeration of small spaces
 
@@ -392,7 +332,7 @@ class _Types:
             images.setdefault(self._image(g, kappa), g)
         # the minimal unions of one witness image per K psi false here;
         # a union that already holds a witness for psi needs no other
-        covers = [(frozenset(), ())]
+        unions = [(frozenset(), ())]
         for k, psi in self.knows:
             if kappa & k:
                 continue
@@ -401,25 +341,25 @@ class _Types:
             if not cands:
                 return None
             grown = {}
-            for cover, ws in covers:
-                if any(not p & psi for p in cover):
-                    grown.setdefault(cover, ws)
+            for union, ws in unions:
+                if any(not p & psi for p in union):
+                    grown.setdefault(union, ws)
                     continue
                 for img, g in cands:
                     self._step()
-                    grown.setdefault(cover | img, ws + (g,))
-            covers = []
-            for cover, ws in sorted(grown.items(), key=lambda c: len(c[0])):
-                self._step(len(covers) + 1)
-                if not any(other < cover for other, _ in covers):
-                    covers.append((cover, ws))
+                    grown.setdefault(union | img, ws + (g,))
+            unions = []
+            for union, ws in sorted(grown.items(), key=lambda c: len(c[0])):
+                self._step(len(unions) + 1)
+                if not any(other < union for other, _ in unions):
+                    unions.append((union, ws))
         for img, g in images.items():
-            for cover, ws in covers:
+            for union, ws in unions:
                 members = tuple(dict.fromkeys((g, *ws)))
                 if max(members) < seen:
                     continue
                 self._step()
-                profiles = img | cover
+                profiles = img | union
                 if any(p & self.goal for p in profiles):
                     return members
                 self._add(frozenset(p & self.seed_mask for p in profiles),
@@ -490,8 +430,10 @@ class SearchError(ValueError):
 class SatOutcome:
     """Search verdict with witness, searched sizes, and statistics.
 
-    verdict is "sat", "unsat_within" (budget spent, nothing proved) or
-    "unsat_proved" (a bound-covering budget or type saturation exhausted).
+    verdict is "sat", "unsat_proved" (type saturation reached its fixpoint
+    without the formula) or "unsat_within" (nothing proved: the sweep off
+    trees found nothing, saturation spent its step cap, or the formula is
+    satisfiable only beyond the budget, which ``searched["note"]`` says).
     """
 
     def __init__(self, verdict, witness, searched, stats):
@@ -519,15 +461,17 @@ def satisfiable(formula: Formula, max_points=None, max_opens=None,
                 use_bound: bool = False, treelike: bool = True) -> SatOutcome:
     """Search for a model and neighborhood satisfying ``formula``.
 
-    With an explicit budget, enumerates every space within it (points
-    ascending, then family shape, then valuation) and returns the first
-    witness; exhausting a budget at least as large as the computed bound
-    proves unsatisfiability.  Each model is a one-lane ``MaskContext``, and
-    only the witness becomes a ``Model``.  With ``use_bound`` (treelike
-    only, no budget), a small plain sweep for a smallest-first witness is
-    followed by exact type saturation, whose witness tree is built from
-    the types' provenance; only saturation that spends
-    ``SATURATION_STEPS`` ends unsat_within.
+    First sweeps every space within a budget (points ascending, then
+    family shape, then valuation) and returns the first witness.  The
+    budget is the caller's ``max_points``/``max_opens``, or with
+    ``use_bound`` (treelike only, no budget) up to four points and six
+    opens, capped at 20,000 models.  Each model is a one-lane
+    ``MaskContext``, and only the witness becomes a ``Model``.  Off trees
+    a sweep that finds nothing ends unsat_within.  On trees it is followed
+    by exact type saturation: no type is unsat_proved; a type is a witness
+    tree, built from the types' provenance, with ``use_bound``, and under
+    a budget unsat_within with a note that the formula is satisfiable
+    beyond it; spending ``SATURATION_STEPS`` ends unsat_within.
     """
     post = subformulas(formula)
     atoms = sorted(g.name for g in post if g.kind == "atom")
@@ -538,11 +482,11 @@ def satisfiable(formula: Formula, max_points=None, max_opens=None,
         stats["seconds"] = round(time.monotonic() - start, 6)
         return SatOutcome(verdict, witness, searched, dict(stats))
 
-    def plain_sweep(max_points, max_opens, model_cap=None):
+    def plain_sweep(max_points, max_opens, model_cap):
         for space in _family_spaces(max_points, max_opens, treelike):
             n, run = len(space.points), ((space, 1),)
             for k in range(1 << n * len(atoms)):
-                if model_cap is not None and stats["models"] == model_cap:
+                if stats["models"] == model_cap:
                     return None
                 stats["models"] += 1
                 masks = _valuation_masks(k, len(atoms), n)
@@ -558,50 +502,44 @@ def satisfiable(formula: Formula, max_points=None, max_opens=None,
                         return _witness(model, t, u, formula)
         return None
 
-    if use_bound and (max_points is not None or max_opens is not None):
-        raise SearchError("use_bound takes no max_points/max_opens budget")
-    if not use_bound:
-        if max_points is None:
-            raise SearchError("give a budget (max_points/max_opens) or use_bound")
-        hit = plain_sweep(max_points, max_opens)
-        searched = {"max_points": max_points, "max_opens": max_opens,
-                    "coverage": "plain"}
-        if hit:
-            return finish("sat", hit, searched)
-        bound = complexity_bound(formula)
-        covers = (not bound.saturated and treelike
-                  and max_points >= bound.max_points
-                  and (max_opens is None or max_opens >= bound.max_opens))
-        return finish("unsat_proved" if covers else "unsat_within",
-                      None, searched)
+    if use_bound:
+        if max_points is not None or max_opens is not None:
+            raise SearchError("use_bound takes no max_points/max_opens budget")
+        if not treelike:
+            raise SearchError("bound-driven search applies to treelike spaces")
+        budget, model_cap = {"max_points": 4, "max_opens": 6}, 20_000
+    elif max_points is None:
+        raise SearchError("give a budget (max_points/max_opens) or use_bound")
+    else:
+        budget, model_cap = {"max_points": max_points,
+                             "max_opens": max_opens}, None
 
-    if not treelike:
-        raise SearchError("bound-driven search applies to treelike spaces")
-
-    # small plain sweep first: deterministic small witnesses in the
-    # points-ascending order (capped; saturation is the coverage)
-    sweep = {"max_points": 4, "max_opens": 6}
-    hit = plain_sweep(**sweep, model_cap=20_000)
-    if hit:
-        return finish("sat", hit, {**sweep, "coverage": "plain"})
+    hit = plain_sweep(**budget, model_cap=model_cap)
+    if hit or not treelike:
+        return finish("sat" if hit else "unsat_within", hit,
+                      {**budget, "coverage": "plain"})
 
     types = _Types(formula, atoms)
     try:
-        members, verdict = types.saturate(), "unsat_proved"
+        members, verdict, note = types.saturate(), "unsat_proved", None
     except _StepCap:
-        members, verdict = None, "unsat_within"
-    searched = {"coverage": "saturation",
+        members, verdict, note = (None, "unsat_within",
+                                  "saturation step cap reached")
+    # the fixed sweep of use_bound is no budget of the caller's
+    searched = {**({} if use_bound else budget), "coverage": "saturation",
                 "types": len(types.gens) - types.private,
                 "steps": types.steps}
-    if members is not None:
+    if members is not None and use_bound:
         model = _materialize(*types.tree(members), atoms)
         t = model._row(formula, False)[0]       # the root open, the full set
         if not t:
             raise AssertionError("the saturated type is not realised")
         return finish("sat", _witness(model, t, model.space.full, formula),
                       searched)
-    if verdict == "unsat_within":
-        searched["note"] = "saturation step cap reached"
+    if members is not None:
+        verdict, note = "unsat_within", "satisfiable beyond the budget"
+    if note is not None:
+        searched["note"] = note
     return finish(verdict, None, searched)
 
 

@@ -6,11 +6,17 @@ every subformula; collapse the open family along the remainder classes
 (filtration); then collapse points that the surviving opens and the
 formula's atoms cannot tell apart.  The result is a finite treelike
 model satisfying the same subformulas at corresponding neighborhoods.
+
+``complexity_bound`` mirrors the growth of that construction:
+conjunction multiplies family sizes, knowledge recloses with truth sets
+(factor 2^f), the open collapse yields at most f*2^f classes, and the
+point quotient at most 2^(opens + atoms) points.  The size report sets
+an extracted model beside it; it is a loose upper bound, and no search
+relies on it.
 """
 
 from __future__ import annotations
 
-from .decide import complexity_bound
 from .formula import Formula, atom_names, render, subformulas
 from .model import MaskContext, Model, SubsetSpace, _open_sort_key
 
@@ -19,7 +25,7 @@ __all__ = [
     "PartitionTable", "build_stable_partitions",
     "FiltrationResult", "filtrate",
     "point_quotient", "ExtractResult", "extract_finite_model",
-    "ordered_family", "size_report",
+    "ordered_family", "Bound", "complexity_bound", "size_report",
 ]
 
 
@@ -299,6 +305,62 @@ def extract_finite_model(model: Model, formula: Formula) -> ExtractResult:
     quotient, point_map = _quotient_parts(filt.output, atom_names(formula))
     return ExtractResult(quotient, size_report(filt.table, quotient), filt,
                          point_map)
+
+
+_SATURATION = 10 ** 12
+
+
+class Bound:
+    """Family/opens/points bounds for one formula; None fields = saturated."""
+
+    __slots__ = ("max_family", "max_opens", "max_points", "saturated")
+
+    def __init__(self, max_family, max_opens, max_points, saturated):
+        self.max_family = max_family
+        self.max_opens = max_opens
+        self.max_points = max_points
+        self.saturated = saturated
+
+    def __repr__(self):
+        if self.saturated:
+            return "Bound(astronomical)"
+        return (f"Bound(family={self.max_family}, opens={self.max_opens}, "
+                f"points={self.max_points})")
+
+
+def _family_bound(f: Formula):
+    bound = {}
+    for g in subformulas(f):
+        k = g.kind
+        if k in ("atom", "top", "bot"):
+            b = 1
+        elif k in ("not", "box"):
+            b = bound[g.left]
+        elif k == "and":
+            a, c = bound[g.left], bound[g.right]
+            b = (None if a is None or c is None or a * c > _SATURATION
+                 else a * c)
+        else:  # know
+            a = bound[g.left]
+            b = (None if a is None or a > 60 or a * (1 << a) > _SATURATION
+                 else a * (1 << a))
+        bound[g] = b
+    return bound[f]
+
+
+def complexity_bound(f: Formula) -> Bound:
+    """Upper bounds on the finite-model sizes reachable for ``f``."""
+    fam = _family_bound(f)
+    if fam is None:
+        return Bound(None, None, None, True)
+    opens = fam * (1 << fam) if fam <= 60 else None
+    if opens is None or opens > _SATURATION:
+        return Bound(fam, None, None, True)
+    exponent = opens + len(atom_names(f))
+    points = (1 << exponent) if exponent <= 60 else None
+    if points is None or points > _SATURATION:
+        return Bound(fam, opens, None, True)
+    return Bound(fam, opens, points, False)
 
 
 def size_report(table: PartitionTable, output: Model) -> dict:

@@ -36,6 +36,85 @@ def naive_satisfies(model, x, u, f):
     raise AssertionError(f"unknown kind {kind}")
 
 
+def naive_types(f):
+    """Every type a node of a finite treelike space can have, for ``f``.
+
+    Saturation with no pruning, read off the definition: a type is the
+    set of the profiles (true subformulas of ``f``) of a node's points.
+    A point's state at a node is its atoms and the [] subformulas true at
+    it one node down (None for a private point, in no child).  A node's
+    states are those of some private points and the seeds of some of its
+    children's types, so every union of such generators is a node, and its
+    profiles follow from the states alone: K psi holds iff psi holds at
+    every state, []psi iff psi holds and the state has []psi below.  Types
+    are added until no new one appears.  ``f`` is satisfiable on trees iff
+    some profile of some type holds it.  It enumerates every union of
+    generators, whose seeds grow with the atoms and the [] subformulas, so
+    keep it to one or two atoms and a few [] (three atoms and five L
+    conjuncts already take seconds).
+    """
+    closure = []
+
+    def walk(g):
+        if g not in closure:
+            for child in (g.left, g.right):
+                if child is not None:
+                    walk(child)
+            closure.append(g)
+
+    walk(f)
+    atoms = sorted({g.name for g in closure if g.kind == "atom"})
+
+    def type_of(states):
+        truth = [{} for _ in states]
+        for g in closure:
+            if g.kind == "know":
+                holds = all(t[g.left] for t in truth)
+            for t, (true_atoms, below) in zip(truth, states):
+                if g.kind == "atom":
+                    t[g] = g.name in true_atoms
+                elif g.kind in ("top", "bot"):
+                    t[g] = g.kind == "top"
+                elif g.kind == "not":
+                    t[g] = not t[g.left]
+                elif g.kind == "and":
+                    t[g] = t[g.left] and t[g.right]
+                elif g.kind == "know":
+                    t[g] = holds
+                else:   # box
+                    t[g] = t[g.left] and (below is None or g in below)
+        return frozenset(frozenset(g for g in closure if t[g]) for t in truth)
+
+    def seeds(type_):
+        return frozenset((frozenset(g.name for g in p if g.kind == "atom"),
+                          frozenset(g for g in p if g.kind == "box"))
+                         for p in type_)
+
+    privates = [frozenset({(frozenset(a for j, a in enumerate(atoms)
+                                      if v >> j & 1), None)})
+                for v in range(1 << len(atoms))]
+    generators, todo = set(privates), list(privates)
+    nodes, types = set(), set()
+    while todo:
+        # every union of generators is a node: extend the unions by one more
+        g = todo.pop()
+        new = ({g} | {u | g for u in nodes}) - nodes
+        nodes |= new
+        for states in new:
+            type_ = type_of(list(states))
+            if type_ not in types:
+                types.add(type_)
+                if seeds(type_) not in generators:
+                    generators.add(seeds(type_))
+                    todo.append(seeds(type_))
+    return types
+
+
+def naive_tree_sat(f):
+    """``f`` holds somewhere in some finite treelike space (``naive_types``)."""
+    return any(f in p for type_ in naive_types(f) for p in type_)
+
+
 def naive_instantiate(body, substitution):
     """Plain recursive substitution of metavariables in a scheme body."""
     if body.kind == "atom" and body.name in substitution:

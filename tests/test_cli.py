@@ -102,8 +102,10 @@ def test_sat_command(tmp_path, capsys):
 
     code, out, _ = run(capsys, "sat", "--use-bound", "K A & ~A")
     assert code == 1 and out.strip() == "unsat_proved"
-    code, out, _ = run(capsys, "sat", "--max-points", "2", "K A & ~A")
-    assert code == 2 and out.strip() == "unsat_within"
+    # a budgeted sweep that finds nothing hands the formula to saturation
+    code, out, err = run(capsys, "sat", "--max-points", "2", "K A & ~A")
+    assert code == 1 and out.strip() == "unsat_proved"
+    assert "'coverage': 'saturation'" in err
     code, _, err = run(capsys, "sat", "A")
     assert code == 2 and "error" in err
 
@@ -118,7 +120,16 @@ def test_valid_command(tmp_path, capsys):
                        "[](([]A -> B)) | []([]B -> A)")
     assert code == 0 and out.strip() == "valid"
     code, out, _ = run(capsys, "valid", "--max-points", "2", "K A -> []K A")
+    assert code == 0 and out.strip() == "valid"
+    # the countermodel needs two points: none within the budget, so no
+    # answer, and saturation says why
+    code, out, err = run(capsys, "valid", "--max-points", "1", "A -> K A")
     assert code == 2 and out.strip() == "inconclusive"
+    assert "'note': 'satisfiable beyond the budget'" in err
+    code, out, err = run(capsys, "valid", "--max-points", "1",
+                         "--all-spaces", "A -> K A")
+    assert code == 2 and out.strip() == "inconclusive"
+    assert "'coverage': 'plain'" in err
 
 
 def test_prove_command(capsys):
@@ -174,6 +185,9 @@ def test_build_commands(tmp_path, capsys):
                        "-o", str(stream_path))
     assert code == 0
     assert len(load_model(stream_path).space.opens) == 7
+    code, _, err = run(capsys, "build-stream", "--depth", "20",
+                       "-o", str(stream_path))
+    assert code == 2 and "depth 20 exceeds the limit of 12" in err
 
 
 def test_help_lists_flags(capsys):
@@ -272,8 +286,8 @@ def test_parse_prints_deep_formulas(capsys):
     (["check", "--model", ORACLE, "--point", "q1", "--open", "top",
       "<>" * 330 + "Q1"], 0),
     (["sat", "--max-points", "1", "<>" * 400 + "A"], 0),
-    # the budget is below the bound (four points): inconclusive, not false
-    (["sat", "--max-points", "1", "<>" * 400 + "false"], 2),
+    # the budget holds no witness, and saturation proves there is none
+    (["sat", "--max-points", "1", "<>" * 400 + "false"], 1),
     (["sat", "--max-points", "4", "<>" * 400 + "false"], 1),
     (["extract", "--model", ORACLE, "-o", "OUT", "<>" * 400 + "Q1"], 0),
     (["filtrate", "--model", ORACLE, "-o", "OUT", "<>" * 400 + "Q1"], 0),

@@ -5,12 +5,13 @@ import re
 
 import pytest
 
-from helpers import naive_satisfies, random_formula, random_treelike_model
+from helpers import (naive_satisfies, naive_tree_sat, random_formula,
+                     random_treelike_model)
 
 from treelogic import (Model, SearchError, SubsetSpace, atom, atom_names,
-                       complexity_bound, decide, enumerate_spaces,
-                       extract_finite_model, instantiate, know, parse,
-                       satisfiable, subformulas, valid)
+                       complexity_bound, conj, decide, enumerate_spaces,
+                       extract_finite_model, instantiate, know, neg, parse,
+                       poss, satisfiable, subformulas, valid)
 
 
 def test_bound_frozen_values():
@@ -242,6 +243,110 @@ def test_saturation_agrees_with_the_naive_oracle():
     assert verdicts == {"sat", "unsat_proved"}
 
 
+PROFILES = ("A & B", "A & ~B", "~A & B", "~A & ~B")
+
+
+def _four_profile_formulas():
+    """L over each profile of A and B, with one conjunct or the whole
+    conjunction under <>, [], K, L or ~~: satisfiable ones need four
+    points, and an L K conjunct makes them unsatisfiable."""
+    base = [f"L({p})" for p in PROFILES]
+    texts = [" & ".join(base)]
+    for i, p in enumerate(PROFILES):
+        for wrap in ("<>L({})", "[]L({})", "L<>({})", "L[]({})", "L K({})"):
+            texts.append(" & ".join(base[:i] + [wrap.format(p)] + base[i + 1:]))
+    for wrap in ("<>({})", "[]({})", "K({})", "L({})", "~~({})"):
+        texts.append(wrap.format(" & ".join(base)))
+    return [parse(text) for text in texts]
+
+
+# the open below the root must witness its false K with a point that has
+# A, as the root's K(~A -> K ...) asks; the first candidate witness, a
+# private point without A, will not do
+WITNESS_CHOICE_CASES = ["K(~A -> K B) & L B & <>K B & <>L ~B",
+                        "K(~A -> K B) & L ~B & <>K B & <>L B",
+                        "K(~A -> K ~B) & L B & <>K ~B & <>L ~B",
+                        "K(~A -> K ~B) & L ~B & <>K ~B & <>L B"]
+
+
+def test_saturation_agrees_with_the_reference_decider():
+    # naive_types saturates with no pruning; the decision, and _Types
+    # alone without the sweep in front of it, must give its verdicts
+    rng = random.Random(89)
+    formulas = [random_formula(rng, ("A", "B")[:rng.randint(1, 2)],
+                               rng.randint(1, 3)) for _ in range(500)]
+    formulas += _four_profile_formulas()
+    formulas += [parse(text) for text in WITNESS_CHOICE_CASES]
+    verdicts, wide = set(), 0
+    for f in formulas:
+        atoms = sorted(atom_names(f))
+        expected = "sat" if naive_tree_sat(f) else "unsat_proved"
+        outcome = satisfiable(f, use_bound=True)
+        assert outcome.verdict == expected, str(f)
+        verdicts.add(expected)
+        assert (decide._Types(f, atoms).saturate() is not None) == \
+            (expected == "sat"), str(f)
+        if expected == "sat" and len(outcome.witness[0].space.points) >= 4:
+            assert not any(naive_satisfies(m, x, u, f)
+                           for m in enumerate_spaces(3, None, atoms)
+                           for u in m.space.opens for x in u), str(f)
+            wide += 1
+    assert verdicts == {"sat", "unsat_proved"}
+    assert wide >= 20
+
+
+def test_budgeted_unsat_answers_agree_with_the_reference_decider():
+    # the answers a budget used to leave unsat_within, read by naive_types
+    # (<> x 400 false is past its recursion; 30 levels of <> stand in)
+    s13 = instantiate("S13", {"phi": know(atom("A"))})
+    for text, budget in (("K A & ~A", {"max_points": 2}),
+                         ("K A & ~A", {"max_points": 3, "max_opens": 4}),
+                         (f"~({s13})", {"max_points": 3}),
+                         ("~(K A -> []K A)", {"max_points": 2}),
+                         ("<>" * 30 + "false", {"max_points": 1}),
+                         ("<>K A & <>K ~A & L A & L ~A",
+                          {"max_points": 4, "max_opens": 6})):
+        f = parse(text)
+        outcome = satisfiable(f, **budget)
+        assert outcome.verdict == "unsat_proved", text
+        assert outcome.searched["coverage"] == "saturation"
+        assert not naive_tree_sat(f), text
+
+
+def test_budgeted_and_exact_searches_agree():
+    # within a budget of 1-3 points a witness is an exact sat; a budgeted
+    # unsat_proved is exact; "beyond the budget" means the smallest
+    # witness is larger than the budget.  Half the formulas are L r & L ~r,
+    # which needs two points when it holds at all.
+    rng = random.Random(101)
+    seen = set()
+    for i in range(120):
+        if i % 2:
+            f = random_formula(rng, ("A", "B"), rng.randint(2, 4))
+        else:
+            r = random_formula(rng, ("A", "B"), rng.randint(0, 2))
+            f = conj(poss(r), poss(neg(r)))
+        points = rng.randint(1, 3)
+        opens = rng.choice((None, points + 1))
+        outcome = satisfiable(f, max_points=points, max_opens=opens)
+        exact = satisfiable(f, use_bound=True)
+        seen.add(outcome.verdict)
+        assert (outcome.verdict == "unsat_proved") == \
+            (exact.verdict == "unsat_proved"), str(f)
+        if outcome.verdict == "sat":
+            assert exact.verdict == "sat", str(f)
+            model, x, u = outcome.witness
+            assert len(model.space.points) <= points
+            assert opens is None or len(model.space.opens) <= opens
+            assert naive_satisfies(model, x, u, f)
+        elif outcome.verdict == "unsat_within":
+            assert outcome.searched["note"] == "satisfiable beyond the budget"
+            model = exact.witness[0]
+            assert len(model.space.points) > points or (
+                opens is not None and len(model.space.opens) > opens), str(f)
+    assert seen == {"sat", "unsat_proved", "unsat_within"}
+
+
 FIVE_POINTS = ("L(A&B&C) & L(A&B&~C) & L(A&~B&C) & L(~A&B&C) "
                "& L(~A&~B&~C)")
 
@@ -268,11 +373,22 @@ def test_saturation_step_cap_keeps_unsat_within(monkeypatch):
 
 
 def test_satisfiable_budget_modes():
+    # a budget the sweep exhausts hands the formula to saturation
     out = satisfiable(parse("K A & ~A"), max_points=3, max_opens=4)
-    assert out.verdict == "unsat_within"
-    # a budget that covers the bound upgrades the verdict
+    assert out.verdict == "unsat_proved"
+    assert out.searched["coverage"] == "saturation"
+    assert (out.searched["max_points"], out.searched["max_opens"]) == (3, 4)
     out = satisfiable(parse("A & ~A"), max_points=8, max_opens=2)
     assert out.verdict == "unsat_proved"
+    # satisfiable, but not within the budget: nothing proved either way
+    out = satisfiable(parse("A & ~K A"), max_points=1)
+    assert out.verdict == "unsat_within" and out.witness is None
+    assert out.searched["note"] == "satisfiable beyond the budget"
+    # off trees the sweep is all there is
+    out = satisfiable(parse("K A & ~A"), max_points=2, treelike=False)
+    assert out.verdict == "unsat_within"
+    assert out.searched == {"max_points": 2, "max_opens": None,
+                            "coverage": "plain"}
     with pytest.raises(ValueError):
         satisfiable(parse("A"))
     with pytest.raises(ValueError):
@@ -289,7 +405,8 @@ def test_conflicting_discoveries_are_unsatisfiable():
     # both refinements contain the current point
     outcome = satisfiable(parse("<>K A & <>K ~A & L A & L ~A"),
                           max_points=4, max_opens=6)
-    assert outcome.verdict == "unsat_within"
+    assert outcome.verdict == "unsat_proved"
+    assert outcome.searched["coverage"] == "saturation"
     # spreading the discoveries over the view is satisfiable
     outcome = satisfiable(parse("L<>K A & L<>K ~A & L A & L ~A"),
                           max_points=4, max_opens=6)
@@ -315,7 +432,8 @@ def test_valid_knowledge_is_not_automatic():
 def test_valid_refinement_commutation_needs_trees():
     s13 = instantiate("S13", {"phi": know(atom("A"))})
     treelike = valid(s13, max_points=3, max_opens=None)
-    assert treelike.verdict in ("inconclusive", "valid")
+    assert treelike.verdict == "valid"
+    assert treelike.outcome.searched["coverage"] == "saturation"
     assert treelike.countermodel is None
     off_trees = valid(s13, max_points=3, max_opens=None, treelike=False)
     assert off_trees.verdict == "countermodel"

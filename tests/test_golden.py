@@ -58,6 +58,10 @@ def _commands():
     for f in README_VALID:
         cmds.append(["valid", "--json", f, "--use-bound",
                      "-o", "{out}/counter.json"])
+    # budgeted searches that the sweep leaves to saturation
+    cmds.append(["sat", "--json", "--max-points", "4", "--max-opens", "6",
+                 "<>K A & <>K ~A & L A & L ~A"])
+    cmds.append(["valid", "--json", "--max-points", "2", "K A -> []K A"])
     cmds.append(["soundness", "--json", "--max-points", "3", "--schemes",
                  "C10", "--atoms", "1", "--depth", "1"])
     for system in ("mpt", "mp"):

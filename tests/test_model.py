@@ -13,6 +13,7 @@ from treelogic import (MaskContext, Model, ModelError, SCHEMES, SubsetSpace,
                        formula_pool, instantiate, know, load_model,
                        model_from_dict, model_to_dict, neg, parse, poss,
                        render, subformulas)
+from treelogic.model import MAX_STREAM_DEPTH
 
 X = frozenset({"q1", "q2", "q3", "q4"})
 U12 = frozenset({"q1", "q2"})
@@ -496,6 +497,31 @@ def test_build_question_tree_degenerate():
         build_question_tree(["p", "q", "p"], [])
 
 
+def test_question_tree_opens_are_every_cell_of_every_level():
+    # the cells of each level, empty ones included, spelled out in full
+    rng = random.Random(29)
+    for _ in range(60):
+        points = [f"w{i}" for i in range(rng.randint(1, 6))]
+        questions = [(f"Q{j}", {p for p in points if rng.random() < 0.5})
+                     for j in range(rng.randint(0, 5))]
+        level, cells = [frozenset(points)], {frozenset(points)}
+        for _, yes in questions:
+            level = [c for prev in level for c in (prev & yes, prev - yes)]
+            cells.update(level)
+        built = build_question_tree(points, questions)
+        assert set(built.space.opens) == cells
+
+
+def test_question_tree_levels_keep_no_empty_cells():
+    # 30 questions over 4 points: at most 4 cells a level, not 2^30
+    points = ["a", "b", "c", "d"]
+    questions = [(f"Q{j}", set(points[:j % 5])) for j in range(30)]
+    model = build_question_tree(points, questions)
+    assert model.space.is_treelike()
+    assert frozenset() in model.space.opens
+    assert len(model.space.opens) <= 2 * len(points)
+
+
 def test_build_stream_space():
     s2 = build_stream_space(2)
     assert set(s2.space.opens) == {
@@ -509,6 +535,15 @@ def test_build_stream_space():
         assert build_stream_space(depth).space.is_treelike()
     with pytest.raises(ModelError):
         build_stream_space(0)
+
+
+def test_stream_depth_is_refused_past_the_limit():
+    # the limit is checked before anything is built, so these return at once
+    assert MAX_STREAM_DEPTH == 12
+    for depth in (13, 20, 10 ** 9):
+        with pytest.raises(ModelError, match=f"depth {depth} exceeds the "
+                           "limit of 12"):
+            build_stream_space(depth)
 
 
 def test_loader_round_trip(m1):
