@@ -291,6 +291,8 @@ def test_parse_prints_deep_formulas(capsys):
     (["sat", "--max-points", "4", "<>" * 400 + "false"], 1),
     (["extract", "--model", ORACLE, "-o", "OUT", "<>" * 400 + "Q1"], 0),
     (["filtrate", "--model", ORACLE, "-o", "OUT", "<>" * 400 + "Q1"], 0),
+    # the bare sweep stops at the budget: inconclusive, not false
+    (["sat", "--max-points", "1", "--all-spaces", "<>" * 400 + "false"], 2),
 ])
 def test_deep_formulas_get_a_verdict(tmp_path, capsys, argv, want):
     # every formula the parser accepts is evaluated, never exit 3
