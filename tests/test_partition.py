@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -9,8 +11,8 @@ from treelogic import (Model, PartitionError, SubsetSpace, atom_names,
                        build_question_tree, build_stable_partitions,
                        build_stream_space, closure_intersection,
                        complexity_bound, extract_finite_model, filtrate,
-                       is_stable, ordered_family, parse, point_quotient,
-                       remainder, render, subformulas)
+                       is_stable, model_to_dict, ordered_family, parse,
+                       point_quotient, remainder, render, subformulas)
 
 X = frozenset({"q1", "q2", "q3", "q4"})
 U12 = frozenset({"q1", "q2"})
@@ -297,3 +299,87 @@ def test_extract_single_atom_bound():
         result = extract_finite_model(model, parse("A"))
         assert result.report["output_points"] <= 2
         assert result.report["output_opens"] == 1
+
+
+def _extraction_record(model, f):
+    """Canonical JSON of everything an extraction exposes, for pinning."""
+    ex = extract_finite_model(model, f)
+    space = model.space
+    name = dict(zip(space.opens, space.names))
+    filt, table = ex.filtration, ex.table
+
+    def key(u):
+        return ",".join(sorted(u))
+
+    record = {
+        "formula": render(f),
+        "model": model_to_dict(ex.model),
+        "report": ex.report,
+        "remainders": {key(u): [sorted(v) for v in ordered_family(rem)]
+                       for u, rem in table.remainders.items()},
+        "surviving": [sorted(u) for u in filt.surviving],
+        "lt": sorted([sorted(a), sorted(b)] for a, b in filt.lt),
+        "owner": {name[v]: sorted(u) for v, u in filt.owner.items()},
+        "image": [[x, name[v], x2, sorted(cls)]
+                  for x, v in model.neighborhoods()
+                  for x2, cls in [ex.image(x, v)]],
+        "truth": {n: sorted(model.truth_set(u, f))
+                  for n, u in zip(space.names, space.opens)},
+    }
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
+def _pinned_formulas(rng, atoms, count):
+    """Seeded depth-4/5 formulas with a K or L and a [] or <>."""
+    out = []
+    while len(out) < count:
+        f = random_formula(rng, atoms, 4 + len(out) % 2)
+        text = render(f)
+        if ("K" in text or "L" in text) and ("[]" in text or "<>" in text):
+            out.append(f)
+    return out
+
+
+def _pinned_stream(seed):
+    rng = random.Random(seed)
+    space = build_stream_space(5).space
+    atoms = ("A", "B", "C")
+    val = {a: {p for p in space.points if rng.random() < 0.5} for a in atoms}
+    return Model(space, val), _pinned_formulas(rng, atoms, 8)
+
+
+def _pinned_question_tree(seed):
+    rng = random.Random(seed)
+    points = [f"w{i:02d}" for i in range(rng.randint(12, 24))]
+    questions = [(f"Q{j}", {p for p in points if rng.random() < 0.5})
+                 for j in range(1, 4)]
+    tree = build_question_tree(points, questions)
+    val = {**tree.valuation,
+           "A": {p for p in points if rng.random() < 0.5}}
+    return (Model(tree.space, val),
+            _pinned_formulas(rng, ("Q1", "Q2", "Q3", "A"), 8))
+
+
+# sha256 of the ``_extraction_record`` lines, one per formula, joined by
+# newlines: the extracted model, its report, the remainders, the filtration's
+# surviving members, order and owners, every neighborhood's image and the
+# input's truth table, recorded before extraction moved onto point masks
+PINNED_EXTRACTIONS = [
+    (_pinned_stream, 71,
+     "488733dd3bef40cec116297bd61ee1d3935d59bea20df363b1d590466b46e20b"),
+    (_pinned_stream, 72,
+     "c6cb3e64c61ec79d9063bc77c93439fc3d33659b08bf085dd7748d958c8182a9"),
+    (_pinned_question_tree, 73,
+     "be62fd68fd28e3f4304663d7eab45798d913f40777570d61f7634cdaa2719cea"),
+    (_pinned_question_tree, 74,
+     "5b56481d5433ab9831b04002f546d41fd1aba4bce031eeaf97b00365f43044a3"),
+    (_pinned_question_tree, 75,
+     "0cc1174cc0314a7ed7d3cf60ab943ebeaf29dc6ae1df4fa3e671e400fd13f487"),
+]
+
+
+@pytest.mark.parametrize("build, seed, digest", PINNED_EXTRACTIONS)
+def test_extraction_bytes_are_pinned(build, seed, digest):
+    model, formulas = build(seed)
+    lines = "\n".join(_extraction_record(model, f) for f in formulas)
+    assert hashlib.sha256(lines.encode()).hexdigest() == digest
