@@ -537,6 +537,21 @@ def test_build_stream_space():
         build_stream_space(0)
 
 
+def test_stream_cylinders_match_the_prefix_scan():
+    # each cylinder is split off its parent; the scan of every point for
+    # every prefix is the definition
+    for depth in range(1, 9):
+        points = [format(i, f"0{depth}b") for i in range(1 << depth)]
+        prefixes = [format(i, f"0{plen}b") for plen in range(1, depth + 1)
+                    for i in range(1 << plen)]
+        scan = {frozenset(points)} | {
+            frozenset(w for w in points if w.startswith(p)) for p in prefixes}
+        space = build_stream_space(depth).space
+        assert space.points == tuple(sorted(points))
+        assert set(space.opens) == scan
+        assert len(space.opens) == 2 ** (depth + 1) - 1
+
+
 def test_stream_depth_is_refused_past_the_limit():
     # the limit is checked before anything is built, so these return at once
     assert MAX_STREAM_DEPTH == 12
