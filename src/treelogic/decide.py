@@ -525,9 +525,11 @@ def satisfiable(formula: Formula, max_points=None, max_opens=None,
     except _StepCap:
         members, verdict, note = (None, "unsat_within",
                                   "saturation step cap reached")
-    # the fixed sweep of use_bound is no budget of the caller's
+    # the fixed sweep of use_bound is no budget of the caller's; every type
+    # derived counts, kept as a generator or not, the goal's included
     searched = {**({} if use_bound else budget), "coverage": "saturation",
-                "types": len(types.gens) - types.private,
+                "types": (len(types._known) - types.private
+                          + (members is not None)),
                 "steps": types.steps}
     if members is not None and use_bound:
         model = _materialize(*types.tree(members), atoms)

@@ -384,6 +384,8 @@ def test_satisfiable_budget_modes():
     out = satisfiable(parse("A & ~K A"), max_points=1)
     assert out.verdict == "unsat_within" and out.witness is None
     assert out.searched["note"] == "satisfiable beyond the budget"
+    # the goal type is the first one derived, and it counts
+    assert out.searched["types"] == 1
     # off trees the sweep is all there is
     out = satisfiable(parse("K A & ~A"), max_points=2, treelike=False)
     assert out.verdict == "unsat_within"
