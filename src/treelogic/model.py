@@ -16,10 +16,11 @@ any carriers that are not opens), evaluating ``[]`` over the opens from
 the smallest up, since ``[]phi`` at U is ``phi`` at U together with
 ``[]phi`` at the child of U around the point.
 ``MaskContext.truth`` reads one formula's row off that pass and keeps it;
-``Model.satisfies``, ``truth_set``, ``truth_in`` and ``is_valid`` and the
-partition layer use it, and a model keeps the truth row of the last
-formula it evaluated, one mask per open, so a truth table over all opens
-evaluates the formula once.  The soundness harness runs the pass over
+``Model.satisfies``, ``truth_set``, ``truth_in`` and ``is_valid`` use it,
+and a model keeps the truth row of the last formula it evaluated, one
+mask per open, so a truth table over all opens evaluates the formula
+once and turns each open's mask into a point set by its set bits.  The
+partition layer runs ``rows`` with its family members as carriers.  The soundness harness runs the pass over
 many formulas at once through ``first_failure``; the decision sweep runs
 it once per model and hands a hit's row to its witness model.  The
 engine is bit-sliced: each lane of one int is an n-bit copy of a model,
@@ -69,7 +70,10 @@ class SubsetSpace:
     open, and the constructor rejects duplicate member sets.  Names are
     aliases used by files and the CLI.  ``index`` numbers the points in
     sorted order, and ``open_masks[i]`` is ``opens[i]`` as a bitmask over
-    that numbering.
+    that numbering.  The constructor finds an open's index from its mask
+    (``_pos``) and from its frozenset (``_set_pos``), so a lookup by
+    members costs one hash, and ``_subset`` turns a point mask back into
+    its frozenset from the mask's set bits.
 
     ``opens`` is sorted largest first (``_open_sort_key``), so a strict
     sub-open always comes after every open that contains it, and walking
@@ -116,6 +120,7 @@ class SubsetSpace:
             raise ModelError("the full point set must be one of the opens")
         self.open_masks = tuple(pos)
         self._pos = pos
+        self._set_pos = dict(zip(self.opens, range(len(self.opens))))
         self._by_name = dict(zip(self.names, self.opens))
         self._build_tree()
 
@@ -164,10 +169,10 @@ class SubsetSpace:
             raise ModelError(f"unknown open {name!r}") from None
 
     def name_of(self, u: frozenset) -> str:
-        for name, v in zip(self.names, self.opens):
-            if v == u:
-                return name
-        raise ModelError("unknown open")
+        i = self._position(frozenset(u))
+        if i is None:
+            raise ModelError("unknown open")
+        return self.names[i]
 
     def is_treelike(self) -> bool:
         """Every pair of opens is nested or disjoint (see ``_build_tree``)."""
@@ -182,16 +187,22 @@ class SubsetSpace:
         return frozenset(v for v, m in zip(self.opens, self.open_masks)
                          if not m & ~w)
 
-    def _position(self, u):
+    def _position(self, u: frozenset):
         """Index of the open with the members ``u``, or None."""
-        try:
-            return self._pos.get(self._mask(u))
-        except KeyError:
-            return None
+        return self._set_pos.get(u)
 
     def _mask(self, subset) -> int:
         """Bitmask of the point set ``subset``; KeyError on an unknown point."""
         return sum(1 << self.index[p] for p in subset)
+
+    def _subset(self, mask: int) -> frozenset:
+        """The points of ``mask``, one per set bit."""
+        points, out = self.points, []
+        while mask:
+            low = mask & -mask
+            out.append(points[low.bit_length() - 1])
+            mask ^= low
+        return frozenset(out)
 
     def _resolve(self, u) -> frozenset:
         if isinstance(u, str):
@@ -261,8 +272,7 @@ class Model:
         for name, m in atom_masks.items():
             points = members.get(m)
             if points is None:
-                points = members[m] = frozenset(
-                    p for i, p in enumerate(space.points) if m >> i & 1)
+                points = members[m] = space._subset(m)
             val[name] = points
         model.valuation = val
         model.atom_masks = atom_masks
@@ -300,14 +310,6 @@ class Model:
             raise ModelError(message)
         return u, i
 
-    def _truth(self, carrier: frozenset, f: Formula, ctx) -> frozenset:
-        """Points of ``carrier`` where ``f`` holds with ``carrier`` as view."""
-        return self._points(carrier, ctx.truth(f, self.space._mask(carrier)))
-
-    def _points(self, carrier: frozenset, t: int) -> frozenset:
-        index = self.space.index
-        return frozenset(x for x in carrier if t >> index[x] & 1)
-
     def satisfies(self, x, u, f: Formula, strict_atoms: bool = False) -> bool:
         """Truth of ``f`` at the neighborhood ``(x, u)``; ``u`` in O."""
         u, i = self._open_index(u, "not an open of this model")
@@ -318,7 +320,7 @@ class Model:
     def truth_set(self, u, f: Formula, strict_atoms: bool = False) -> frozenset:
         """Points of the open ``u`` where ``f`` holds at fixed ``u``."""
         u, i = self._open_index(u, "truth_set expects a member of the open family")
-        return self._points(u, self._row(f, strict_atoms)[i])
+        return self.space._subset(self._row(f, strict_atoms)[i])
 
     def truth_in(self, carrier, f: Formula) -> frozenset:
         """Truth set over an arbitrary carrier set, not necessarily open.
@@ -334,8 +336,8 @@ class Model:
         m = self.space._mask(carrier)
         i = self.space._pos.get(m)
         if i is None:
-            return self._points(carrier, MaskContext.from_model(self).truth(f, m))
-        return self._points(carrier, self._row(f, False)[i])
+            return self.space._subset(MaskContext.from_model(self).truth(f, m))
+        return self.space._subset(self._row(f, False)[i])
 
     def neighborhoods(self):
         for u in self.space.opens:

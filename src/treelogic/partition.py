@@ -7,6 +7,19 @@ every subformula; collapse the open family along the remainder classes
 formula's atoms cannot tell apart.  The result is a finite treelike
 model satisfying the same subformulas at corresponding neighborhoods.
 
+Inside the pipeline every point set is a bitmask in the input space's
+point order (``SubsetSpace.index``): a family is a set of masks and is
+closed under AND; truth sets are columns of ``MaskContext`` rows; an
+open's remainder is found from its owner, the least member around it; a
+member's region is the OR of its remainder's opens, and its classes
+split that region by the regions above it; the quotient splits the
+points by each open's and atom's mask.  Frozensets are built once,
+at the API edge: the public fields of ``PartitionTable`` and
+``FiltrationResult``, the output spaces and the size report.
+``closure_intersection`` and ``remainder`` take and return frozensets;
+``remainder`` scans members and opens as the definition reads, and the
+tests hold the owner pass to it.
+
 ``complexity_bound`` mirrors the growth of that construction:
 conjunction multiplies family sizes, knowledge recloses with truth sets
 (factor 2^f), the open collapse yields at most f*2^f classes, and the
@@ -17,7 +30,7 @@ relies on it.
 
 from __future__ import annotations
 
-from .formula import Formula, atom_names, render, subformulas
+from .formula import Formula, render, subformulas
 from .model import MaskContext, Model, SubsetSpace, _open_sort_key
 
 __all__ = [
@@ -38,9 +51,9 @@ def ordered_family(family) -> tuple:
     return tuple(sorted(family, key=_open_sort_key))
 
 
-def closure_intersection(members) -> frozenset:
-    """Smallest superset of ``members`` closed under pairwise intersection."""
-    closed = set(frozenset(u) for u in members)
+def _close(masks) -> frozenset:
+    """Smallest superset of the point masks ``masks`` closed under AND."""
+    closed = set(masks)
     frontier = list(closed)
     while frontier:
         u = frontier.pop()
@@ -50,6 +63,16 @@ def closure_intersection(members) -> frozenset:
                 closed.add(w)
                 frontier.append(w)
     return frozenset(closed)
+
+
+def closure_intersection(members) -> frozenset:
+    """Smallest superset of ``members`` closed under pairwise intersection."""
+    members = [frozenset(u) for u in members]
+    bit = {p: 1 << i for i, p in enumerate(
+        dict.fromkeys(p for u in members for p in u))}
+    closed = _close(sum(map(bit.__getitem__, u)) for u in members)
+    return frozenset(frozenset(p for p, b in bit.items() if m & b)
+                     for m in closed)
 
 
 def remainder(model: Model, family, u) -> frozenset:
@@ -90,19 +113,49 @@ def is_stable(model: Model, opens_subset, f: Formula) -> bool:
 class PartitionTable:
     """Per-subformula stable partitions for one formula.
 
-    ``families`` maps each subformula to its intersection-closed family;
-    ``family`` is the top formula's.  ``remainders`` are taken with
-    respect to the top family.
+    ``families`` maps each subformula, children first, to its
+    intersection-closed family of point sets; ``family`` is the top
+    formula's, and ``members`` lists it in ``ordered_family`` order.
+    ``remainders`` are taken with respect to the top family.  The open
+    ``v`` lies in the remainder of its owner, the AND of the members
+    around it: the family is intersection-closed and holds the full set,
+    so the owner is the least member around ``v``, and every other member
+    around ``v`` lies above it.
+
+    The constructor takes the families as sets of point masks.  For
+    ``filtrate`` it keeps each open's owner as an index into ``members``
+    (``_owner``, in the order of the space's opens).
     """
 
     def __init__(self, model, formula, families):
+        space = model.space
         self.model = model
         self.formula = formula
-        self.families = families
-        self.family = families[formula]
-        self.members = ordered_family(self.family)
-        self.remainders = {u: remainder(model, self.family, u)
-                           for u in self.members}
+        subsets, public = {}, {}
+        for fam in families.values():
+            if fam not in public:       # ``~`` and ``[]`` share a family
+                for m in fam:
+                    if m not in subsets:
+                        subsets[m] = space._subset(m)
+                public[fam] = frozenset(map(subsets.__getitem__, fam))
+        self.families = {psi: public[fam] for psi, fam in families.items()}
+        self.family = self.families[formula]
+        masks = sorted(families[formula],
+                       key=lambda m: _open_sort_key(subsets[m]))
+        self.members = tuple(map(subsets.__getitem__, masks))
+        index = {m: i for i, m in enumerate(masks)}
+        owner = []
+        for v in space.open_masks:
+            least = -1
+            for m in masks:
+                if not v & ~m:
+                    least &= m
+            owner.append(index[least])
+        self._owner = owner
+        rems = [[] for _ in masks]
+        for v, i in zip(space.opens, owner):
+            rems[i].append(v)
+        self.remainders = {u: frozenset(r) for u, r in zip(self.members, rems)}
 
     def family_sizes(self) -> dict:
         return {render(psi): len(fam) for psi, fam in self.families.items()}
@@ -111,28 +164,35 @@ class PartitionTable:
 def build_stable_partitions(model: Model, formula: Formula) -> PartitionTable:
     """Families of subsets whose remainders are stable per subformula.
 
-    Built bottom-up over the subformulas: atoms need only the whole
-    space; conjunction merges and recloses; the knowledge case recloses
-    with the truth sets of the child over the child's family members.
-    Negation and the refinement modality reuse the child's family.
-    Every truth set of the call comes from one mask context over the model.
+    Built bottom-up over the subformulas, on point masks: atoms need only
+    the whole space; conjunction merges and recloses; the knowledge case
+    recloses with the truth sets of the child over the child's family
+    members.  Negation and the refinement modality reuse the child's
+    family.  Every truth set comes from one mask context over the model:
+    the knowledge case reads its child's truth at every member from one
+    pass, whose extra slots are the members that are not opens.
     """
-    if not model.space.is_treelike():
+    space = model.space
+    if not space.is_treelike():
         raise PartitionError("stable partitions are built over treelike models")
+    pos, width = space._pos, len(space.open_masks)
+    whole = frozenset([space.open_masks[0]])    # the full set comes first
     families: dict[Formula, frozenset] = {}
     ctx = MaskContext.from_model(model)
     for psi in subformulas(formula):
         k = psi.kind
         if k in ("atom", "top", "bot"):
-            fam = frozenset([model.space.full])
+            fam = whole
         elif k in ("not", "box"):
             fam = families[psi.left]
         elif k == "and":
-            fam = closure_intersection(families[psi.left] | families[psi.right])
+            fam = _close(families[psi.left] | families[psi.right])
         else:  # know
             base = families[psi.left]
-            truths = {model._truth(u, psi.left, ctx) for u in base}
-            fam = closure_intersection(base | truths)
+            carriers = [m for m in base if m not in pos]
+            row = ctx.rows(subformulas(psi.left), [psi.left], carriers)[0]
+            truths = [row[pos[m]] for m in base if m in pos] + row[width:]
+            fam = _close(base.union(truths))
         families[psi] = fam
     return PartitionTable(model, formula, families)
 
@@ -143,7 +203,9 @@ class FiltrationResult:
     ``surviving`` lists the family members whose remainder covers at
     least one point; ``bars[u]`` is that covered region; ``lt`` is the
     strict relation between members whose regions meet; ``classes`` maps
-    (member, point) to the point's class, which is an open of ``output``.
+    (member, point) to the point's class, which is an open of ``output``;
+    ``owner`` maps each open of the input to the member whose remainder
+    holds it.
     """
 
     def __init__(self, table, surviving, bars, lt, classes, owner, output):
@@ -172,105 +234,120 @@ class FiltrationResult:
 
 
 def filtrate(model: Model, formula: Formula) -> FiltrationResult:
-    """Collapse the open family to the classes induced by the partition."""
+    """Collapse the open family to the classes induced by the partition.
+
+    Works on the table's member indices and point masks throughout; the
+    result's fields are built from them at the end.
+    """
     table = build_stable_partitions(model, formula)
-    members = table.members
-    rem = table.remainders
+    space = model.space
+    members, owner = table.members, table._owner
 
-    bars = {u: frozenset().union(*rem[u]) if rem[u] else frozenset()
-            for u in members}
-    surviving = tuple(u for u in members if bars[u])
+    # each member's region, the points its remainder covers
+    bar = [0] * len(members)
+    for v, i in zip(space.open_masks, owner):
+        bar[i] |= v
+    alive = [i for i, b in enumerate(bar) if b]
 
-    # owner: every open falls in exactly one remainder
-    owner = {}
-    for v in model.space.opens:
-        holders = [u for u in members if v in rem[u]]
-        if len(holders) != 1:
-            raise PartitionError(
-                f"open {sorted(v)} should lie in exactly one remainder, "
-                f"found {len(holders)}")
-        owner[v] = holders[0]
+    # a < b: their regions meet, and every remainder open of a that meets
+    # one of b lies strictly inside it.  On a tree two opens meet only if
+    # nested, so that fails just when an open of b has an open of a among
+    # its strict ancestors in the open tree.  ``held[j]`` has bit a when
+    # an ancestor of open j is a remainder open of a, and ``inside[b]``
+    # has it when that holds for some remainder open of b.
+    held = [0] * len(owner)
+    inside = [0] * len(members)
+    for i, kids in enumerate(space.children):
+        for c in kids:
+            held[c] = held[i] | 1 << owner[i]
+            inside[owner[c]] |= held[c]
+    lt = {(a, b) for a in alive for b in alive
+          if a != b and bar[a] & bar[b] and not inside[b] >> a & 1}
 
-    # u1 < u2: their regions meet, and their remainder opens that meet
-    # nest strictly (a shared point of two opens lies in both regions)
-    lt = set()
-    for u1 in surviving:
-        for u2 in surviving:
-            if u1 != u2 and bars[u1] & bars[u2] and all(
-                    v1 < v2 for v1 in rem[u1] for v2 in rem[u2] if v1 & v2):
-                lt.add((u1, u2))
-
-    for u1, u2 in lt:
-        if (u2, u1) in lt:
+    for a, b in lt:
+        if (b, a) in lt:
             raise PartitionError("strict remainder relation is not asymmetric")
 
-    def le(u1, u2):
-        return u1 == u2 or (u1, u2) in lt
+    # a's classes: its region split by the region of every member above it
+    parts = {}
+    for a in alive:
+        split = [bar[a]]
+        for b in alive:
+            if (a, b) in lt:
+                split = [q for p in split for q in (p & bar[b], p & ~bar[b])
+                         if q]
+        parts[a] = split
 
-    classes = {}
-    opens_out = set()
-    for ui in surviving:
-        ups = [uj for uj in surviving if le(ui, uj)]
-        groups = {}
-        for x in sorted(bars[ui]):
-            sig = tuple(x in bars[uj] for uj in ups)
-            groups.setdefault(sig, []).append(x)
-        for group in groups.values():
-            cls = frozenset(group)
-            opens_out.add(cls)
-            for x in group:
-                classes[(ui, x)] = cls
-
-    # class-nesting side conditions mirroring the lt relation
-    for uk in surviving:
-        for ul in surviving:
-            if uk == ul or not bars[uk] & bars[ul]:
+    # class-nesting side conditions mirroring the lt relation: where a
+    # class of a meets a class of b, it lies strictly inside that class
+    # just when a < b
+    for a in alive:
+        for b in alive:
+            if a == b or not bar[a] & bar[b]:
                 continue
-            for x in bars[uk] & bars[ul]:
-                ck, cl = classes[(uk, x)], classes[(ul, x)]
-                if le(uk, ul) and not ck <= cl:
-                    raise PartitionError("classes do not respect the relation")
-                if (uk, ul) in lt and not (ck <= cl and ck != cl):
-                    raise PartitionError("strictly related members must give "
-                                         "strictly nested classes")
-                if ck < cl and (uk, ul) not in lt:
-                    raise PartitionError("strictly nested classes require "
-                                         "strictly related members")
+            strict = (a, b) in lt
+            for ca in parts[a]:
+                for cb in parts[b]:
+                    if not ca & cb:
+                        continue
+                    nested = ca != cb and not ca & ~cb
+                    if strict and not nested:
+                        raise PartitionError("strictly related members must "
+                                             "give strictly nested classes")
+                    if nested and not strict:
+                        raise PartitionError("strictly nested classes require "
+                                             "strictly related members")
 
-    if model.space.full not in opens_out:
+    out = {c: space._subset(c) for a in alive for c in parts[a]}
+    if space.open_masks[0] not in out:
         raise PartitionError("filtration lost the full point set")
-    names = [f"cls({min(u)},{len(u)})" for u in opens_out]
-    space = SubsetSpace(model.space.points, opens_out, names)
-    output = Model(space, model.valuation)
-    if not space.is_treelike():
+    classes = {}
+    for a in alive:
+        u = members[a]
+        for c in parts[a]:
+            cls = out[c]
+            for x in cls:
+                classes[(u, x)] = cls
+    names = [f"cls({min(u)},{len(u)})" for u in out.values()]
+    output = Model(SubsetSpace(space.points, out.values(), names),
+                   model.valuation)
+    if not output.space.is_treelike():
         raise PartitionError("filtration produced a non-treelike space")
-    return FiltrationResult(table, surviving, bars, frozenset(lt),
-                            classes, owner, output)
+    return FiltrationResult(
+        table, tuple(members[a] for a in alive),
+        {u: space._subset(b) for u, b in zip(members, bar)},
+        frozenset((members[a], members[b]) for a, b in lt), classes,
+        dict(zip(space.opens, map(members.__getitem__, owner))), output)
 
 
 def _quotient_parts(model: Model, atoms):
-    atoms = sorted(atoms)
-    sig = {}
-    for x in model.space.points:
-        sig[x] = (tuple(x in u for u in model.space.opens),
-                  tuple(x in model.valuation.get(a, frozenset()) for a in atoms))
-    groups: dict[tuple, list] = {}
-    for x in model.space.points:
-        groups.setdefault(sig[x], []).append(x)
-    point_map = {}
-    for members in groups.values():
-        rep = min(members)
-        for x in members:
+    """The point quotient and the map from each point to its class's least.
+
+    The point set is split by every open's mask and every atom's in turn,
+    so each class holds the points with one signature, and its least
+    point, its lowest bit, stands for it.
+    """
+    space = model.space
+    points = space.points
+    classes = [space.open_masks[0]]
+    for m in (*space.open_masks, *(model.atom_masks.get(a, 0)
+                                   for a in sorted(atoms))):
+        classes = [q for p in classes for q in (p & m, p & ~m) if q]
+    point_map, keep = {}, 0
+    for c in classes:
+        low = c & -c
+        keep |= low
+        rep = points[low.bit_length() - 1]
+        for x in space._subset(c):
             point_map[x] = rep
-    new_points = sorted(set(point_map.values()))
-    # every open is a union of classes, so images of distinct opens stay
-    # distinct and the constructor's duplicate check cannot fire
-    new_opens = [frozenset(point_map[x] for x in u)
-                 for u in model.space.opens]
+    # every open is a union of classes, so it keeps exactly their least
+    # points, images of distinct opens stay distinct, and the
+    # constructor's duplicate check cannot fire
+    new_opens = [space._subset(m & keep) for m in space.open_masks]
     new_val = {a: frozenset(point_map[x] for x in members)
                for a, members in model.valuation.items()}
-    space = SubsetSpace(new_points, new_opens)
-    return Model(space, new_val), point_map
+    quotient = SubsetSpace(space._subset(keep), new_opens)
+    return Model(quotient, new_val), point_map
 
 
 def point_quotient(model: Model, atoms) -> Model:
@@ -302,7 +379,9 @@ class ExtractResult:
 def extract_finite_model(model: Model, formula: Formula) -> ExtractResult:
     """Stable partition, filtration, then point quotient over the atoms."""
     filt = filtrate(model, formula)
-    quotient, point_map = _quotient_parts(filt.output, atom_names(formula))
+    # the table's families list the subformulas: no second walk
+    atoms = [g.name for g in filt.table.families if g.kind == "atom"]
+    quotient, point_map = _quotient_parts(filt.output, atoms)
     return ExtractResult(quotient, size_report(filt.table, quotient), filt,
                          point_map)
 
@@ -328,9 +407,9 @@ class Bound:
                 f"points={self.max_points})")
 
 
-def _family_bound(f: Formula):
+def _family_bound(post):
     bound = {}
-    for g in subformulas(f):
+    for g in post:
         k = g.kind
         if k in ("atom", "top", "bot"):
             b = 1
@@ -345,18 +424,26 @@ def _family_bound(f: Formula):
             b = (None if a is None or a > 60 or a * (1 << a) > _SATURATION
                  else a * (1 << a))
         bound[g] = b
-    return bound[f]
+    return b
 
 
 def complexity_bound(f: Formula) -> Bound:
     """Upper bounds on the finite-model sizes reachable for ``f``."""
-    fam = _family_bound(f)
+    return _bound(subformulas(f))
+
+
+def _bound(post) -> Bound:
+    """``complexity_bound`` of the last formula of ``post``.
+
+    ``post`` lists every subformula of that formula once, children first.
+    """
+    fam = _family_bound(post)
     if fam is None:
         return Bound(None, None, None, True)
     opens = fam * (1 << fam) if fam <= 60 else None
     if opens is None or opens > _SATURATION:
         return Bound(fam, None, None, True)
-    exponent = opens + len(atom_names(f))
+    exponent = opens + sum(g.kind == "atom" for g in post)
     points = (1 << exponent) if exponent <= 60 else None
     if points is None or points > _SATURATION:
         return Bound(fam, opens, None, True)
@@ -365,7 +452,7 @@ def complexity_bound(f: Formula) -> Bound:
 
 def size_report(table: PartitionTable, output: Model) -> dict:
     """Family sizes, the output's size and the paper's bound for the formula."""
-    bound = complexity_bound(table.formula)
+    bound = _bound(list(table.families))
     return {
         "family_sizes": table.family_sizes(),
         "output_points": len(output.space.points),

@@ -225,7 +225,14 @@ def test_filtration_order_matches_pointwise_definition():
                      for j in range(1, 4)]
         model = build_question_tree(points, questions)
         result = filtrate(model, random_formula(rng, ("Q1", "Q2", "Q3"), 4))
-        rem, bars = result.table.remainders, result.bars
+        table = result.table
+        rem = {u: remainder(model, table.family, u) for u in table.members}
+        # each open's owner holds it in its remainder; a bar is the union
+        # of the remainder's opens
+        assert result.owner == {v: u for u in table.members for v in rem[u]}
+        bars = {u: frozenset().union(*rem[u]) for u in table.members}
+        assert result.bars == bars
+        assert result.surviving == tuple(u for u in table.members if bars[u])
         want = set()
         for u1 in result.surviving:
             for u2 in result.surviving:
@@ -237,7 +244,27 @@ def test_filtration_order_matches_pointwise_definition():
                         for v2 in rem[u2] if x in v2):
                     want.add((u1, u2))
         assert result.lt == want
+        # a point's class under u: the points of u's bar that lie in the
+        # same bars of the members at or above u
+        classes = {}
+        for u in result.surviving:
+            ups = [w for w in result.surviving if result.le(u, w)]
+            for x in bars[u]:
+                classes[(u, x)] = frozenset(
+                    y for y in bars[u]
+                    if all((x in bars[w]) == (y in bars[w]) for w in ups))
+        assert result.classes == classes
     assert disjoint
+
+
+def test_owner_pass_matches_remainder_definition():
+    # the table's remainders come from each open's least member around it;
+    # ``remainder`` scans members x opens x other members
+    for model, f in corpus(59, 100, max_points=7, max_opens=12, depth=4):
+        table = build_stable_partitions(model, f)
+        for u in table.members:
+            assert table.remainders[u] == remainder(model, table.family, u), \
+                (render(f), sorted(u))
 
 
 def test_point_quotient_golden(m1):
