@@ -143,6 +143,11 @@ def test_build_stable_partitions_requires_treelike():
 def test_partition_families_monotone_closed_stable():
     for model, f in corpus(101, 120):
         table = build_stable_partitions(model, f)
+        # the table's remainders come from each open's least member around
+        # it; ``remainder`` scans members x opens x other members
+        for u in table.members:
+            assert table.remainders[u] == remainder(model, table.family, u), \
+                (render(f), sorted(u))
         full = model.space.full
         for psi in subformulas(f):
             family = table.families[psi]
@@ -255,16 +260,6 @@ def test_filtration_order_matches_pointwise_definition():
                     if all((x in bars[w]) == (y in bars[w]) for w in ups))
         assert result.classes == classes
     assert disjoint
-
-
-def test_owner_pass_matches_remainder_definition():
-    # the table's remainders come from each open's least member around it;
-    # ``remainder`` scans members x opens x other members
-    for model, f in corpus(59, 100, max_points=7, max_opens=12, depth=4):
-        table = build_stable_partitions(model, f)
-        for u in table.members:
-            assert table.remainders[u] == remainder(model, table.family, u), \
-                (render(f), sorted(u))
 
 
 def test_point_quotient_golden(m1):
