@@ -20,11 +20,12 @@ the smallest up, since ``[]phi`` at U is ``phi`` at U together with
 and a model keeps the truth row of the last formula it evaluated, one
 mask per open, so a truth table over all opens evaluates the formula
 once and turns each open's mask into a point set by its set bits.  The
-partition layer runs ``rows`` with its family members as carriers.  The soundness harness runs the pass over
-many formulas at once through ``first_failure``; the decision sweep runs
-it once per model and hands a hit's row to its witness model.  The
-engine is bit-sliced: each lane of one int is an n-bit copy of a model,
-and a context evaluates all its lanes at once.  Its lanes come in runs,
+partition layer runs ``rows`` with its family members as carriers.  The
+soundness harness runs the pass over many formulas at once through
+``first_failure``; the decision sweep runs it once per model and hands a
+hit's row to its witness model.  The engine is bit-sliced: each lane of
+one int is an n-bit copy of a model, and a context evaluates all its
+lanes at once.  Its lanes come in runs,
 one per open family, each lane as wide as the widest family, and its
 slot j is open j of each lane's family, so one context can hold many
 valuations of many families of any point counts; a context over a single
