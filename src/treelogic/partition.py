@@ -133,7 +133,7 @@ class PartitionTable:
         self.formula = formula
         subsets, public = {}, {}
         for fam in families.values():
-            if fam not in public:       # ``~`` and ``[]`` share a family
+            if fam not in public:   # ``~``, ``[]`` and atoms share families
                 for m in fam:
                     if m not in subsets:
                         subsets[m] = space._subset(m)
