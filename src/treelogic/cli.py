@@ -164,6 +164,11 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _is_number(token: str) -> bool:
+    """ASCII digits only: ``int`` also reads other scripts' digits."""
+    return token.isascii() and token.isdigit()
+
+
 def _parse_schemes(listing: str):
     out = []
     for token in listing.split(","):
@@ -171,12 +176,11 @@ def _parse_schemes(listing: str):
         if not token:
             continue
         if "-" in token and not token.upper().startswith("S"):
-            lo, hi = token.split("-", 1)
-            try:
-                out.extend(range(int(lo), int(hi) + 1))
-            except ValueError:
-                raise UsageError(f"bad scheme range {token!r}") from None
-        elif token.isdigit():
+            lo, hi = (end.strip() for end in token.split("-", 1))
+            if not (_is_number(lo) and _is_number(hi)):
+                raise UsageError(f"bad scheme range {token!r}")
+            out.extend(range(int(lo), int(hi) + 1))
+        elif _is_number(token):
             out.append(int(token))
         else:
             out.append(token.upper())

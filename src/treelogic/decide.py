@@ -38,6 +38,10 @@ def _families(n: int, max_opens, treelike: bool):
     not n!, so many points with few opens stay cheap.  Cached: searches
     and the soundness harness ask for the same few point counts again.
     """
+    # zero-padded from ten points on, so that sorted order is bit order
+    points = tuple(f"p{i + 1:0{len(str(n))}d}" for i in range(n))
+    if max_opens == 1:      # the full set alone: no mask need be ranked
+        return (SubsetSpace(points, [points]),)
     masks = sorted(range(1 << n), key=lambda m: (
         m.bit_count(), [i for i in range(n) if m >> i & 1]))
     rank = {m: r for r, m in enumerate(masks)}
@@ -79,33 +83,38 @@ def _families(n: int, max_opens, treelike: bool):
                     seen.add(g)
                     todo.append(g)
 
-    # zero-padded from ten points on, so that sorted order is bit order
-    points = tuple(f"p{i + 1:0{len(str(n))}d}" for i in range(n))
     return tuple(SubsetSpace(points, [
         [p for i, p in enumerate(points) if masks[r] >> i & 1] for r in fam])
         for fam in kept)
 
 
-# Labelled open families ``_families`` may list over one point count off
-# trees before it removes relabelled copies.  Four points list 32,768 and
-# five points with up to six opens 206,368; five points with no cap on the
-# opens list 2,147,483,648.
-FAMILY_BUDGET = 250_000
+# Labelled open families ``_families`` may list over one point count
+# before it removes relabelled copies, of either shape.  Trees over six
+# points list 352,256 and over seven 10,037,248; off trees four points list
+# 32,768, seven with up to four opens 341,504, five with up to six opens
+# 206,368, and five with no cap on the opens 2,147,483,648.
+FAMILY_BUDGET = 400_000
 
 
-def _family_count(n: int, max_opens):
-    """The labelled families ``_families(n, max_opens, False)`` lists, or
-    None past 2**63.
+@lru_cache(maxsize=None)
+def _family_count(n: int, max_opens, treelike: bool):
+    """The labelled families ``_families(n, max_opens, treelike)`` lists,
+    or None past 2**63.
 
-    A family is the full set and at most ``max_opens - 1`` of the other
-    2^n - 1 point masks, so the count is a sum of binomials; the terms grow
-    fast enough that the sum passes 2**63 within a few dozen of them.
+    A family is the full set and at most ``max_opens - 1`` other point
+    masks.  Off trees they are any of the other 2^n - 1 masks, so the count
+    is a sum of binomials; the terms grow fast enough that the sum passes
+    2**63 within a few dozen of them.  Trees are counted by
+    ``_tree_family_count``.  Either way a family may be the full set and
+    any one other mask, so with two opens or more there are at least 2^n.
     """
     most = None if max_opens is None else max_opens - 1
     if most == 0:
         return 1
     if n > 63:
         return None
+    if treelike:
+        return _tree_family_count(n, most)
     masks = (1 << n) - 1
     total = 0
     for k in range(masks + 1 if most is None else min(most, masks) + 1):
@@ -115,13 +124,47 @@ def _family_count(n: int, max_opens):
     return total
 
 
-def _check_family_budget(max_points: int, max_opens):
-    """Refuse an off-tree enumeration whose largest point count would list
-    more than ``FAMILY_BUDGET`` labelled families, before listing any."""
-    count = _family_count(max_points, max_opens)
+def _tree_family_count(n: int, most):
+    """The labelled treelike families over n points with at most ``most``
+    opens besides the full set (None: no cap), or None past 2**63.
+
+    The nonempty opens form a tree under the full set; the empty open is
+    optional.  ``trees[s][k]`` counts the trees over s labelled points with
+    k opens below the root, and ``woods[m][k]`` the ways to split m points
+    into private points and child trees holding k opens in all.  Point 1 of
+    a root's points is private or lies in a child of s points, which gives
+    the recurrence; a single child holding every point is not a proper sub-
+    open, so it is left out of ``trees`` and added to ``woods``.  The count
+    grows with the point count, so the sizes are counted upwards and the
+    count stops as soon as one passes 2**63.
+    """
+    cap = 2 * n - 2 if most is None else min(most, 2 * n - 2)
+    trees, woods = [None], [[1] + [0] * cap]
+    for m in range(1, n + 1):
+        tree = list(woods[m - 1])
+        for s in range(1, m):
+            ways = comb(m - 1, s - 1)
+            for j, a in enumerate(trees[s]):
+                if a:
+                    for k, b in enumerate(woods[m - s][:cap - j]):
+                        tree[j + k + 1] += ways * a * b
+        trees.append(tree)
+        woods.append([t + u for t, u in zip(tree, [0] + tree)])
+        # with the empty open or without it, which takes one of the opens
+        total = 2 * sum(tree) - (tree[cap] if most == cap else 0)
+        if total > 1 << 63:
+            return None
+    return total
+
+
+def _check_family_budget(max_points: int, max_opens, treelike: bool):
+    """Refuse an enumeration whose largest point count would list more
+    than ``FAMILY_BUDGET`` labelled families, before listing any."""
+    count = _family_count(max_points, max_opens, treelike)
     if count is None or count > FAMILY_BUDGET:
         amount = "more than 2**63" if count is None else f"{count:,}"
-        raise SearchError(f"{amount} labelled open families over "
+        shape = "treelike" if treelike else "labelled"
+        raise SearchError(f"{amount} {shape} open families over "
                           f"{max_points} points exceed the budget of "
                           f"{FAMILY_BUDGET:,}: lower --max-points or "
                           "--max-opens")
@@ -130,14 +173,13 @@ def _check_family_budget(max_points: int, max_opens):
 def _family_spaces(max_points: int, max_opens, treelike: bool):
     """The space of every open family, in enumeration order.
 
-    Point i of a space (``space.points[i]``) is bit i of its masks.  Off
-    trees the families are sized first (``_check_family_budget``); the
-    count grows with the point count, so the largest one decides.
+    Point i of a space (``space.points[i]``) is bit i of its masks.  The
+    families are sized first (``_check_family_budget``); the count grows
+    with the point count, so the largest one decides.
     """
     if max_points < 1 or (max_opens is not None and max_opens < 1):
         raise SearchError("budget must allow at least one point and open")
-    if not treelike:
-        _check_family_budget(max_points, max_opens)
+    _check_family_budget(max_points, max_opens, treelike)
     for n in range(1, max_points + 1):
         yield from _families(n, max_opens, treelike)
 
@@ -198,6 +240,8 @@ def formula_pool(atoms, depth: int, include_constants: bool = False):
                 if id(h) not in known:
                     known.add(id(h))
                     extra.append(h)
+        if not extra:       # a fixpoint: no later layer adds anything
+            break
         pool += extra
     return pool
 
@@ -412,12 +456,9 @@ def _materialize(n_points: int, opens, atom_masks, atoms) -> Model:
                              dict(zip(atoms, atom_masks)), {})
 
 
-def _witness(model: Model, t: int, u, formula):
-    """The lowest point of ``t``, the truth set at ``u``, re-checked."""
-    x = model.space.points[(t & -t).bit_length() - 1]
-    if not model.satisfies(x, u, formula):
-        raise AssertionError("the witness does not hold in the returned model")
-    return model, x, u
+def _witness(model: Model, t: int, u):
+    """The model, the lowest point of ``t`` (the truth set at ``u``) and u."""
+    return model, model.space.points[(t & -t).bit_length() - 1], u
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +507,8 @@ def satisfiable(formula: Formula, max_points=None, max_opens=None,
     budget is the caller's ``max_points``/``max_opens``, or with
     ``use_bound`` (treelike only, no budget) up to four points and six
     opens, capped at 20,000 models.  Each model is a one-lane
-    ``MaskContext``, and only the witness becomes a ``Model``.  Off trees
+    ``MaskContext``, and only the witness becomes a ``Model``, whose own
+    context evaluates the formula again as a re-check.  Off trees
     a sweep that finds nothing ends unsat_within.  On trees it is followed
     by exact type saturation: no type is unsat_proved; a type is a witness
     tree, built from the types' provenance, with ``use_bound``, and under
@@ -485,21 +527,28 @@ def satisfiable(formula: Formula, max_points=None, max_opens=None,
     def plain_sweep(max_points, max_opens, model_cap):
         for space in _family_spaces(max_points, max_opens, treelike):
             n, run = len(space.points), ((space, 1),)
+            sizes = list(map(len, space.opens))
             for k in range(1 << n * len(atoms)):
                 if stats["models"] == model_cap:
                     return None
                 stats["models"] += 1
                 masks = _valuation_masks(k, len(atoms), n)
-                row = MaskContext(run, zip(atoms, masks)).rows(
-                    post, [formula])[0]
-                for t, u in zip(row, space.opens):
-                    stats["neighborhoods"] += len(u)
-                    if t:
-                        # the model keeps the row for the witness re-check
-                        model = Model._from_masks(
-                            space, dict(zip(atoms, masks)), {})
-                        model._kept = (formula, tuple(row))
-                        return _witness(model, t, u, formula)
+                # the packed row: open j is slot j, so the lowest bit set
+                # lies in the first open where the formula holds
+                (row,) = MaskContext(run, zip(atoms, masks))._fill(
+                    post, [formula])
+                j = ((row & -row).bit_length() - 1) // n if row else len(sizes)
+                stats["neighborhoods"] += sum(sizes[:j + 1])
+                if row:
+                    model = Model._from_masks(
+                        space, dict(zip(atoms, masks)), {})
+                    # a re-check: the witness's own context evaluates the
+                    # formula again from the model's masks
+                    if model._ctx._fill(post, [formula]) != [row]:
+                        raise AssertionError("the witness does not hold in "
+                                             "the returned model")
+                    return _witness(model, row >> j * n & (1 << n) - 1,
+                                    space.opens[j])
         return None
 
     if use_bound:
@@ -533,10 +582,10 @@ def satisfiable(formula: Formula, max_points=None, max_opens=None,
                 "steps": types.steps}
     if members is not None and use_bound:
         model = _materialize(*types.tree(members), atoms)
-        t = model._row(formula, False)[0]       # the root open, the full set
+        t = model._ctx.truth(formula, model.space.open_masks[0])   # full set
         if not t:
             raise AssertionError("the saturated type is not realised")
-        return finish("sat", _witness(model, t, model.space.full, formula),
+        return finish("sat", _witness(model, t, model.space.full),
                       searched)
     if members is not None:
         verdict, note = "unsat_within", "satisfiable beyond the budget"

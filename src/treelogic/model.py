@@ -15,17 +15,18 @@ children-first list of subformulas and fills each at every open (and at
 any carriers that are not opens), evaluating ``[]`` over the opens from
 the smallest up, since ``[]phi`` at U is ``phi`` at U together with
 ``[]phi`` at the child of U around the point.
-``MaskContext.truth`` reads one formula's row off that pass and keeps it;
-``Model.satisfies``, ``truth_set``, ``truth_in`` and ``is_valid`` use it,
-and a model keeps the truth row of the last formula it evaluated, one
-mask per open, so a truth table over all opens evaluates the formula
-once and turns each open's mask into a point set by its set bits.  The
-partition layer runs ``rows`` with its family members as carriers.  The
-soundness harness runs the pass over many formulas at once through
-``first_failure``; the decision sweep runs it once per model and hands a
-hit's row to its witness model.  The engine is bit-sliced: each lane of
-one int is an n-bit copy of a model, and a context evaluates all its
-lanes at once.  Its lanes come in runs,
+``MaskContext.truth`` reads one formula's row off that pass and keeps
+that row alone, replacing the last one.  Each model keeps one mask
+context, built on first use, and ``Model.satisfies``, ``truth_set``,
+``truth_in`` and ``is_valid`` are each one call on it, so a truth table
+over all opens evaluates the formula once and turns each open's mask
+into a point set by its set bits.  The partition layer runs ``rows`` on
+the same context with its family members as carriers.  The soundness
+harness runs the pass over many formulas at once through
+``first_failure``; the decision sweep runs it once per model, and its
+witness model evaluates the formula again as a re-check.  The engine is
+bit-sliced: each lane of one int is an n-bit copy of a model, and a
+context evaluates all its lanes at once.  Its lanes come in runs,
 one per open family, each lane as wide as the widest family, and its
 slot j is open j of each lane's family, so one context can hold many
 valuations of many families of any point counts; a context over a single
@@ -40,6 +41,7 @@ independent evaluator in ``tests/helpers.py``.
 from __future__ import annotations
 
 import json
+from functools import cached_property
 
 from .formula import ATOM_RE, RESERVED, Formula, atom_names, subformulas
 
@@ -231,13 +233,12 @@ class Model:
     point order, built once with the valuation; the enumerators build a
     model the other way round, from its masks (``_from_masks``).
 
-    ``satisfies``, ``truth_set``, ``is_valid`` and ``truth_in`` at an open
-    read the model's kept row: the truth mask of the last formula asked
-    for at every open, filled by one mask context over the space's open
-    masks and these atom masks (see ``_row``).  It is the model's only
-    state beyond construction, and it is bounded: one formula and one int
-    per open, never an entry per subformula.  ``truth_in`` at any other
-    carrier runs on a mask context of its own.
+    ``satisfies``, ``truth_set``, ``truth_in`` and ``is_valid`` are each
+    one call on the model's kept context (``_ctx``): a ``MaskContext``
+    over the space's open masks and these atom masks, built on first use.
+    It keeps the truth row of the last formula asked for, one mask per
+    open, so the model's state beyond construction stays bounded: one
+    formula and one int per open, never an entry per subformula.
     """
 
     def __init__(self, space: SubsetSpace, valuation=None):
@@ -253,7 +254,6 @@ class Model:
             val[name] = members
         self.valuation = val
         self.atom_masks = masks
-        self._kept = (None, ())     # (formula, its row): see ``_row``
 
     @classmethod
     def _from_masks(cls, space: SubsetSpace, atom_masks: dict,
@@ -277,68 +277,57 @@ class Model:
             val[name] = points
         model.valuation = val
         model.atom_masks = atom_masks
-        model._kept = (None, ())
         return model
 
-    # -- evaluation (thin wrappers over the mask engine) -------------------
+    # -- evaluation (one call each on the model's mask context) ------------
 
-    def _row(self, f: Formula, strict: bool) -> tuple:
-        """``f``'s truth mask at every open, in the order of ``open_masks``.
+    @cached_property
+    def _ctx(self) -> "MaskContext":
+        return MaskContext.from_model(self)
 
-        The model keeps the row of the last formula asked for, so asking
-        again for the same (interned) formula reads it back; another
-        formula replaces it.  One mask context fills it in one bottom-up
-        pass (``MaskContext.truth``).  With ``strict``, every
-        atom of ``f`` missing from the valuation is rejected first, on
-        every call.
-        """
+    def _check_atoms(self, f: Formula, strict: bool):
+        """With ``strict``, reject every atom of ``f`` missing from the
+        valuation: checked on every call, row kept or not."""
         if strict:
             for name in sorted(atom_names(f)):
                 if name not in self.valuation:
                     raise ModelError(f"unknown atom {name!r}")
-        kept, row = self._kept
-        if kept is not f:
-            ctx = MaskContext.from_model(self)
-            row = tuple([ctx.truth(f, u) for u in self.space.open_masks])
-            self._kept = (f, row)
-        return row
 
-    def _open_index(self, u, message: str):
-        """``u`` (by name or set) as a frozenset with its open index."""
+    def _open_mask(self, u, message: str):
+        """``u`` (by name or set) as a frozenset with its point mask."""
         u = self.space._resolve(u)
         i = self.space._position(u)
         if i is None:
             raise ModelError(message)
-        return u, i
+        return u, self.space.open_masks[i]
 
     def satisfies(self, x, u, f: Formula, strict_atoms: bool = False) -> bool:
         """Truth of ``f`` at the neighborhood ``(x, u)``; ``u`` in O."""
-        u, i = self._open_index(u, "not an open of this model")
+        u, m = self._open_mask(u, "not an open of this model")
         if x not in u:
             raise ModelError(f"point {x!r} does not belong to the open")
-        return bool(self._row(f, strict_atoms)[i] >> self.space.index[x] & 1)
+        self._check_atoms(f, strict_atoms)
+        return bool(self._ctx.truth(f, m) >> self.space.index[x] & 1)
 
     def truth_set(self, u, f: Formula, strict_atoms: bool = False) -> frozenset:
         """Points of the open ``u`` where ``f`` holds at fixed ``u``."""
-        u, i = self._open_index(u, "truth_set expects a member of the open family")
-        return self.space._subset(self._row(f, strict_atoms)[i])
+        _, m = self._open_mask(
+            u, "truth_set expects a member of the open family")
+        self._check_atoms(f, strict_atoms)
+        return self.space._subset(self._ctx.truth(f, m))
 
     def truth_in(self, carrier, f: Formula) -> frozenset:
         """Truth set over an arbitrary carrier set, not necessarily open.
 
         K quantifies over the carrier; [] quantifies over the genuine
         opens inside the carrier around the point.  For carriers that are
-        opens this agrees with ``truth_set``, and reads the same row; any
-        other carrier is evaluated on a mask context of its own.
+        opens this agrees with ``truth_set`` and reads the same kept row.
         """
         carrier = frozenset(carrier)
         if not carrier <= self.space.full:
             raise ModelError("carrier contains unknown points")
         m = self.space._mask(carrier)
-        i = self.space._pos.get(m)
-        if i is None:
-            return self.space._subset(MaskContext.from_model(self).truth(f, m))
-        return self.space._subset(self._row(f, False)[i])
+        return self.space._subset(self._ctx.truth(f, m))
 
     def neighborhoods(self):
         for u in self.space.opens:
@@ -347,7 +336,8 @@ class Model:
 
     def is_valid(self, f: Formula, strict_atoms: bool = False) -> bool:
         """True when ``f`` holds at every neighborhood of the model."""
-        return self._row(f, strict_atoms) == self.space.open_masks
+        self._check_atoms(f, strict_atoms)
+        return self._ctx.is_valid(f)
 
     def __eq__(self, other):
         return (isinstance(other, Model) and self.space == other.space
@@ -542,16 +532,18 @@ class MaskContext:
     With one run, ``space`` is its family and ``kids`` its ``children``;
     a stack of several runs has ``space`` None.  ``from_model`` builds the
     one-lane context of a single model from the masks the space and the
-    model hold.  ``rep`` is the lane-replication constant of one slot (bit
-    0 of every lane set), 1 with one lane.
+    model hold; each ``Model`` keeps one, as ``Model._ctx``.  ``rep`` is
+    the lane-replication constant of one slot (bit 0 of every lane set),
+    1 with one lane.
 
     ``rows`` is the one evaluator: a bottom-up pass over a children-first
     list of subformulas that returns each root's row cut into slots.
     ``truth`` runs it for one formula and keeps the formula's row in
-    ``cache``, so ``cache`` holds one row per formula asked for;
+    ``cache``, which holds the row of the last formula asked for alone;
     ``first_failure`` runs the same pass over many formulas at once, as
     the soundness harness checks every scheme instance, without ``cache``,
-    and cuts up only the rows that differ from ``top``.  ``truth``,
+    and cuts up only the rows that differ from ``top``; the decision sweep
+    reads the packed row of that pass (``_fill``) uncut.  ``truth``,
     ``is_valid`` and carriers that are not open read the opens of
     ``space``, so they take a context of one run.
     """
@@ -604,10 +596,11 @@ class MaskContext:
     def truth(self, f: Formula, u_mask: int) -> int:
         """``f``'s truth set at the carrier ``u_mask``, in every lane.
 
-        The first call for ``f`` fills its row with ``rows`` and keeps it
-        in ``cache`` under ``f``; an open's truth set is its column of that
-        row.  A carrier that is not open gets a column of its own, the
-        last slot of a packed row that is not cut up.
+        A call for a formula other than the last one's fills its row with
+        ``rows`` and keeps it in ``cache`` under ``f``, in place of the row
+        kept before; an open's truth set is its column of that row.  A
+        carrier that is not open gets a column of its own, the last slot
+        of a packed row that is not cut up.
         """
         i = self.space._pos.get(u_mask)
         if i is None:
@@ -615,7 +608,8 @@ class MaskContext:
             return row >> self.n * self.lanes * len(self.wide)
         row = self.cache.get(f)
         if row is None:
-            row = self.cache[f] = self.rows(subformulas(f), [f])[0]
+            row = self.rows(subformulas(f), [f])[0]
+            self.cache = {f: row}
         return row[i]
 
     def is_valid(self, f: Formula) -> bool:

@@ -31,7 +31,7 @@ relies on it.
 from __future__ import annotations
 
 from .formula import Formula, render, subformulas
-from .model import MaskContext, Model, SubsetSpace, _open_sort_key
+from .model import Model, SubsetSpace, _open_sort_key
 
 __all__ = [
     "PartitionError", "closure_intersection", "remainder", "is_stable",
@@ -168,9 +168,10 @@ def build_stable_partitions(model: Model, formula: Formula) -> PartitionTable:
     the whole space; conjunction merges and recloses; the knowledge case
     recloses with the truth sets of the child over the child's family
     members.  Negation and the refinement modality reuse the child's
-    family.  Every truth set comes from one mask context over the model:
-    the knowledge case reads its child's truth at every member from one
-    pass, whose extra slots are the members that are not opens.
+    family.  Every truth set comes from the model's own mask context
+    (``Model._ctx``): the knowledge case reads its child's truth at every
+    member from one pass, whose extra slots are the members that are not
+    opens.
     """
     space = model.space
     if not space.is_treelike():
@@ -178,7 +179,7 @@ def build_stable_partitions(model: Model, formula: Formula) -> PartitionTable:
     pos, width = space._pos, len(space.open_masks)
     whole = frozenset([space.open_masks[0]])    # the full set comes first
     families: dict[Formula, frozenset] = {}
-    ctx = MaskContext.from_model(model)
+    ctx = model._ctx
     for psi in subformulas(formula):
         k = psi.kind
         if k in ("atom", "top", "bot"):
@@ -309,8 +310,10 @@ def filtrate(model: Model, formula: Formula) -> FiltrationResult:
             for x in cls:
                 classes[(u, x)] = cls
     names = [f"cls({min(u)},{len(u)})" for u in out.values()]
-    output = Model(SubsetSpace(space.points, out.values(), names),
-                   model.valuation)
+    # the output keeps the input's points, so its atoms keep their masks
+    output = Model._from_masks(
+        SubsetSpace(space.points, out.values(), names), model.atom_masks,
+        {m: model.valuation[a] for a, m in model.atom_masks.items()})
     if not output.space.is_treelike():
         raise PartitionError("filtration produced a non-treelike space")
     return FiltrationResult(

@@ -208,7 +208,7 @@ def _parse_scheme_id(raw):
         return raw
     if isinstance(raw, str) and raw.upper() in SCHEMES:
         return raw.upper()
-    if isinstance(raw, str) and raw.isdigit():
+    if isinstance(raw, str) and raw.isascii() and raw.isdigit():
         return int(raw)
     raise ProofError(f"unknown scheme id {raw!r}")
 
@@ -364,7 +364,7 @@ def _instance_bound(templates, n_atoms, depth, include_constants):
     |P| choices per metavariable.
     """
     pool = n_atoms + 2 * include_constants
-    for _ in range(depth):
+    for _ in range(depth if pool else 0):     # an empty pool stays empty
         pool = 6 * pool + pool * pool
         if pool > INSTANCE_BUDGET:
             return None

@@ -1,4 +1,6 @@
+import argparse
 import json
+import random
 import subprocess
 import sys
 import time
@@ -255,6 +257,12 @@ def test_unexpected_exception_exits_3(capsys, monkeypatch, exc, line):
     (["sat", "--use-bound", "--max-points", "2", "A"], "takes no max_points"),
     (["valid", "--use-bound", "--max-points", "3", "--max-opens", "3", "A"],
      "takes no max_points"),
+    # scheme ids are ASCII digits: int() reads other scripts' digits too
+    (["soundness", "--schemes", "\u00b2"], "unknown scheme"),
+    (["soundness", "--schemes", "\u0661"], "unknown scheme"),
+    (["soundness", "--schemes", "1-\u0663"], "bad scheme range"),
+    # sized before any family is listed: 10,037,248 labelled trees
+    (["sat", "--max-points", "7", "A & ~A"], "exceed the budget of 400,000"),
 ])
 def test_bad_input_exits_2(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -344,6 +352,8 @@ MALFORMED_BASES = {
     ("proof", ["lines", 0, "by", "subst"], {"phi": 5}),
     ("proof", ["lines", 0, "formula"], 5),
     ("proof", ["lines", 0, "by", "axiom"], True),
+    ("proof", ["lines", 0, "by", "axiom"], "\u00b2"),
+    ("proof", ["lines", 0, "by", "axiom"], "\uff11"),
 ])
 def test_malformed_input_file_exits_2(tmp_path, capsys, kind, path, value):
     data = json.loads(json.dumps(MALFORMED_BASES[kind]))
@@ -413,3 +423,86 @@ def test_console_entry_point_runs():
         capture_output=True, text=True)
     assert result.returncode == 0
     assert result.stdout.strip() == "K A -> A"
+
+
+def _fuzz_values(tmp_path):
+    """Values for each option ``dest`` of the parser, good and bad alike.
+
+    Sizes are zero, negative, small, or refused by a budget before any
+    work, whatever the other options say: a point count past the family
+    budget, a pool depth past the instance budget, a stream depth past
+    its limit.  Small sizes stay small together, and ``--max-opens 1`` is
+    left out, because the budgets size the families of the largest point
+    count alone, not the valuations of a sweep or of the soundness harness
+    nor the smaller point counts (ROADMAP item 15).  Files are fixtures,
+    files written by earlier commands, and empty, malformed, undecodable,
+    missing or directory paths.
+    """
+    def write(name, data):
+        path = tmp_path / name
+        path.write_bytes(data if isinstance(data, bytes) else data.encode())
+        return str(path)
+
+    out = str(tmp_path / "out.json")
+    bad = [write("empty.json", ""), write("brace.json", "{"),
+           write("list.json", "[]"), write("null.json", "null"),
+           write("bytes.json", b"\xff\xfe{}"), str(tmp_path / "missing.json"),
+           str(tmp_path)]
+    proof = json.dumps({"lines": [{"formula": "A -> A",
+                                   "by": {"axiom": "²"}}]})
+    deep = ["<>" * 400 + "A", "~" * 1200 + "A", "(" * 1200 + "A" + ")" * 1200]
+    return {
+        "formula": ["A", "K A & ~A", "L A & L ~A", "A -> K A", "<>K Q1",
+                    "[]Q1 -> Q1", "Mystery & ~Mystery", "A & & B", "",
+                    *deep],
+        "formula_file": [write("f.txt", "K Q1 -> Q1"),
+                         write("deep.txt", deep[0]), *bad],
+        "model": [ORACLE, out, FRAME, PROOF, *bad],
+        "frame": [FRAME, out, ORACLE, *bad],
+        "proof": [PROOF, write("sup2.json", proof), out, ORACLE, *bad],
+        "output": [out, str(tmp_path / "no" / "such" / "dir.json"),
+                   str(tmp_path)],
+        "report": [str(tmp_path / "report.json"), str(tmp_path)],
+        "point": ["q1", "q4", "p1", "nope", ""],
+        "open_name": ["top", "U1", "nope", ""],
+        "root": ["r1", "s1", "a", "nope"],
+        "points": ["q1,q2,q3,q4", "a,b,a", "", ",", "²"],
+        "question": ["Q1=q1,q2", "Q2=q1,q2,q3", "Q=zz", "bad", "=q1",
+                     "K=q1"],
+        "system": ["mpt", "mp", "mp*", "none"],
+        "schemes": ["4", "1-12", "C10", "S13", "1-x", ",", "²",
+                    "١", "1-٣", "１"],
+        "max_points": ["-1", "0", "1", "2", "7", "1000000000", "x"],
+        "max_opens": ["-1", "0", "2", "3", "99"],
+        "atoms": ["-1", "0", "1", "2"],
+        "depth": ["-1", "0", "1", "99", "1000000000"],
+    }
+
+
+def test_fuzzed_commands_keep_the_exit_code_contract(tmp_path, capsys):
+    # seeded argv built from the parser's own commands and options: every
+    # request answers (0, 1) or is refused as bad input (2), never exit 3
+    rng = random.Random(20)
+    values = _fuzz_values(tmp_path)
+    commands = next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    for case in range(400):
+        name = rng.choice(sorted(commands))
+        argv = [name]
+        for action in commands[name]._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            keep = 0.95 if action.required or not action.option_strings \
+                else 0.4
+            if rng.random() > keep:
+                continue
+            if action.option_strings:
+                argv.append(rng.choice(action.option_strings))
+            if action.nargs != 0:
+                argv.append(rng.choice(values[action.dest]))
+        try:
+            code = main(argv)
+        except SystemExit as exc:       # argparse rejects the command line
+            code = exc.code
+        _, err = capsys.readouterr()
+        assert code in (0, 1, 2) and "internal:" not in err, (case, argv, err)

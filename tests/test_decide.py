@@ -121,26 +121,72 @@ def test_five_point_families_are_one_per_class():
 def test_off_tree_families_are_sized_before_listing():
     # off trees a family is the full set and up to max_opens - 1 of the
     # other 2^n - 1 masks; the count is checked, never an over-budget run
-    assert [decide._family_count(n, None) for n in (1, 2, 3, 4)] == [
+    assert [decide._family_count(n, None, False) for n in (1, 2, 3, 4)] == [
         2, 8, 128, 32_768]
-    assert decide._family_count(5, None) == 2 ** 31
-    assert decide._family_count(5, 6) == sum(
+    assert decide._family_count(5, None, False) == 2 ** 31
+    assert decide._family_count(5, 6, False) == sum(
         math.comb(31, k) for k in range(6)) == 206_368
-    assert decide._family_count(3, 2) == 8
-    assert decide._family_count(10 ** 6, 1) == 1
-    assert decide._family_count(7, None) is None
-    assert decide._family_count(10 ** 6, 2) is None
+    assert decide._family_count(7, 4, False) == sum(
+        math.comb(127, k) for k in range(4)) == 341_504
+    assert decide._family_count(3, 2, False) == 8
+    assert decide._family_count(10 ** 6, 1, False) == 1
+    assert decide._family_count(7, None, False) is None
+    assert decide._family_count(10 ** 6, 2, False) is None
     # what the tests and the benchmark enumerate off trees passes
-    for max_points, max_opens in ((3, None), (4, None), (3, 3), (5, 6)):
-        decide._check_family_budget(max_points, max_opens)
+    for max_points, max_opens in ((3, None), (4, None), (3, 3), (5, 6),
+                                  (7, 4)):
+        decide._check_family_budget(max_points, max_opens, False)
     for max_points, max_opens, amount in ((5, None, "2,147,483,648"),
                                           (5, 7, "942,649"),
                                           (7, None, "more than 2**63")):
         with pytest.raises(SearchError, match=re.escape(
                 f"{amount} labelled open families over {max_points} points "
-                "exceed the budget of 250,000: lower --max-points or "
+                "exceed the budget of 400,000: lower --max-points or "
                 "--max-opens")):
-            decide._check_family_budget(max_points, max_opens)
+            decide._check_family_budget(max_points, max_opens, False)
+
+
+def test_tree_families_are_sized_before_listing():
+    # the recurrence agrees with the labelled families _families' recursion
+    # walks before it removes relabelled copies, here listed by brute force
+    def listed(n, max_opens):
+        full = (1 << n) - 1
+        count, stack = 0, [(0, ())]
+        while stack:
+            start, chosen = stack.pop()
+            count += 1
+            if max_opens is not None and len(chosen) >= max_opens - 1:
+                continue
+            for u in range(start, full):
+                if all(u & c in (0, u, c) for c in chosen):
+                    stack.append((u + 1, chosen + (u,)))
+        return count
+
+    for n in (1, 2, 3, 4):
+        for max_opens in (None, 1, 2, 3, 4, 6, 9):
+            assert decide._family_count(n, max_opens, True) == listed(
+                n, max_opens), (n, max_opens)
+    assert [decide._family_count(n, None, True) for n in range(1, 8)] == [
+        2, 8, 64, 832, 15_104, 352_256, 10_037_248]
+    assert decide._family_count(6, 6, True) == 81_124
+    assert decide._family_count(7, 4, True) == 31_208
+    assert decide._family_count(10 ** 6, 1, True) == 1
+    assert decide._family_count(64, 2, True) is None
+    assert decide._family_count(63, None, True) is None
+    # six-point trees pass; seven points are refused before any is listed
+    for max_points, max_opens in ((6, None), (7, 4), (24, 1), (18, 2)):
+        decide._check_family_budget(max_points, max_opens, True)
+    with pytest.raises(SearchError, match=re.escape(
+            "10,037,248 treelike open families over 7 points exceed the "
+            "budget of 400,000")):
+        decide._check_family_budget(7, None, True)
+
+
+def test_one_open_families_skip_the_masks():
+    # a family of one open is the full set alone, whatever the point count
+    (space,) = decide._families(40, 1, True)
+    assert len(space.points) == 40 and space.opens == (space.full,)
+    assert decide._families(40, 1, False)[0] == space
 
 
 def test_point_names_sort_in_bit_order():

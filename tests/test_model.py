@@ -267,6 +267,37 @@ def test_mask_engine_agrees_with_reference(m1):
     assert checked > 200
 
 
+def test_a_model_keeps_one_context_and_one_row(m1, monkeypatch):
+    # every entry point reads the model's one context; the row of one
+    # formula is built once, and another formula's row replaces it
+    built, passes = [], []
+    init, rows = MaskContext.__init__, MaskContext.rows
+
+    def counted_init(ctx, *args):
+        built.append(ctx)
+        init(ctx, *args)
+
+    def counted_rows(ctx, *args):
+        passes.append(args[1])
+        return rows(ctx, *args)
+
+    monkeypatch.setattr(MaskContext, "__init__", counted_init)
+    monkeypatch.setattr(MaskContext, "rows", counted_rows)
+    f, g = parse("<>K Q1 & L ~Q2"), parse("K[]Q1 -> []K Q1")
+    table = [m1.truth_set(u, f) for u in m1.space.opens]
+    top = m1.space.full
+    assert m1.satisfies("q1", top, f) == ("q1" in table[0])
+    assert m1.is_valid(f) is False
+    assert m1.truth_in(top, f) == table[0]
+    assert len(built) == 1 and passes == [[f]]
+    assert m1._ctx is built[0] and list(m1._ctx.cache) == [f]
+    assert m1.is_valid(g) is True
+    assert len(built) == 1 and passes == [[f], [g]]
+    assert list(m1._ctx.cache) == [g]
+    assert [m1.truth_set(u, f) for u in m1.space.opens] == table
+    assert len(m1._ctx.cache) == 1 and passes == [[f], [g], [f]]
+
+
 def test_rows_agree_with_truth():
     # the bottom-up pass against the independent evaluator, lane by lane
     # and root by root, at every open and at carriers that are not open:
