@@ -17,8 +17,7 @@ from .formula import (BOT, SCHEMES, SYSTEMS, TOP, Formula, ParseError,
                       neg, parse, poss, render, scheme, size, subformulas)
 from .kripke import (BiFrame, ClassOrder, FrameError, FrameReport,
                      UnfoldResult, bi_satisfies, check_frame, class_order,
-                     frame_from_dict, frame_to_dict, induced_frame,
-                     load_frame, unfold)
+                     frame_from_dict, induced_frame, load_frame, unfold)
 from .model import (MaskContext, Model, ModelError, SubsetSpace,
                     build_question_tree, build_stream_space, dump_model,
                     load_model, model_from_dict, model_to_dict)

@@ -35,13 +35,19 @@ def _families(n: int, max_opens, treelike: bool):
     tuple.  One not met yet is kept, and its orbit, closed under swapping
     adjacent points, is marked as met, so each class keeps its least
     labelling, at every point count.  The swaps cost the orbit's size,
-    not n!, so many points with few opens stay cheap.  Cached: searches
-    and the soundness harness ask for the same few point counts again.
+    not n!, so many points with few opens stay cheap.  With at most two
+    opens, of either shape, the n + 1 classes are listed directly in that
+    order, and no mask is ranked: the full set alone, then the full set
+    with the first k points, the least open of size k, for k < n.
+    Cached: searches and the soundness harness ask for the same few point
+    counts again.
     """
     # zero-padded from ten points on, so that sorted order is bit order
     points = tuple(f"p{i + 1:0{len(str(n))}d}" for i in range(n))
-    if max_opens == 1:      # the full set alone: no mask need be ranked
-        return (SubsetSpace(points, [points]),)
+    if max_opens in (1, 2):
+        return (SubsetSpace(points, [points]),) + tuple(
+            SubsetSpace(points, [points[:k], points])
+            for k in range(n if max_opens == 2 else 0))
     masks = sorted(range(1 << n), key=lambda m: (
         m.bit_count(), [i for i in range(n) if m >> i & 1]))
     rank = {m: r for r, m in enumerate(masks)}
@@ -195,13 +201,11 @@ def enumerate_spaces(max_points: int, max_opens=None, atoms=(),
     atoms = sorted(atoms)
     for a in atoms:
         _check_atom_name(a)
-    members = {}        # point count -> point mask -> its frozenset
     for space in _family_spaces(max_points, max_opens, treelike):
         n = len(space.points)
-        subsets = members.setdefault(n, {})
         for k in range(1 << n * len(atoms)):
             masks = zip(atoms, _valuation_masks(k, len(atoms), n))
-            yield Model._from_masks(space, dict(masks), subsets)
+            yield Model._from_masks(space, dict(masks))
 
 
 def _valuation_masks(k: int, n_atoms: int, n_points: int):
@@ -453,7 +457,7 @@ def _materialize(n_points: int, opens, atom_masks, atoms) -> Model:
     sets = [frozenset(points[i] for i in range(n_points) if m >> i & 1)
             for m in opens]
     return Model._from_masks(SubsetSpace(points, sets),
-                             dict(zip(atoms, atom_masks)), {})
+                             dict(zip(atoms, atom_masks)))
 
 
 def _witness(model: Model, t: int, u):
@@ -540,8 +544,7 @@ def satisfiable(formula: Formula, max_points=None, max_opens=None,
                 j = ((row & -row).bit_length() - 1) // n if row else len(sizes)
                 stats["neighborhoods"] += sum(sizes[:j + 1])
                 if row:
-                    model = Model._from_masks(
-                        space, dict(zip(atoms, masks)), {})
+                    model = Model._from_masks(space, dict(zip(atoms, masks)))
                     # a re-check: the witness's own context evaluates the
                     # formula again from the model's masks
                     if model._ctx._fill(post, [formula]) != [row]:

@@ -77,13 +77,6 @@ class Formula:
     def __str__(self):
         return render(self)
 
-    def __reduce__(self):
-        return (_rebuild, (self.kind, self.name, self.left, self.right))
-
-
-def _rebuild(kind, name, left, right):
-    return Formula(kind, name, left, right)
-
 
 TOP = Formula(_TOP)
 BOT = Formula(_BOT)
@@ -323,9 +316,9 @@ def render(f: Formula) -> str:
     return "".join(out)
 
 
-def ast_dump(f: Formula, indent: int = 0) -> str:
+def ast_dump(f: Formula) -> str:
     """Indented prefix dump of the desugared tree (iterative, like render)."""
-    lines, todo = [], [(f, indent)]
+    lines, todo = [], [(f, 0)]
     while todo:
         g, depth = todo.pop()
         pad = "  " * depth

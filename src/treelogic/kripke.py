@@ -25,7 +25,7 @@ from .model import (Model, ModelError, SubsetSpace, _checked_valuation,
 __all__ = [
     "FrameError", "BiFrame", "CheckResult", "FrameReport", "check_frame",
     "ClassOrder", "class_order", "bi_satisfies", "UnfoldResult", "unfold",
-    "induced_frame", "load_frame", "frame_from_dict", "frame_to_dict",
+    "induced_frame", "load_frame", "frame_from_dict",
 ]
 
 
@@ -91,7 +91,10 @@ class BiFrame:
     reflexive-transitive closure for box, full equivalence closure for k.
     Pass ``close=False`` to keep raw relations (used by fixtures that
     document property failures).  ``box`` and ``k`` are the relations as
-    sets of state pairs.
+    sets of state pairs.  The constructor checks a valuation of state sets
+    and keeps it as masks over the state indices (``_val_masks``), as
+    ``_from_rows`` takes it; ``valuation``, the same atoms as frozensets
+    of states, is read off the masks the first time it is asked for.
     """
 
     def __init__(self, states, box_pairs=(), k_pairs=(), valuation=None,
@@ -115,24 +118,8 @@ class BiFrame:
         if close:
             box = _closure(box)
             k = _closure([row | col for row, col in zip(k, _transpose(k))])
-        self._setup(states, index, box, k, valuation)
-
-    @classmethod
-    def _from_rows(cls, states, index, box_rows, k_rows, valuation):
-        """A frame whose successor rows are already as wanted; no closure."""
-        frame = cls.__new__(cls)
-        frame._setup(states, index, box_rows, k_rows, valuation)
-        return frame
-
-    def _setup(self, states, index, box_rows, k_rows, valuation):
-        self.states = states
-        self._index = index
-        self._box_rows = box_rows
-        self._k_rows = k_rows
-        val = {}
-        self._val_masks = {}
+        val_masks = {}
         for name, members in (valuation or {}).items():
-            members = frozenset(members)
             mask = 0
             for s in members:
                 i = index.get(s)
@@ -140,9 +127,28 @@ class BiFrame:
                     raise FrameError(
                         f"valuation of {name!r} mentions unknown states")
                 mask |= 1 << i
-            val[name] = members
-            self._val_masks[name] = mask
-        self.valuation = val
+            val_masks[name] = mask
+        self._setup(states, index, box, k, val_masks)
+
+    @classmethod
+    def _from_rows(cls, states, index, box_rows, k_rows, val_masks):
+        """A frame whose successor rows and valuation masks are already as
+        wanted; no closure, no check."""
+        frame = cls.__new__(cls)
+        frame._setup(states, index, box_rows, k_rows, val_masks)
+        return frame
+
+    def _setup(self, states, index, box_rows, k_rows, val_masks):
+        self.states = states
+        self._index = index
+        self._box_rows = box_rows
+        self._k_rows = k_rows
+        self._val_masks = val_masks
+
+    @cached_property
+    def valuation(self) -> dict:
+        """Each atom's states, in the order of ``_val_masks``."""
+        return {name: self._ids(m) for name, m in self._val_masks.items()}
 
     @cached_property
     def box(self) -> frozenset:
@@ -389,17 +395,14 @@ class UnfoldResult:
     """Treelike model produced from a frame, with its bookkeeping.
 
     ``model`` is the subset-space model; points are the states of the
-    root's k-class.  ``open_for(t, s)`` returns the open obtained from
-    state ``s``'s class that contains point ``t``.
+    root's k-class, ``x_class``.  ``open_for(t, s)`` returns the open
+    obtained from state ``s``'s class that contains point ``t``.
     """
 
-    def __init__(self, model, root, x_class, carriers, class_opens, order):
+    def __init__(self, model, x_class, class_opens):
         self.model = model
-        self.root = root
         self.x_class = x_class
-        self._carriers = carriers          # k-class -> carrier subset of X
         self._class_opens = class_opens    # k-class -> {point -> open frozenset}
-        self.order = order
         self._class_by_state = {s: c for c in class_opens for s in c}
 
     def _class_of(self, s) -> frozenset:
@@ -407,9 +410,6 @@ class UnfoldResult:
             return self._class_by_state[s]
         except KeyError:
             raise FrameError(f"unknown state {s!r}") from None
-
-    def carrier(self, s) -> frozenset:
-        return self._carriers[self._class_of(s)]
 
     def open_for(self, t, s) -> frozenset:
         try:
@@ -493,9 +493,7 @@ def unfold(frame: BiFrame, root) -> UnfoldResult:
     model = Model(space, valuation)
     if not space.is_treelike():
         raise FrameError("unfolding produced a non-treelike space")
-    carriers = {cls: frame._ids(c)
-                for cls, c in zip(order.classes, carrier_masks)}
-    return UnfoldResult(model, root, x_class, carriers, class_opens, order)
+    return UnfoldResult(model, x_class, class_opens)
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +546,8 @@ def induced_frame(model: Model) -> BiFrame:
     Box relates (x, U) to (x, V) when V refines U around x; k relates
     neighborhoods sharing their open.  State ids are "point@open-name".
     Both relations are built closed (reflexive and transitive, k an
-    equivalence), so no closure runs.
+    equivalence), so no closure runs.  An atom holds at the neighborhoods
+    of its points, a mask read off the model's atom mask.
     """
     space = model.space
     ids = {}
@@ -558,10 +557,12 @@ def induced_frame(model: Model) -> BiFrame:
     states, index = _index_states(ids.values())
     by_point = {}       # point -> [(open, state index)]
     by_open = {}        # open -> mask of its neighborhoods
+    at = [0] * len(space.points)    # point bit -> mask of its neighborhoods
     for (x, u), sid in ids.items():
         i = index[sid]
         by_point.setdefault(x, []).append((u, i))
         by_open[u] = by_open.get(u, 0) | 1 << i
+        at[space.index[x]] |= 1 << i
     box = [0] * len(states)
     k = [0] * len(states)
     for hoods in by_point.values():
@@ -570,9 +571,8 @@ def induced_frame(model: Model) -> BiFrame:
             for v, j in hoods:
                 if v <= u:
                     box[i] |= 1 << j
-    valuation = {a: frozenset(sid for (x, _), sid in ids.items() if x in members)
-                 for a, members in model.valuation.items()}
-    return BiFrame._from_rows(states, index, box, k, valuation)
+    val_masks = {a: _image(at, m) for a, m in model.atom_masks.items()}
+    return BiFrame._from_rows(states, index, box, k, val_masks)
 
 
 # ---------------------------------------------------------------------------
@@ -596,16 +596,6 @@ def frame_from_dict(data: dict) -> BiFrame:
         raise FrameError("close must be true or false")
     return BiFrame(_strings(states, "states", FrameError), *relations,
                    _checked_valuation(data, FrameError), close=close)
-
-
-def frame_to_dict(frame: BiFrame) -> dict:
-    return {
-        "states": list(frame.states),
-        "box": sorted([a, b] for a, b in frame.box if a != b),
-        "k": sorted([a, b] for a, b in frame.k if a != b),
-        "valuation": {a: sorted(v) for a, v in sorted(frame.valuation.items())},
-        "close": True,
-    }
 
 
 def load_frame(path) -> BiFrame:

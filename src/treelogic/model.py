@@ -229,9 +229,13 @@ class Model:
 
     Unknown atoms evaluate to the empty set unless ``strict_atoms`` is
     passed to the evaluation entry points, which then reject them.
-    ``atom_masks`` holds each atom's points as a bitmask in the space's
-    point order, built once with the valuation; the enumerators build a
-    model the other way round, from its masks (``_from_masks``).
+    A model keeps its valuation as masks: ``atom_masks`` holds each atom's
+    points as a bitmask in the space's point order, and ``valuation``, the
+    same atoms as frozensets of points, is read off the masks the first
+    time it is asked for.  The constructor checks a valuation of point
+    sets and masks it; the enumerators build a model from its masks
+    (``_from_masks``).  Two models are equal when their spaces and atom
+    masks are.
 
     ``satisfies``, ``truth_set``, ``truth_in`` and ``is_valid`` are each
     one call on the model's kept context (``_ctx``): a ``MaskContext``
@@ -243,41 +247,33 @@ class Model:
 
     def __init__(self, space: SubsetSpace, valuation=None):
         self.space = space
-        val, masks = {}, {}
+        masks = {}
         for name, members in (valuation or {}).items():
             _check_atom_name(name)
-            members = frozenset(members)
             try:
-                masks[name] = space._mask(members)
+                masks[name] = space._mask(frozenset(members))
             except KeyError:
                 raise ModelError(f"valuation of {name!r} contains unknown points") from None
-            val[name] = members
-        self.valuation = val
         self.atom_masks = masks
 
     @classmethod
-    def _from_masks(cls, space: SubsetSpace, atom_masks: dict,
-                    members: dict) -> "Model":
+    def _from_masks(cls, space: SubsetSpace, atom_masks: dict) -> "Model":
         """The model whose atoms hold at the points of ``atom_masks``.
 
         It equals ``Model(space, valuation)`` for the valuation those
         masks spell out, but the atom names and masks are taken as checked,
-        and the model keeps ``atom_masks`` itself.  ``members`` maps a
-        point mask to its frozenset of ``space``'s points and is filled as
-        masks are met, so the models of one point set can share it, and
-        each subset's frozenset is built once.
+        and the model keeps ``atom_masks`` itself.
         """
         model = cls.__new__(cls)
         model.space = space
-        val = {}
-        for name, m in atom_masks.items():
-            points = members.get(m)
-            if points is None:
-                points = members[m] = space._subset(m)
-            val[name] = points
-        model.valuation = val
         model.atom_masks = atom_masks
         return model
+
+    @cached_property
+    def valuation(self) -> dict:
+        """Each atom's points, in the order of ``atom_masks``."""
+        return {name: self.space._subset(m)
+                for name, m in self.atom_masks.items()}
 
     # -- evaluation (one call each on the model's mask context) ------------
 
@@ -290,7 +286,7 @@ class Model:
         valuation: checked on every call, row kept or not."""
         if strict:
             for name in sorted(atom_names(f)):
-                if name not in self.valuation:
+                if name not in self.atom_masks:
                     raise ModelError(f"unknown atom {name!r}")
 
     def _open_mask(self, u, message: str):
@@ -341,15 +337,15 @@ class Model:
 
     def __eq__(self, other):
         return (isinstance(other, Model) and self.space == other.space
-                and self.valuation == other.valuation)
+                and self.atom_masks == other.atom_masks)
 
     def __hash__(self):
-        return hash((self.space, tuple(sorted(self.valuation.items()))))
+        return hash((self.space, tuple(sorted(self.atom_masks.items()))))
 
     def __repr__(self):
         return (f"Model({len(self.space.points)} points, "
                 f"{len(self.space.opens)} opens, "
-                f"{sorted(self.valuation)} atoms)")
+                f"{sorted(self.atom_masks)} atoms)")
 
 
 # ---------------------------------------------------------------------------

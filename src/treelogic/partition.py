@@ -15,7 +15,8 @@ member's region is the OR of its remainder's opens, and its classes
 split that region by the regions above it; the quotient splits the
 points by each open's and atom's mask.  Frozensets are built once,
 at the API edge: the public fields of ``PartitionTable`` and
-``FiltrationResult``, the output spaces and the size report.
+``FiltrationResult``, the output spaces and the size report; the output
+models keep their atoms as masks.
 ``closure_intersection`` and ``remainder`` take and return frozensets;
 ``remainder`` scans members and opens as the definition reads, and the
 tests hold the owner pass to it.
@@ -312,8 +313,7 @@ def filtrate(model: Model, formula: Formula) -> FiltrationResult:
     names = [f"cls({min(u)},{len(u)})" for u in out.values()]
     # the output keeps the input's points, so its atoms keep their masks
     output = Model._from_masks(
-        SubsetSpace(space.points, out.values(), names), model.atom_masks,
-        {m: model.valuation[a] for a, m in model.atom_masks.items()})
+        SubsetSpace(space.points, out.values(), names), model.atom_masks)
     if not output.space.is_treelike():
         raise PartitionError("filtration produced a non-treelike space")
     return FiltrationResult(
@@ -328,7 +328,10 @@ def _quotient_parts(model: Model, atoms):
 
     The point set is split by every open's mask and every atom's in turn,
     so each class holds the points with one signature, and its least
-    point, its lowest bit, stands for it.
+    point, its lowest bit, stands for it.  The quotient's points keep the
+    input's order: with the classes sorted by their lowest bits, point i
+    stands for class i, and an atom holds there when its mask meets that
+    class.
     """
     space = model.space
     points = space.points
@@ -336,6 +339,7 @@ def _quotient_parts(model: Model, atoms):
     for m in (*space.open_masks, *(model.atom_masks.get(a, 0)
                                    for a in sorted(atoms))):
         classes = [q for p in classes for q in (p & m, p & ~m) if q]
+    classes.sort(key=lambda c: c & -c)
     point_map, keep = {}, 0
     for c in classes:
         low = c & -c
@@ -347,10 +351,10 @@ def _quotient_parts(model: Model, atoms):
     # points, images of distinct opens stay distinct, and the
     # constructor's duplicate check cannot fire
     new_opens = [space._subset(m & keep) for m in space.open_masks]
-    new_val = {a: frozenset(point_map[x] for x in members)
-               for a, members in model.valuation.items()}
     quotient = SubsetSpace(space._subset(keep), new_opens)
-    return Model(quotient, new_val), point_map
+    return Model._from_masks(quotient, {
+        a: sum(1 << i for i, c in enumerate(classes) if c & m)
+        for a, m in model.atom_masks.items()}), point_map
 
 
 def point_quotient(model: Model, atoms) -> Model:

@@ -15,7 +15,6 @@ and reports any falsified instance with a full witness.
 from __future__ import annotations
 
 import json
-import time
 from bisect import bisect_right
 
 from .decide import SearchError, _family_spaces, formula_pool
@@ -323,25 +322,17 @@ class Violation:
 
 
 class SoundnessReport:
-    def __init__(self, violations, models_checked, instances, config, seconds):
+    def __init__(self, violations, models_checked, instances, config):
         self.violations = violations
         self.models_checked = models_checked
         self.instances = instances
         self.config = config
-        self.seconds = seconds
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
-    def summary(self) -> str:
-        return (f"{len(self.violations)} violations "
-                f"({self.instances} instances x {self.models_checked} models, "
-                f"{self.seconds:.1f}s)")
-
     def to_dict(self):
-        # wall-clock time stays off the record: json output is meant to
-        # be byte-identical across runs of the same configuration
         return {"violations": [v.to_dict() for v in self.violations],
                 "models_checked": self.models_checked,
                 "instances": self.instances,
@@ -476,12 +467,12 @@ def soundness_suite(max_points: int = 3, schemes=tuple(range(1, 13)),
     ``MaskContext``): any other family's lanes get blocks of their own.
     Each atom's masks under every valuation of a point count are packed
     once, and a run's valuations are cut out of them.  A model is built
-    only for a lane that fails, from its atom masks, and an instance's
-    label only when it fails.  Violations are ordered by model, then by
+    only for a lane that fails, from its atom masks alone, which it keeps
+    (its point sets wait until a report reads ``valuation``), and an
+    instance's label only when it fails.  Violations are ordered by model, then by
     instance, each at its first failing open, in the family's order, and
     lowest point.
     """
-    start = time.monotonic()
     instances = _instances(schemes, atoms, depth, include_constants)
     if not instances:
         raise SearchError("no scheme instance to check: give at least one "
@@ -492,7 +483,6 @@ def soundness_suite(max_points: int = 3, schemes=tuple(range(1, 13)),
     violations = []
     labels = {}     # instance index -> its label
     packed = {}     # (point count, lane width) -> ``_packed_valuations``
-    members = {}    # point count -> point mask -> its frozenset of points
 
     def check(block):
         """Evaluate one block of ``(space, first valuation, lanes, first
@@ -524,8 +514,7 @@ def soundness_suite(max_points: int = 3, schemes=tuple(range(1, 13)),
                 m = len(space.points)
                 masks = {a: v >> lane * n & (1 << m) - 1
                          for a, v in zip(atoms, vals)}
-                model = Model._from_masks(space, masks,
-                                          members.setdefault(m, {}))
+                model = Model._from_masks(space, masks)
                 number = first + lane - starts[r] + 1
             label = labels.get(i)
             if label is None:
@@ -563,5 +552,4 @@ def soundness_suite(max_points: int = 3, schemes=tuple(range(1, 13)),
               "schemes": [getattr(s, "scheme_id", s) for s in schemes],
               "atoms": atoms, "depth": depth,
               "treelike": treelike, "max_opens": max_opens}
-    return SoundnessReport(violations, models, len(instances), config,
-                           time.monotonic() - start)
+    return SoundnessReport(violations, models, len(instances), config)

@@ -189,23 +189,33 @@ def test_one_open_families_skip_the_masks():
     assert decide._families(40, 1, False)[0] == space
 
 
+def test_two_open_families_are_listed_directly():
+    # the direct listing keeps the general one's classes, open order and
+    # names, on both shapes
+    for n in range(1, 7):
+        for treelike in (True, False):
+            direct = decide._families(n, 2, treelike)
+            general = [s for s in decide._families(n, 3, treelike)
+                       if len(s.opens) <= 2]
+            assert list(direct) == general
+            assert [(s.opens, s.names) for s in direct] == \
+                [(s.opens, s.names) for s in general]
+    spaces = decide._families(18, 2, True)
+    assert len(spaces) == 19
+    assert [len(s.opens[-1]) for s in spaces] == [18, *range(18)]
+
+
 def test_point_names_sort_in_bit_order():
     # valuation masks number a space's points in sorted order, and a model
     # built from masks equals the one built from the valuation they spell
     (space,) = decide._families(10, 1, True)
     assert space.points == tuple(f"p{i:02d}" for i in range(1, 11))
-    members = {}
-    models = []
     for bit in range(10):
-        model = Model._from_masks(space, {"A": 1 << bit, "B": 0}, members)
+        model = Model._from_masks(space, {"A": 1 << bit, "B": 0})
         plain = Model(space, {"A": {f"p{bit + 1:02d}"}, "B": ()})
         assert model.valuation == plain.valuation
         assert model.atom_masks == plain.atom_masks == {"A": 1 << bit, "B": 0}
         assert model == plain and hash(model) == hash(plain)
-        models.append(model)
-    # each point mask's frozenset is built once and shared
-    assert len(members) == 11
-    assert all(m.valuation["B"] is members[0] for m in models)
 
 
 def test_enumerated_models_equal_their_valuations():

@@ -250,6 +250,12 @@ def test_induced_frame_equals_closure_of_generators():
         assert frame.states == closed.states
         assert frame.box == closed.box and frame.k == closed.k
         assert frame.valuation == closed.valuation
+        # an atom holds at the neighborhoods of its points in the model
+        assert frame.valuation == {
+            a: {f"{x}@{name}" for name, u in zip(model.space.names,
+                                                 model.space.opens)
+                for x in u if x in members}
+            for a, members in model.valuation.items()}
         for s in frame.states:
             assert frame.box_successors(s) == closed.box_successors(s)
             assert frame.k_class(s) == closed.k_class(s)
