@@ -15,7 +15,8 @@ __all__ = [
     "TOP", "BOT", "RESERVED",
     "atom", "neg", "conj", "box", "know",
     "disj", "implies", "diamond", "poss",
-    "parse", "render", "ast_dump", "subformulas", "size", "atom_names",
+    "parse", "render", "render_all", "ast_dump", "subformulas", "size",
+    "atom_names",
     "SCHEMES", "SYSTEMS", "instantiate", "scheme",
 ]
 
@@ -259,15 +260,67 @@ def parse(text: str) -> Formula:
 _PREC_IMP, _PREC_OR, _PREC_AND, _PREC_UNARY = 1, 2, 3, 4
 
 
+def _prefix(g: Formula):
+    """``(op, operand)`` when ``g`` prints as a prefix operator or a word.
+
+    Words (atoms, ``true``, ``false``) have no operand; the binary forms
+    (``&``, ``|``, ``->``) give None.  Negations try their sugared
+    readings first.
+    """
+    k = g.kind
+    if k == _NOT:
+        x = g.left
+        if x.kind == _AND and x.right.kind == _NOT:
+            return None
+        if x.kind == _BOX and x.left.kind == _NOT:
+            return "<>", x.left.left
+        if x.kind == _KNOW and x.left.kind == _NOT:
+            return "L", x.left.left
+        return "~", x
+    if k == _AND:
+        return None
+    if k == _BOX:
+        return "[]", g.left
+    if k == _KNOW:
+        return "K", g.left
+    return g.name if k == _ATOM else "true" if k == _TOP else "false", None
+
+
+def _sugar(g: Formula):
+    """How ``g`` prints: ``(prec, left, left_prec, op, right, right_prec)``.
+
+    ``g`` prints as ``left``, ``op`` and ``right`` in turn; a prefix
+    operator has no ``left``, and a word neither operand.  ``prec`` is the
+    precedence of ``g``'s outermost form, and each operand is put in
+    parentheses when its own is below the one given for it.  ``K`` and
+    ``L`` are spaced from an operand that prints as a word or starts with
+    one.  Every printer reads the sugar here: ``render`` and
+    ``render_all``.
+    """
+    pre = _prefix(g)
+    if pre is not None:
+        op, x = pre
+        if op in ("K", "L"):
+            nxt = _prefix(x)
+            if nxt is not None and nxt[0][0].isalnum():
+                op += " "
+        return _PREC_UNARY, None, 0, op, x, _PREC_UNARY
+    if g.kind == _AND:
+        return _PREC_AND, g.left, _PREC_AND, " & ", g.right, _PREC_AND + 1
+    a, b = g.left.left, g.left.right.left
+    if a.kind == _NOT:
+        return _PREC_OR, a.left, _PREC_OR, " | ", b, _PREC_OR + 1
+    return _PREC_IMP, a, _PREC_IMP + 1, " -> ", b, _PREC_IMP
+
+
 def render(f: Formula) -> str:
     """Concrete syntax for ``f``; ``parse(render(f)) is f``.
 
-    Iterative, so every formula the parser accepts prints back.  ``todo``
-    is a stack of the formulas still to print, each pushed after the
-    least precedence it may have without parentheses, and of the literal
-    pieces (binary operators, closing parentheses) between them.
-    Negations try their sugared readings first.  ``K`` and ``L`` are
-    spaced from a word that follows them.
+    Iterative, so every formula the parser accepts prints back, and linear
+    in the output.  ``todo`` is a stack of the formulas still to print,
+    each pushed after the least precedence it may have without
+    parentheses, and of the literal pieces (operators, closing
+    parentheses) between them.
     """
     out, todo = [], [0, f]
     while todo:
@@ -276,44 +329,38 @@ def render(f: Formula) -> str:
             out.append(g)
             continue
         min_prec = todo.pop()
-        k = g.kind
-        if k == _AND:
-            if min_prec > _PREC_AND:
-                out.append("(")
-                todo.append(")")
-            todo += (_PREC_AND + 1, g.right, " & ", _PREC_AND, g.left)
-            continue
-        if k == _NOT:
-            x = g.left
-            if x.kind == _AND and x.right.kind == _NOT:
-                a, b = x.left, x.right.left
-                if a.kind == _NOT:
-                    prec, pieces = _PREC_OR, (_PREC_OR + 1, b, " | ", _PREC_OR, a.left)
-                else:
-                    prec, pieces = _PREC_IMP, (_PREC_IMP, b, " -> ", _PREC_IMP + 1, a)
-                if min_prec > prec:
-                    out.append("(")
-                    todo.append(")")
-                todo += pieces
-                continue
-            if x.kind == _BOX and x.left.kind == _NOT:
-                op, g = "<>", x.left.left
-            elif x.kind == _KNOW and x.left.kind == _NOT:
-                op, g = "L", x.left.left
-            else:
-                op, g = "~", x
-        elif k == _BOX:
-            op, g = "[]", g.left
-        elif k == _KNOW:
-            op, g = "K", g.left
+        prec, left, left_prec, op, right, right_prec = _sugar(g)
+        if prec < min_prec:
+            out.append("(")
+            todo.append(")")
+        if right is not None:
+            todo += (right_prec, right)
+        if left is None:
+            out.append(op)
         else:
-            op, g = g.name if k == _ATOM else "true" if k == _TOP else "false", None
-        if out and out[-1] in ("K", "L") and op[0].isalnum():
-            out.append(" ")
-        out.append(op)
-        if g is not None:
-            todo += (_PREC_UNARY, g)
+            todo += (op, left_prec, left)
     return "".join(out)
+
+
+def render_all(post) -> dict:
+    """``render`` of every formula of ``post``, in one pass.
+
+    ``post`` lists formulas children first and holds every subformula of
+    each; each string is joined from its operands' strings, so the pass
+    costs the total length of the strings, not one walk per formula.
+    """
+    text = {}
+    for g in post:
+        prec, left, left_prec, op, right, right_prec = _sugar(g)
+        s = op
+        if left is not None:
+            p, t = text[left]
+            s = (f"({t})" if p < left_prec else t) + s
+        if right is not None:
+            p, t = text[right]
+            s += f"({t})" if p < right_prec else t
+        text[g] = prec, s
+    return {g: s for g, (_, s) in text.items()}
 
 
 def ast_dump(f: Formula) -> str:

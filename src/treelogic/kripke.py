@@ -19,8 +19,8 @@ import json
 from functools import cached_property
 
 from .formula import Formula, subformulas
-from .model import (Model, ModelError, SubsetSpace, _checked_valuation,
-                    _strings)
+from .model import (Model, ModelError, SubsetSpace, _check_atom_name,
+                    _checked_valuation, _strings)
 
 __all__ = [
     "FrameError", "BiFrame", "CheckResult", "FrameReport", "check_frame",
@@ -486,11 +486,21 @@ def unfold(frame: BiFrame, root) -> UnfoldResult:
             entry[1] = min(entry[1], name_key)
         class_opens[cls] = point_to_open
 
-    names = [f"cls({src},{member})" for _, (src, member) in opens.values()]
-    space = SubsetSpace(x_class, [u for u, _ in opens.values()], names)
-    valuation = {a: members & x_class
-                 for a, members in frame.valuation.items()}
-    model = Model(space, valuation)
+    # point i of the model is the i-th state of the root's class, so a
+    # state mask moves onto the model's points bit by bit
+    point = {t: 1 << i for i, t in enumerate(_bits(x_mask))}
+
+    def squeeze(m):
+        return sum(map(point.__getitem__, _bits(m & x_mask)))
+
+    names = {squeeze(p): f"cls({src},{member})"
+             for p, (_, (src, member)) in opens.items()}
+    space = SubsetSpace._from_masks(tuple(states[t] for t in point),
+                                    names.keys(), names)
+    for a in frame._val_masks:
+        _check_atom_name(a)
+    model = Model._from_masks(space, {a: squeeze(m)
+                                      for a, m in frame._val_masks.items()})
     if not space.is_treelike():
         raise FrameError("unfolding produced a non-treelike space")
     return UnfoldResult(model, x_class, class_opens)

@@ -66,6 +66,18 @@ def _open_sort_key(u: frozenset):
     return (-len(u), tuple(sorted(u)))
 
 
+def _sorted_masks(masks) -> list:
+    """Point masks in the order ``_open_sort_key`` gives their point sets.
+
+    Bigger sets come first.  Of two sets of one size, the one holding the
+    lowest point that the other lacks comes first, so it has the greater
+    string of bits read from the lowest up; two such strings never
+    extend one another.
+    """
+    return sorted(masks, key=lambda m: (m.bit_count(), bin(m)[:1:-1]),
+                  reverse=True)
+
+
 class SubsetSpace:
     """Finite point set with a family of opens containing the whole set.
 
@@ -73,7 +85,7 @@ class SubsetSpace:
     open, and the constructor rejects duplicate member sets.  Names are
     aliases used by files and the CLI.  ``index`` numbers the points in
     sorted order, and ``open_masks[i]`` is ``opens[i]`` as a bitmask over
-    that numbering.  The constructor finds an open's index from its mask
+    that numbering.  A space finds an open's index from its mask
     (``_pos``) and from its frozenset (``_set_pos``), so a lookup by
     members costs one hash, and ``_subset`` turns a point mask back into
     its frozenset from the mask's set bits.
@@ -85,31 +97,36 @@ class SubsetSpace:
     the maximal strict sub-opens of open i other than the empty open, its
     children on a tree and its covers on any other family.  The empty open
     has no children.
+
+    The constructor checks its opens, masks them and keeps their
+    frozensets.  A space built inside the program from masks that are
+    already checked (``_from_masks``) builds ``opens``, ``full`` and
+    ``index`` only when they are read; either way the lookups by members
+    and by name are built on first use.
     """
 
     def __init__(self, points, opens, names=None):
-        self.points = tuple(sorted(points))
-        if not self.points:
+        points = tuple(sorted(points))
+        if not points:
             raise ModelError("a subset space needs at least one point")
-        if len(set(self.points)) != len(self.points):
+        if len(set(points)) != len(points):
             raise ModelError("duplicate point ids")
-        self.full = frozenset(self.points)
-        self.index = {p: i for i, p in enumerate(self.points)}
+        self.full = full = frozenset(points)
+        self.index = index = {p: i for i, p in enumerate(points)}
         sets = [frozenset(u) for u in opens]
         order = sorted(range(len(sets)), key=lambda i: _open_sort_key(sets[i]))
-        self.opens = tuple(sets[i] for i in order)
+        self.opens = opens = tuple(sets[i] for i in order)
         if names is None:
-            gen = ("top" if u == self.full else f"U{i}"
-                   for i, u in enumerate(self.opens))
-            self.names = tuple(gen)
+            names = ["top" if u == full else f"U{i}"
+                     for i, u in enumerate(opens)]
         else:
             names = list(names)
             if len(names) != len(sets):
                 raise ModelError("one name per open required")
-            self.names = tuple(names[i] for i in order)
-        bits = {p: 1 << i for i, p in enumerate(self.points)}
+            names = [names[i] for i in order]
+        bits = {p: 1 << i for p, i in index.items()}
         pos = {}            # open mask -> its index in ``opens``
-        for name, u in zip(self.names, self.opens):
+        for name, u in zip(names, opens):
             try:
                 m = sum(map(bits.__getitem__, u))
             except KeyError:
@@ -117,15 +134,59 @@ class SubsetSpace:
             if m in pos:
                 raise ModelError(f"open {name!r} duplicates another open's members")
             pos[m] = len(pos)
-        if len(set(self.names)) != len(self.names):
+        if len(set(names)) != len(names):
             raise ModelError("duplicate open names")
-        if (1 << len(self.points)) - 1 not in pos:
+        if (1 << len(points)) - 1 not in pos:
             raise ModelError("the full point set must be one of the opens")
+        self._setup(points, pos, names)
+
+    @classmethod
+    def _from_masks(cls, points: tuple, masks, names=None) -> "SubsetSpace":
+        """The space on ``points`` whose opens have the point masks ``masks``.
+
+        It equals ``SubsetSpace(points, opens)`` for the opens those masks
+        spell out, with ``names[m]`` naming the open of mask ``m`` when
+        ``names`` is given, but nothing is checked: ``points`` is sorted
+        and free of repeats, and ``masks`` are distinct, within the points
+        and hold the full set.
+        """
+        masks = _sorted_masks(masks)
+        if names is None:
+            full = (1 << len(points)) - 1
+            names = ["top" if m == full else f"U{i}"
+                     for i, m in enumerate(masks)]
+        else:
+            names = [names[m] for m in masks]
+        space = cls.__new__(cls)
+        space._setup(points, dict(zip(masks, range(len(masks)))), names)
+        return space
+
+    def _setup(self, points, pos, names):
+        self.points = points
+        self.names = tuple(names)
         self.open_masks = tuple(pos)
         self._pos = pos
-        self._set_pos = dict(zip(self.opens, range(len(self.opens))))
-        self._by_name = dict(zip(self.names, self.opens))
         self._build_tree()
+
+    @cached_property
+    def full(self) -> frozenset:
+        return frozenset(self.points)
+
+    @cached_property
+    def index(self) -> dict:
+        return {p: i for i, p in enumerate(self.points)}
+
+    @cached_property
+    def opens(self) -> tuple:
+        return tuple(map(self._subset, self.open_masks))
+
+    @cached_property
+    def _set_pos(self) -> dict:
+        return dict(zip(self.opens, range(len(self.open_masks))))
+
+    @cached_property
+    def _by_name(self) -> dict:
+        return dict(zip(self.names, self.opens))
 
     def _build_tree(self):
         """Set ``children`` and the flag that ``is_treelike`` returns.
@@ -137,14 +198,17 @@ class SubsetSpace:
         is the first open partly overlapping an earlier one, and the covers
         of such a family are then found pairwise.
         """
-        masks, index = self.open_masks, self.index
+        masks = self.open_masks
         kids = [[] for _ in masks]
         owner = [0] * len(self.points)      # open 0 is the full set
         tree = True
         for i in range(1, len(masks)):
             parent = None
-            for p in self.opens[i]:
-                b = index[p]
+            m = masks[i]
+            while m:
+                low = m & -m
+                b = low.bit_length() - 1
+                m ^= low
                 if parent is None:
                     parent = owner[b]
                 elif owner[b] != parent:
@@ -215,13 +279,14 @@ class SubsetSpace:
     def __eq__(self, other):
         return (isinstance(other, SubsetSpace)
                 and self.points == other.points
-                and set(self.opens) == set(other.opens))
+                and self._pos.keys() == other._pos.keys())
 
     def __hash__(self):
-        return hash((self.points, frozenset(self.opens)))
+        return hash((self.points, frozenset(self.open_masks)))
 
     def __repr__(self):
-        return f"SubsetSpace({len(self.points)} points, {len(self.opens)} opens)"
+        return (f"SubsetSpace({len(self.points)} points, "
+                f"{len(self.open_masks)} opens)")
 
 
 class Model:
@@ -344,7 +409,7 @@ class Model:
 
     def __repr__(self):
         return (f"Model({len(self.space.points)} points, "
-                f"{len(self.space.opens)} opens, "
+                f"{len(self.space.open_masks)} opens, "
                 f"{sorted(self.atom_masks)} atoms)")
 
 

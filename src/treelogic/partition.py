@@ -13,10 +13,13 @@ closed under AND; truth sets are columns of ``MaskContext`` rows; an
 open's remainder is found from its owner, the least member around it; a
 member's region is the OR of its remainder's opens, and its classes
 split that region by the regions above it; the quotient splits the
-points by each open's and atom's mask.  Frozensets are built once,
-at the API edge: the public fields of ``PartitionTable`` and
-``FiltrationResult``, the output spaces and the size report; the output
-models keep their atoms as masks.
+points by each open's and atom's mask.  The output spaces are built
+from their open masks and the output models keep their atoms as masks.
+Frozensets are built on access: the public fields of ``PartitionTable``,
+``FiltrationResult`` and ``ExtractResult`` the first time each is read,
+an ``image`` for its one neighborhood, an output's opens and valuation
+when read.  The size report prints the subformulas in one pass
+(``formula.render_all``).
 ``closure_intersection`` and ``remainder`` take and return frozensets;
 ``remainder`` scans members and opens as the definition reads, and the
 tests hold the owner pass to it.
@@ -31,8 +34,10 @@ relies on it.
 
 from __future__ import annotations
 
-from .formula import Formula, render, subformulas
-from .model import Model, SubsetSpace, _open_sort_key
+from functools import cached_property
+
+from .formula import Formula, render_all, subformulas
+from .model import Model, SubsetSpace, _open_sort_key, _sorted_masks
 
 __all__ = [
     "PartitionError", "closure_intersection", "remainder", "is_stable",
@@ -123,56 +128,88 @@ class PartitionTable:
     so the owner is the least member around ``v``, and every other member
     around ``v`` lies above it.
 
-    The constructor takes the families as sets of point masks.  For
-    ``filtrate`` it keeps each open's owner as an index into ``members``
-    (``_owner``, in the order of the space's opens).
+    The table keeps point masks: each subformula's family as a set of
+    masks (``_families``), the top family's members in ``members`` order
+    (``_members``) and each open's owner as an index into them
+    (``_owner``, in the order of the space's opens).  The four public
+    fields are built from these the first time they are read.
     """
 
     def __init__(self, model, formula, families):
-        space = model.space
         self.model = model
         self.formula = formula
-        subsets, public = {}, {}
-        for fam in families.values():
-            if fam not in public:   # ``~``, ``[]`` and atoms share families
-                for m in fam:
-                    if m not in subsets:
-                        subsets[m] = space._subset(m)
-                public[fam] = frozenset(map(subsets.__getitem__, fam))
-        self.families = {psi: public[fam] for psi, fam in families.items()}
-        self.family = self.families[formula]
-        masks = sorted(families[formula],
-                       key=lambda m: _open_sort_key(subsets[m]))
-        self.members = tuple(map(subsets.__getitem__, masks))
+        self._families = families
+        masks = self._members = _sorted_masks(families[formula])
         index = {m: i for i, m in enumerate(masks)}
         owner = []
-        for v in space.open_masks:
+        for v in model.space.open_masks:
             least = -1
             for m in masks:
                 if not v & ~m:
                     least &= m
             owner.append(index[least])
         self._owner = owner
-        rems = [[] for _ in masks]
-        for v, i in zip(space.opens, owner):
+
+    @cached_property
+    def families(self) -> dict:
+        subset, subsets, public = self.model.space._subset, {}, {}
+        for fam in self._families.values():
+            if fam not in public:   # ``~``, ``[]`` and atoms share families
+                for m in fam:
+                    if m not in subsets:
+                        subsets[m] = subset(m)
+                public[fam] = frozenset(map(subsets.__getitem__, fam))
+        return {psi: public[fam] for psi, fam in self._families.items()}
+
+    @cached_property
+    def family(self) -> frozenset:
+        return frozenset(self.members)
+
+    @cached_property
+    def members(self) -> tuple:
+        return tuple(map(self.model.space._subset, self._members))
+
+    @cached_property
+    def remainders(self) -> dict:
+        rems = [[] for _ in self._members]
+        for v, i in zip(self.model.space.opens, self._owner):
             rems[i].append(v)
-        self.remainders = {u: frozenset(r) for u, r in zip(self.members, rems)}
+        return {u: frozenset(r) for u, r in zip(self.members, rems)}
 
     def family_sizes(self) -> dict:
-        return {render(psi): len(fam) for psi, fam in self.families.items()}
+        text = render_all(self._families)
+        return {text[psi]: len(fam) for psi, fam in self._families.items()}
+
+
+def _subtree(post, i) -> list:
+    """``post[i]`` and its subformulas, children first.
+
+    ``post`` lists subformulas children first, so everything below
+    ``post[i]`` comes before it: one backward scan from ``i`` finds them,
+    and the result keeps ``post``'s order.
+    """
+    reach, out = {post[i]}, []
+    for j in range(i, -1, -1):
+        g = post[j]
+        if g in reach:
+            out.append(g)
+            reach.add(g.left)
+            reach.add(g.right)
+    out.reverse()
+    return out
 
 
 def build_stable_partitions(model: Model, formula: Formula) -> PartitionTable:
     """Families of subsets whose remainders are stable per subformula.
 
-    Built bottom-up over the subformulas, on point masks: atoms need only
-    the whole space; conjunction merges and recloses; the knowledge case
-    recloses with the truth sets of the child over the child's family
-    members.  Negation and the refinement modality reuse the child's
-    family.  Every truth set comes from the model's own mask context
-    (``Model._ctx``): the knowledge case reads its child's truth at every
-    member from one pass, whose extra slots are the members that are not
-    opens.
+    Built bottom-up over one children-first walk of the subformulas, on
+    point masks: atoms need only the whole space; conjunction merges and
+    recloses; the knowledge case recloses with the truth sets of the
+    child over the child's family members.  Negation and the refinement
+    modality reuse the child's family.  Every truth set comes from the
+    model's own mask context (``Model._ctx``): the knowledge case reads
+    its child's truth at every member from one pass over the child's part
+    of the walk, whose extra slots are the members that are not opens.
     """
     space = model.space
     if not space.is_treelike():
@@ -180,8 +217,11 @@ def build_stable_partitions(model: Model, formula: Formula) -> PartitionTable:
     pos, width = space._pos, len(space.open_masks)
     whole = frozenset([space.open_masks[0]])    # the full set comes first
     families: dict[Formula, frozenset] = {}
+    at = {}
     ctx = model._ctx
-    for psi in subformulas(formula):
+    post = subformulas(formula)
+    for i, psi in enumerate(post):
+        at[psi] = i
         k = psi.kind
         if k in ("atom", "top", "bot"):
             fam = whole
@@ -192,7 +232,8 @@ def build_stable_partitions(model: Model, formula: Formula) -> PartitionTable:
         else:  # know
             base = families[psi.left]
             carriers = [m for m in base if m not in pos]
-            row = ctx.rows(subformulas(psi.left), [psi.left], carriers)[0]
+            row = ctx.rows(_subtree(post, at[psi.left]), [psi.left],
+                           carriers)[0]
             truths = [row[pos[m]] for m in base if m in pos] + row[width:]
             fam = _close(base.union(truths))
         families[psi] = fam
@@ -208,45 +249,92 @@ class FiltrationResult:
     (member, point) to the point's class, which is an open of ``output``;
     ``owner`` maps each open of the input to the member whose remainder
     holds it.
+
+    The result keeps point masks and the table's member indices: the
+    surviving members (``_alive``), every member's region (``_bar``), the
+    strict pairs (``_lt``) and each surviving member's classes
+    (``_parts``).  The public fields are built from them the first time
+    they are read; ``image`` reads the masks.
     """
 
-    def __init__(self, table, surviving, bars, lt, classes, owner, output):
+    def __init__(self, table, alive, bar, lt, parts, output):
         self.table = table
         self.formula = table.formula
-        self.surviving = surviving
-        self.bars = bars
-        self.lt = lt
-        self.classes = classes
-        self.owner = owner
         self.output = output
+        self._alive = alive
+        self._bar = bar
+        self._lt = lt
+        self._parts = parts
+
+    @cached_property
+    def surviving(self) -> tuple:
+        members = self.table.members
+        return tuple(members[a] for a in self._alive)
+
+    @cached_property
+    def bars(self) -> dict:
+        subset = self.table.model.space._subset
+        return {u: subset(b) for u, b in zip(self.table.members, self._bar)}
+
+    @cached_property
+    def lt(self) -> frozenset:
+        members = self.table.members
+        return frozenset((members[a], members[b]) for a, b in self._lt)
+
+    @cached_property
+    def classes(self) -> dict:
+        members, subset = self.table.members, self.table.model.space._subset
+        out, classes = {}, {}
+        for a in self._alive:
+            u = members[a]
+            for c in self._parts[a]:
+                if c not in out:
+                    out[c] = subset(c)
+                cls = out[c]
+                for x in cls:
+                    classes[(u, x)] = cls
+        return classes
+
+    @cached_property
+    def owner(self) -> dict:
+        members = self.table.members
+        return dict(zip(self.table.model.space.opens,
+                        map(members.__getitem__, self.table._owner)))
 
     def le(self, u1, u2) -> bool:
         return u1 == u2 or (u1, u2) in self.lt
 
+    def _class(self, x, v) -> int:
+        """The mask of ``image(x, v)``'s open: the class of the owner of
+        ``v`` that holds ``x``."""
+        space = self.table.model.space
+        i = space._position(frozenset(v))
+        if i is None:
+            raise PartitionError("not an open of the filtrated model")
+        b = space.index.get(x)
+        if b is not None:
+            for c in self._parts.get(self.table._owner[i], ()):
+                if c >> b & 1:
+                    return c
+        raise PartitionError(f"point {x!r} does not belong to the open")
+
     def image(self, x, v):
         """Image neighborhood in the output of the input neighborhood (x, v)."""
-        v = frozenset(v)
-        owner = self.owner.get(v)
-        if owner is None:
-            raise PartitionError("not an open of the filtrated model")
-        cls = self.classes.get((owner, x))
-        if cls is None:
-            raise PartitionError(f"point {x!r} does not belong to the open")
-        return x, cls
+        return x, self.table.model.space._subset(self._class(x, v))
 
 
 def filtrate(model: Model, formula: Formula) -> FiltrationResult:
     """Collapse the open family to the classes induced by the partition.
 
     Works on the table's member indices and point masks throughout; the
-    result's fields are built from them at the end.
+    output space is built from the class masks.
     """
     table = build_stable_partitions(model, formula)
     space = model.space
-    members, owner = table.members, table._owner
+    owner = table._owner
 
     # each member's region, the points its remainder covers
-    bar = [0] * len(members)
+    bar = [0] * len(table._members)
     for v, i in zip(space.open_masks, owner):
         bar[i] |= v
     alive = [i for i, b in enumerate(bar) if b]
@@ -258,7 +346,7 @@ def filtrate(model: Model, formula: Formula) -> FiltrationResult:
     # an ancestor of open j is a remainder open of a, and ``inside[b]``
     # has it when that holds for some remainder open of b.
     held = [0] * len(owner)
-    inside = [0] * len(members)
+    inside = [0] * len(bar)
     for i, kids in enumerate(space.children):
         for c in kids:
             held[c] = held[i] | 1 << owner[i]
@@ -300,38 +388,29 @@ def filtrate(model: Model, formula: Formula) -> FiltrationResult:
                         raise PartitionError("strictly nested classes require "
                                              "strictly related members")
 
-    out = {c: space._subset(c) for a in alive for c in parts[a]}
-    if space.open_masks[0] not in out:
+    points = space.points
+    names = {c: f"cls({points[(c & -c).bit_length() - 1]},{c.bit_count()})"
+             for a in alive for c in parts[a]}
+    if space.open_masks[0] not in names:
         raise PartitionError("filtration lost the full point set")
-    classes = {}
-    for a in alive:
-        u = members[a]
-        for c in parts[a]:
-            cls = out[c]
-            for x in cls:
-                classes[(u, x)] = cls
-    names = [f"cls({min(u)},{len(u)})" for u in out.values()]
     # the output keeps the input's points, so its atoms keep their masks
     output = Model._from_masks(
-        SubsetSpace(space.points, out.values(), names), model.atom_masks)
+        SubsetSpace._from_masks(points, names.keys(), names),
+        model.atom_masks)
     if not output.space.is_treelike():
         raise PartitionError("filtration produced a non-treelike space")
-    return FiltrationResult(
-        table, tuple(members[a] for a in alive),
-        {u: space._subset(b) for u, b in zip(members, bar)},
-        frozenset((members[a], members[b]) for a, b in lt), classes,
-        dict(zip(space.opens, map(members.__getitem__, owner))), output)
+    return FiltrationResult(table, alive, bar, lt, parts, output)
 
 
 def _quotient_parts(model: Model, atoms):
-    """The point quotient and the map from each point to its class's least.
+    """The point quotient and its point map, as the classes' masks.
 
     The point set is split by every open's mask and every atom's in turn,
     so each class holds the points with one signature, and its least
     point, its lowest bit, stands for it.  The quotient's points keep the
     input's order: with the classes sorted by their lowest bits, point i
-    stands for class i, and an atom holds there when its mask meets that
-    class.
+    stands for class i, the points of ``classes[i]``, and an open or an
+    atom holds there when its mask meets that class.
     """
     space = model.space
     points = space.points
@@ -340,21 +419,17 @@ def _quotient_parts(model: Model, atoms):
                                    for a in sorted(atoms))):
         classes = [q for p in classes for q in (p & m, p & ~m) if q]
     classes.sort(key=lambda c: c & -c)
-    point_map, keep = {}, 0
-    for c in classes:
-        low = c & -c
-        keep |= low
-        rep = points[low.bit_length() - 1]
-        for x in space._subset(c):
-            point_map[x] = rep
-    # every open is a union of classes, so it keeps exactly their least
-    # points, images of distinct opens stay distinct, and the
-    # constructor's duplicate check cannot fire
-    new_opens = [space._subset(m & keep) for m in space.open_masks]
-    quotient = SubsetSpace(space._subset(keep), new_opens)
+
+    def pack(m):
+        return sum(1 << i for i, c in enumerate(classes) if c & m)
+
+    # every open is a union of classes, so images of distinct opens stay
+    # distinct, and the full set goes to the full set
+    quotient = SubsetSpace._from_masks(
+        tuple(points[(c & -c).bit_length() - 1] for c in classes),
+        map(pack, space.open_masks))
     return Model._from_masks(quotient, {
-        a: sum(1 << i for i, c in enumerate(classes) if c & m)
-        for a, m in model.atom_masks.items()}), point_map
+        a: pack(m) for a, m in model.atom_masks.items()}), classes
 
 
 def point_quotient(model: Model, atoms) -> Model:
@@ -367,30 +442,48 @@ def point_quotient(model: Model, atoms) -> Model:
 
 
 class ExtractResult:
-    """Finite model extracted for one formula, with the size report."""
+    """Finite model extracted for one formula, with the size report.
 
-    def __init__(self, model, report, filtration, point_map):
+    ``point_map`` sends each point of the input to the point of ``model``
+    that stands for it.  The result keeps the point quotient's classes as
+    masks (``_classes``, see ``_quotient_parts``); ``point_map`` is built
+    from them the first time it is read, and ``image`` reads the masks.
+    """
+
+    def __init__(self, model, report, filtration, classes):
         self.model = model
         self.report = report
         self.filtration = filtration
         self.table = filtration.table
-        self.point_map = point_map
+        self._classes = classes
+
+    @cached_property
+    def point_map(self) -> dict:
+        subset = self.table.model.space._subset
+        reps = self.model.space.points
+        return {x: rep for c, rep in zip(self._classes, reps)
+                for x in subset(c)}
 
     def image(self, x, v):
         """Output neighborhood corresponding to the input neighborhood (x, v)."""
-        x2, cls = self.filtration.image(x, v)
-        return (self.point_map[x2],
-                frozenset(self.point_map[y] for y in cls))
+        space = self.table.model.space
+        c = self.filtration._class(x, v)
+        b = 1 << space.index[x]
+        rep = next(p for q, p in zip(self._classes, self.model.space.points)
+                   if q & b)
+        # the open is a union of classes: its image is their least points
+        keep = sum(q & -q for q in self._classes)
+        return rep, space._subset(c & keep)
 
 
 def extract_finite_model(model: Model, formula: Formula) -> ExtractResult:
     """Stable partition, filtration, then point quotient over the atoms."""
     filt = filtrate(model, formula)
     # the table's families list the subformulas: no second walk
-    atoms = [g.name for g in filt.table.families if g.kind == "atom"]
-    quotient, point_map = _quotient_parts(filt.output, atoms)
+    atoms = [g.name for g in filt.table._families if g.kind == "atom"]
+    quotient, classes = _quotient_parts(filt.output, atoms)
     return ExtractResult(quotient, size_report(filt.table, quotient), filt,
-                         point_map)
+                         classes)
 
 
 _SATURATION = 10 ** 12
@@ -459,7 +552,7 @@ def _bound(post) -> Bound:
 
 def size_report(table: PartitionTable, output: Model) -> dict:
     """Family sizes, the output's size and the paper's bound for the formula."""
-    bound = _bound(list(table.families))
+    bound = _bound(list(table._families))
     return {
         "family_sizes": table.family_sizes(),
         "output_points": len(output.space.points),

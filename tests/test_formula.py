@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -9,6 +10,7 @@ from treelogic import (BOT, TOP, ParseError, SchemaError, ast_dump, atom,
                        atom_names, box, conj, diamond, disj, implies,
                        SCHEMES, formula_pool, instantiate, know, neg, parse,
                        poss, render, size, subformulas)
+from treelogic.formula import render_all
 from treelogic.proofs import TAUTOLOGY_REPS
 
 
@@ -98,6 +100,31 @@ def test_roundtrip_random_asts():
     for _ in range(2000):
         f = rand(rng.randrange(1, 7))
         assert parse(render(f)) is f
+
+
+def test_render_all_matches_render():
+    # the one-pass printer joins each formula from its operands' strings;
+    # over a seeded corpus it prints every subformula as ``render`` does,
+    # and the corpus holds every sugared form and spacing rule
+    rng = random.Random(3)
+    forms = {"|": r" \| ", "->": r" -> ", "<>": r"<>", "L": r"L",
+             "K before an atom": r"K [AB]", "true": r"true",
+             "K or L before K or L": r"[KL] [KL]"}
+    seen, and_under_unary, count = set(), False, 0
+    for i in range(3000):
+        f = random_formula(rng, ("A", "B"), 2 + i % 5)
+        post = subformulas(f)
+        text = render_all(post)
+        assert list(text) == post
+        for g in post:
+            assert text[g] == render(g)
+            assert parse(text[g]) is g
+            seen.update(k for k, r in forms.items() if re.search(r, text[g]))
+            and_under_unary |= g.kind in ("box", "know") and \
+                g.left.kind == "and"
+        count += len(post)
+    assert seen == set(forms) and and_under_unary
+    assert count > 25_000
 
 
 def test_render_deep_nesting():

@@ -623,3 +623,30 @@ def test_loader_rejects_bad_files():
 def test_empty_open_contributes_no_neighborhoods(m1):
     assert frozenset() in set(m1.space.opens)
     assert all(u for _, u in m1.neighborhoods())
+
+
+def test_space_from_masks_equals_the_checked_constructor():
+    # the constructor path that takes checked masks sorts them as the
+    # public one sorts point sets and gives the same opens, names and tree
+    rng = random.Random(17)
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        points = tuple(f"p{i}" for i in range(n))
+        full = (1 << n) - 1
+        masks = {full} | {rng.randrange(full + 1)
+                          for _ in range(rng.randint(0, 12))}
+        sets = [frozenset(p for i, p in enumerate(points) if m >> i & 1)
+                for m in masks]
+        names = {m: f"n{m}" for m in masks}
+        for given in (None, names):
+            want = SubsetSpace(points, sets, None if given is None
+                               else [names[m] for m in masks])
+            got = SubsetSpace._from_masks(points, masks, given)
+            assert got == want
+            assert got.opens == want.opens
+            assert got.open_masks == want.open_masks
+            assert got.names == want.names
+            assert got.children == want.children
+            assert got.is_treelike() == want.is_treelike()
+            assert got.full == want.full and got.index == want.index
+            assert got.down_set(got.names[-1]) == want.down_set(want.names[-1])

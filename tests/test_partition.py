@@ -405,3 +405,47 @@ def test_extraction_bytes_are_pinned(build, seed, digest):
     model, formulas = build(seed)
     lines = "\n".join(_extraction_record(model, f) for f in formulas)
     assert hashlib.sha256(lines.encode()).hexdigest() == digest
+
+
+def _field_record(model, f):
+    """Canonical JSON of the extraction fields the record above leaves out."""
+    ex = extract_finite_model(model, f)
+    filt, table = ex.filtration, ex.table
+
+    def key(u):
+        return ",".join(sorted(u))
+
+    record = {
+        "families": {render(psi): sorted(map(key, fam))
+                     for psi, fam in table.families.items()},
+        "family": sorted(map(key, table.family)),
+        "members": [sorted(u) for u in table.members],
+        "bars": {key(u): sorted(b) for u, b in filt.bars.items()},
+        "classes": sorted([key(u), x, sorted(cls)]
+                          for (u, x), cls in filt.classes.items()),
+        "point_map": ex.point_map,
+    }
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
+# sha256 of the ``_field_record`` lines, built as above, recorded before
+# these fields were built on access from the pipeline's masks
+PINNED_FIELDS = [
+    (_pinned_stream, 71,
+     "ca8ecf5a96b73df6b2d87012d853a5d8494c7ceae2f8f1bdf42fdb9cf159e272"),
+    (_pinned_stream, 72,
+     "ebedacf1ceb3deaa5ab8a65adcbb84b286f461bc0b131d19c2075f84130e33f8"),
+    (_pinned_question_tree, 73,
+     "6a6582905f847e0ed1ae5669db6bb70670127f1f6c45fc8bbd5f663e9e9afa7a"),
+    (_pinned_question_tree, 74,
+     "424213bffe6b7dad211e133a27acfbe967cc24849b4776aee0309e0646a86fee"),
+    (_pinned_question_tree, 75,
+     "89ba05426ae9d1d1f1efda13e738ca493175c895bd2e707312f0503174fa86bf"),
+]
+
+
+@pytest.mark.parametrize("build, seed, digest", PINNED_FIELDS)
+def test_extraction_fields_are_pinned(build, seed, digest):
+    model, formulas = build(seed)
+    lines = "\n".join(_field_record(model, f) for f in formulas)
+    assert hashlib.sha256(lines.encode()).hexdigest() == digest
