@@ -39,15 +39,17 @@ def _families(n: int, max_opens, treelike: bool):
     opens, of either shape, the n + 1 classes are listed directly in that
     order, and no mask is ranked: the full set alone, then the full set
     with the first k points, the least open of size k, for k < n.
+    Each space is built from its masks (``SubsetSpace._from_masks``).
     Cached: searches and the soundness harness ask for the same few point
     counts again.
     """
     # zero-padded from ten points on, so that sorted order is bit order
     points = tuple(f"p{i + 1:0{len(str(n))}d}" for i in range(n))
     if max_opens in (1, 2):
-        return (SubsetSpace(points, [points]),) + tuple(
-            SubsetSpace(points, [points[:k], points])
-            for k in range(n if max_opens == 2 else 0))
+        # the first k points and the full set; k = n gives the full set alone
+        full = (1 << n) - 1
+        return tuple(SubsetSpace._from_masks(points, {(1 << k) - 1, full})
+                     for k in (n, *range(n if max_opens == 2 else 0)))
     masks = sorted(range(1 << n), key=lambda m: (
         m.bit_count(), [i for i in range(n) if m >> i & 1]))
     rank = {m: r for r, m in enumerate(masks)}
@@ -89,9 +91,8 @@ def _families(n: int, max_opens, treelike: bool):
                     seen.add(g)
                     todo.append(g)
 
-    return tuple(SubsetSpace(points, [
-        [p for i, p in enumerate(points) if masks[r] >> i & 1] for r in fam])
-        for fam in kept)
+    return tuple(SubsetSpace._from_masks(points, [masks[r] for r in fam])
+                 for fam in kept)
 
 
 # Labelled open families ``_families`` may list over one point count
@@ -451,12 +452,12 @@ class _StepCap(Exception):
 
 
 def _materialize(n_points: int, opens, atom_masks, atoms) -> Model:
+    """``_Types.tree``'s model, built from its masks: the tree's opens are
+    distinct and the root's holds every point."""
     # zero-padded so that sorted point order matches bit order
     width = max(2, len(str(n_points)))
     points = tuple(f"p{i + 1:0{width}d}" for i in range(n_points))
-    sets = [frozenset(points[i] for i in range(n_points) if m >> i & 1)
-            for m in opens]
-    return Model._from_masks(SubsetSpace(points, sets),
+    return Model._from_masks(SubsetSpace._from_masks(points, opens),
                              dict(zip(atoms, atom_masks)))
 
 

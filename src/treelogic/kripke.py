@@ -10,7 +10,8 @@ it can reach.
 Internally both relations are successor rows over state indices: row i
 is an int whose bit j is set when state i relates to state j.  States
 are sorted, so ascending bit order is the sorted order in which every
-witness is reported.
+witness is reported.  ``unfold`` cuts each class's carrier into its
+opens with ``model._cells`` and keeps them as state masks.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import json
 from functools import cached_property
 
 from .formula import Formula, subformulas
-from .model import (Model, ModelError, SubsetSpace, _check_atom_name,
+from .model import (Model, SubsetSpace, _cells, _check_atom_name,
                     _checked_valuation, _strings)
 
 __all__ = [
@@ -396,27 +397,32 @@ class UnfoldResult:
 
     ``model`` is the subset-space model; points are the states of the
     root's k-class, ``x_class``.  ``open_for(t, s)`` returns the open
-    obtained from state ``s``'s class that contains point ``t``.
+    obtained from state ``s``'s class that contains point ``t``.  Both
+    are read, when asked, off state masks: the root's class and each
+    class's opens (``_cells``, keyed by the class's mask).
     """
 
-    def __init__(self, model, x_class, class_opens):
+    def __init__(self, model, frame, x_mask, cells):
         self.model = model
-        self.x_class = x_class
-        self._class_opens = class_opens    # k-class -> {point -> open frozenset}
-        self._class_by_state = {s: c for c in class_opens for s in c}
+        # the frame's states and k rows, not the relations it caches
+        self._states, self._index = frame.states, frame._index
+        self._k_rows, self._x_mask = frame._k_rows, x_mask
+        self._cells = cells     # k-class mask -> its opens' state masks
 
-    def _class_of(self, s) -> frozenset:
-        try:
-            return self._class_by_state[s]
-        except KeyError:
-            raise FrameError(f"unknown state {s!r}") from None
+    @cached_property
+    def x_class(self) -> frozenset:
+        return frozenset(map(self._states.__getitem__, _bits(self._x_mask)))
 
     def open_for(self, t, s) -> frozenset:
-        try:
-            return self._class_opens[self._class_of(s)][t]
-        except KeyError:
-            raise FrameError(
-                f"point {t!r} lies outside the carrier of {s!r}'s class") from None
+        index = self._index
+        if s not in index:
+            raise FrameError(f"unknown state {s!r}")
+        bit = 1 << index[t] if t in index else 0
+        for cell in self._cells[self._k_rows[index[s]]]:
+            if cell & bit:
+                return frozenset(map(self._states.__getitem__, _bits(cell)))
+        raise FrameError(
+            f"point {t!r} lies outside the carrier of {s!r}'s class")
 
 
 def unfold(frame: BiFrame, root) -> UnfoldResult:
@@ -452,39 +458,12 @@ def unfold(frame: BiFrame, root) -> UnfoldResult:
     if not order.is_partial_order():
         raise FrameError("class order is not a partial order")
     x_mask = k[frame._index[root]]
-    x_class = frame._ids(x_mask)
-    if order.greatest() != x_class:
+    if order.greatest() != frame._ids(x_mask):
         raise FrameError(f"root {root!r}'s class is not the top of the class order")
 
     # the carrier of a class: the points of X refining into one of its states
     cols = frame._box_cols
     carrier_masks = [x_mask & _image(cols, m) for m in masks]
-
-    class_opens = {}
-    opens = {}    # open mask -> [open, (source class min, min member)]
-    for i, (cls, m) in enumerate(zip(order.classes, masks)):
-        # split the carrier by membership in the carriers of the classes above
-        parts = [carrier_masks[i]] if carrier_masks[i] else []
-        for j in _bits(order._up[i]):
-            cj = carrier_masks[j]
-            parts = [q for p in parts for q in (p & cj, p & ~cj) if q]
-        parts.sort(key=lambda p: p & -p)
-        point_to_open = {}
-        for p in parts:
-            u = frame._ids(p)
-            for t in _bits(p):
-                # each point of an open refines into exactly one state of the class
-                hits = box[t] & m
-                if hits & hits - 1:
-                    raise FrameError(
-                        f"canonical representation not unique: {states[t]!r} "
-                        f"reaches {[states[h] for h in _bits(hits)]} in class "
-                        f"of {states[_low(m)]!r}")
-                point_to_open[states[t]] = u
-            name_key = (states[_low(m)], states[_low(p)])
-            entry = opens.setdefault(p, [u, name_key])
-            entry[1] = min(entry[1], name_key)
-        class_opens[cls] = point_to_open
 
     # point i of the model is the i-th state of the root's class, so a
     # state mask moves onto the model's points bit by bit
@@ -493,8 +472,27 @@ def unfold(frame: BiFrame, root) -> UnfoldResult:
     def squeeze(m):
         return sum(map(point.__getitem__, _bits(m & x_mask)))
 
-    names = {squeeze(p): f"cls({src},{member})"
-             for p, (_, (src, member)) in opens.items()}
+    cells = {}
+    names = {}      # the model's open masks -> their names
+    for i, m in enumerate(masks):
+        # split the carrier by membership in the carriers of the classes above
+        parts = _cells(carrier_masks[i],
+                       map(carrier_masks.__getitem__, _bits(order._up[i])))
+        parts.sort(key=lambda p: p & -p)
+        for p in parts:
+            for t in _bits(p):
+                # each point of an open refines into exactly one state of the class
+                hits = box[t] & m
+                if hits & hits - 1:
+                    raise FrameError(
+                        f"canonical representation not unique: {states[t]!r} "
+                        f"reaches {[states[h] for h in _bits(hits)]} in class "
+                        f"of {states[_low(m)]!r}")
+            # classes come least state first, and the first one names an open
+            names.setdefault(squeeze(p),
+                             f"cls({states[_low(m)]},{states[_low(p)]})")
+        cells[m] = parts
+
     space = SubsetSpace._from_masks(tuple(states[t] for t in point),
                                     names.keys(), names)
     for a in frame._val_masks:
@@ -503,7 +501,7 @@ def unfold(frame: BiFrame, root) -> UnfoldResult:
                                       for a, m in frame._val_masks.items()})
     if not space.is_treelike():
         raise FrameError("unfolding produced a non-treelike space")
-    return UnfoldResult(model, x_class, class_opens)
+    return UnfoldResult(model, frame, x_mask, cells)
 
 
 # ---------------------------------------------------------------------------

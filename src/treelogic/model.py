@@ -78,6 +78,15 @@ def _sorted_masks(masks) -> list:
                   reverse=True)
 
 
+def _cells(whole: int, cuts) -> list:
+    """The nonempty cells of the mask ``whole`` cut by each mask of
+    ``cuts``, each cut putting a cell's part inside before its part out."""
+    cells = [whole] if whole else []
+    for m in cuts:
+        cells = [q for p in cells for q in (p & m, p & ~m) if q]
+    return cells
+
+
 class SubsetSpace:
     """Finite point set with a family of opens containing the whole set.
 
@@ -99,10 +108,10 @@ class SubsetSpace:
     has no children.
 
     The constructor checks its opens, masks them and keeps their
-    frozensets.  A space built inside the program from masks that are
-    already checked (``_from_masks``) builds ``opens``, ``full`` and
-    ``index`` only when they are read; either way the lookups by members
-    and by name are built on first use.
+    frozensets; it takes input from outside the program.  Each space the
+    program builds itself comes from checked masks (``_from_masks``) and
+    builds ``opens``, ``full`` and ``index`` only when they are read;
+    either way the lookups by members and by name are built on first use.
     """
 
     def __init__(self, points, opens, names=None):
@@ -459,7 +468,9 @@ def build_stream_space(depth: int) -> Model:
     A finite stand-in for observing a machine emit one bit at a time:
     points are the possible complete emissions, the cylinder of a prefix
     collects the points still compatible with what has been seen.  A depth
-    past ``MAX_STREAM_DEPTH`` is refused before anything is built.
+    past ``MAX_STREAM_DEPTH`` is refused before anything is built.  The
+    cylinder of the c-th prefix of length l is run c of 2^(depth - l)
+    consecutive points, and the space is built from those runs' masks.
     """
     if depth < 1:
         raise ModelError("depth must be at least 1")
@@ -467,15 +478,11 @@ def build_stream_space(depth: int) -> Model:
         raise ModelError(f"depth {depth} exceeds the limit of "
                          f"{MAX_STREAM_DEPTH} ({1 << MAX_STREAM_DEPTH:,} "
                          "points)")
-    points = [format(i, f"0{depth}b") for i in range(1 << depth)]
-    # each prefix's cylinder is its parent's split on the next bit, so a
-    # level costs one pass over the points
-    level = [points]
-    opens = [frozenset(points)]
-    for i in range(depth):
-        level = [[w for w in cyl if w[i] == b] for cyl in level for b in "01"]
-        opens += map(frozenset, level)
-    return Model(SubsetSpace(points, opens), {})
+    points = tuple(format(i, f"0{depth}b") for i in range(1 << depth))
+    masks = [((1 << run) - 1) << c * run
+             for run in (1 << k for k in range(depth + 1))
+             for c in range(len(points) // run)]
+    return Model._from_masks(SubsetSpace._from_masks(points, masks), {})
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,8 @@ from __future__ import annotations
 from functools import cached_property
 
 from .formula import Formula, render_all, subformulas
-from .model import Model, SubsetSpace, _open_sort_key, _sorted_masks
+from .model import (Model, SubsetSpace, _cells, _open_sort_key,
+                    _sorted_masks)
 
 __all__ = [
     "PartitionError", "closure_intersection", "remainder", "is_stable",
@@ -359,14 +360,8 @@ def filtrate(model: Model, formula: Formula) -> FiltrationResult:
             raise PartitionError("strict remainder relation is not asymmetric")
 
     # a's classes: its region split by the region of every member above it
-    parts = {}
-    for a in alive:
-        split = [bar[a]]
-        for b in alive:
-            if (a, b) in lt:
-                split = [q for p in split for q in (p & bar[b], p & ~bar[b])
-                         if q]
-        parts[a] = split
+    parts = {a: _cells(bar[a], [bar[b] for b in alive if (a, b) in lt])
+             for a in alive}
 
     # class-nesting side conditions mirroring the lt relation: where a
     # class of a meets a class of b, it lies strictly inside that class
@@ -414,10 +409,8 @@ def _quotient_parts(model: Model, atoms):
     """
     space = model.space
     points = space.points
-    classes = [space.open_masks[0]]
-    for m in (*space.open_masks, *(model.atom_masks.get(a, 0)
-                                   for a in sorted(atoms))):
-        classes = [q for p in classes for q in (p & m, p & ~m) if q]
+    classes = _cells(space.open_masks[0], (
+        *space.open_masks, *(model.atom_masks.get(a, 0) for a in sorted(atoms))))
     classes.sort(key=lambda c: c & -c)
 
     def pack(m):

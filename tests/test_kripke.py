@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -128,6 +129,18 @@ def test_unfold_equivalence_on_fixture(fig_frame):
             u = result.open_for(t, s)
             for f in pool:
                 assert bi_satisfies(fig_frame, s, f) == model.satisfies(t, u, f)
+
+
+def test_open_for_rejects_unknown_states_and_points_off_the_carrier(fig_frame):
+    result = unfold(fig_frame, "r1")
+    with pytest.raises(FrameError, match=r"^unknown state 'zz'$"):
+        result.open_for("r1", "zz")
+    # r1 refines into no state of s1's class; t1 and zz are no points at all
+    for t, s in [("r1", "s1"), ("t1", "t1"), ("zz", "r1")]:
+        with pytest.raises(FrameError, match=re.escape(
+                f"point {t!r} lies outside the carrier of {s!r}'s class")):
+            result.open_for(t, s)
+    assert result.open_for("r3", "s1") == frozenset({"r3", "r4", "r5"})
 
 
 def test_unfold_equivalence_on_induced_frames():

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -10,9 +12,11 @@ from helpers import (FIXTURES, naive_children, naive_is_treelike,
 from treelogic import (MaskContext, Model, ModelError, SCHEMES, SubsetSpace,
                        TOP, atom, atom_names, box, build_question_tree,
                        build_stream_space, conj, diamond, enumerate_spaces,
-                       formula_pool, instantiate, know, load_model,
-                       model_from_dict, model_to_dict, neg, parse, poss,
-                       render, subformulas)
+                       formula_pool, induced_frame, instantiate, know,
+                       load_frame, load_model, model_from_dict, model_to_dict,
+                       neg, parse, poss, render, satisfiable, subformulas,
+                       unfold)
+from treelogic.decide import _families
 from treelogic.model import MAX_STREAM_DEPTH
 
 X = frozenset({"q1", "q2", "q3", "q4"})
@@ -650,3 +654,77 @@ def test_space_from_masks_equals_the_checked_constructor():
             assert got.is_treelike() == want.is_treelike()
             assert got.full == want.full and got.index == want.index
             assert got.down_set(got.names[-1]) == want.down_set(want.names[-1])
+
+
+def _canonical(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def _family_records():
+    """Every space ``_families`` lists over up to four points, of each cap
+    and shape, and over up to eight points with at most two opens."""
+    for n in range(1, 9):
+        for most in (1, 2, 3, None):
+            if n > 4 and most not in (1, 2):
+                continue
+            for treelike in (True, False):
+                for space in _families(n, most, treelike):
+                    yield _canonical([n, most, treelike,
+                                      model_to_dict(Model(space))])
+
+
+def _stream_records():
+    for depth in range(1, 9):
+        yield _canonical(model_to_dict(build_stream_space(depth)))
+
+
+# five L-conjuncts with pairwise different valuations: the sweep passes
+# 20,000 models before saturation gives a six-point witness
+MATERIALIZED = ("L(A & B & C) & L(A & B & ~C) & L(A & ~B & C) & "
+                "L(~A & B & C) & L(~A & ~B & C)")
+
+
+def _materialize_records():
+    yield _canonical(satisfiable(parse(MATERIALIZED), use_bound=True).to_dict())
+
+
+def _unfold_record(frame, root):
+    result = unfold(frame, root)
+    opens = [[t, s, sorted(result.open_for(t, s))]
+             for t in sorted(result.x_class) for s in frame.states
+             if (t, s) in frame.box]
+    return _canonical([root, sorted(result.x_class),
+                       model_to_dict(result.model), opens])
+
+
+def _unfold_records():
+    yield _unfold_record(load_frame(FIXTURES / "frame_two_level.json"), "r1")
+    rng = random.Random(29)
+    for _ in range(12):
+        base = random_treelike_model(rng, max_points=4, max_opens=6)
+        root = next(f"{x}@{name}" for name, u in
+                    zip(base.space.names, base.space.opens)
+                    if u == base.space.full for x in sorted(u))
+        yield _unfold_record(induced_frame(base), root)
+
+
+# sha256 of the records above, one line each, joined by newlines: the
+# spaces the program builds for itself, recorded while every one of them
+# still went through the checked constructor
+PINNED_BUILT = [
+    (_family_records,
+     "352ba14c17ef029a7ad61218c9b8e558cfc3f46fb77ba8d755b9097596d0a0a6"),
+    (_stream_records,
+     "ba15d72066216819053ee1d9928953e5a3449d228d73fc686bbf523a001ae6ba"),
+    (_materialize_records,
+     "9d5bab63338ee66a5eda8c4c0999269c32c065e089d5b7ab3dbe47b44c5b8c77"),
+    (_unfold_records,
+     "709913d5e40507fce8eeb8decfb6fb3a4c6d052a9e28eb3782c919d40589bd25"),
+]
+
+
+@pytest.mark.parametrize("records, digest", PINNED_BUILT,
+                         ids=["families", "stream", "materialize", "unfold"])
+def test_program_built_spaces_are_pinned(records, digest):
+    lines = "\n".join(records())
+    assert hashlib.sha256(lines.encode()).hexdigest() == digest
