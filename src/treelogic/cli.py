@@ -34,7 +34,7 @@ _FORMAT_ERRORS = (UsageError, ParseError, SchemaError, ModelError,
 
 
 def _read_formula(args) -> "Formula":
-    if getattr(args, "formula_file", None):
+    if args.formula_file:
         with open(args.formula_file, "r", encoding="utf-8") as fh:
             text = fh.read().strip()
     else:
@@ -379,7 +379,7 @@ def _cmd_build_stream(args) -> int:
 def _emit_sizes(args, model):
     _emit({"points": len(model.space.points),
            "opens": len(model.space.opens)},
-          getattr(args, "json", False),
+          args.json,
           f"points: {len(model.space.points)}, opens: {len(model.space.opens)}")
 
 

@@ -27,8 +27,6 @@ RESERVED = frozenset({"K", "L", "true", "false"})
 _ATOM, _TOP, _BOT, _NOT, _AND, _BOX, _KNOW = (
     "atom", "top", "bot", "not", "and", "box", "know")
 
-_UNARY_KINDS = (_NOT, _BOX, _KNOW)
-
 
 class ParseError(ValueError):
     """Syntax error with a 1-based character position."""
@@ -472,39 +470,35 @@ class SchemaTemplate:
         return f"SchemaTemplate({self.scheme_id}, {render(self.body)!r})"
 
 
-def _scheme_body(text: str) -> Formula:
-    return parse(text)
-
-
 _FORMULA_MV = {"phi": "formula"}
 _TWO_MV = {"phi": "formula", "psi": "formula"}
 
 SCHEMES: dict = {
     1: SchemaTemplate(1, None, {}, "all propositional tautologies"),
-    2: SchemaTemplate(2, _scheme_body("(A -> []A) & (~A -> []~A)"),
+    2: SchemaTemplate(2, parse("(A -> []A) & (~A -> []~A)"),
                       {"A": "atom"}, "atoms are settled once and for all"),
-    3: SchemaTemplate(3, _scheme_body("[](phi -> psi) -> ([]phi -> []psi)"),
+    3: SchemaTemplate(3, parse("[](phi -> psi) -> ([]phi -> []psi)"),
                       _TWO_MV),
-    4: SchemaTemplate(4, _scheme_body("[]phi -> phi"), _FORMULA_MV),
-    5: SchemaTemplate(5, _scheme_body("[]phi -> [][]phi"), _FORMULA_MV),
-    6: SchemaTemplate(6, _scheme_body("K(phi -> psi) -> (K phi -> K psi)"),
+    4: SchemaTemplate(4, parse("[]phi -> phi"), _FORMULA_MV),
+    5: SchemaTemplate(5, parse("[]phi -> [][]phi"), _FORMULA_MV),
+    6: SchemaTemplate(6, parse("K(phi -> psi) -> (K phi -> K psi)"),
                       _TWO_MV),
-    7: SchemaTemplate(7, _scheme_body("K phi -> phi"), _FORMULA_MV),
-    8: SchemaTemplate(8, _scheme_body("K phi -> K K phi"), _FORMULA_MV),
-    9: SchemaTemplate(9, _scheme_body("phi -> K L phi"), _FORMULA_MV),
-    10: SchemaTemplate(10, _scheme_body("K []phi -> []K phi"), _FORMULA_MV),
-    11: SchemaTemplate(11, _scheme_body("[]([]phi -> psi) | []([]psi -> phi)"),
+    7: SchemaTemplate(7, parse("K phi -> phi"), _FORMULA_MV),
+    8: SchemaTemplate(8, parse("K phi -> K K phi"), _FORMULA_MV),
+    9: SchemaTemplate(9, parse("phi -> K L phi"), _FORMULA_MV),
+    10: SchemaTemplate(10, parse("K []phi -> []K phi"), _FORMULA_MV),
+    11: SchemaTemplate(11, parse("[]([]phi -> psi) | []([]psi -> phi)"),
                        _TWO_MV),
-    12: SchemaTemplate(12, _scheme_body(
+    12: SchemaTemplate(12, parse(
         "[]K phi & K([]phi -> []psi) -> []K([]phi -> []psi)"), _TWO_MV),
     # refinement-commutation schemes for lattice-shaped open families
-    "S13": SchemaTemplate("S13", _scheme_body("<>[]phi -> []<>phi"), _FORMULA_MV),
-    "S14": SchemaTemplate("S14", _scheme_body(
+    "S13": SchemaTemplate("S13", parse("<>[]phi -> []<>phi"), _FORMULA_MV),
+    "S14": SchemaTemplate("S14", parse(
         "<>(K phi & psi) & L<>(K phi & chi) -> <>(K<>phi & <>psi & L<>chi)"),
         {"phi": "formula", "psi": "formula", "chi": "formula"}),
-    "S15": SchemaTemplate("S15", _scheme_body("[]<>phi -> <>[]phi"), _FORMULA_MV),
+    "S15": SchemaTemplate("S15", parse("[]<>phi -> <>[]phi"), _FORMULA_MV),
     # converse of scheme 10; unsound, kept for counterexample searches
-    "C10": SchemaTemplate("C10", _scheme_body("[]K phi -> K []phi"), _FORMULA_MV),
+    "C10": SchemaTemplate("C10", parse("[]K phi -> K []phi"), _FORMULA_MV),
 }
 
 SYSTEMS: dict[str, tuple] = {

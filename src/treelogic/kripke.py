@@ -10,8 +10,9 @@ it can reach.
 Internally both relations are successor rows over state indices: row i
 is an int whose bit j is set when state i relates to state j.  States
 are sorted, so ascending bit order is the sorted order in which every
-witness is reported.  ``unfold`` cuts each class's carrier into its
-opens with ``model._cells`` and keeps them as state masks.
+witness is reported.  ``unfold`` checks ``check_frame`` and that the
+root generates the frame, which imply the rest; it cuts each class's
+carrier, a state mask, into opens with ``model._cells``.
 """
 
 from __future__ import annotations
@@ -121,6 +122,7 @@ class BiFrame:
             k = _closure([row | col for row, col in zip(k, _transpose(k))])
         val_masks = {}
         for name, members in (valuation or {}).items():
+            _check_atom_name(name, FrameError)
             mask = 0
             for s in members:
                 i = index.get(s)
@@ -371,11 +373,9 @@ class ClassOrder:
         return self.classes[_low(top)] if top else None
 
 
-def _class_order(frame: BiFrame):
-    """The class order and the state mask of each class, in class order."""
+def _class_masks(frame: BiFrame):
+    """Each k-class as a state mask, least state first, and its up-set."""
     masks = sorted(set(frame._k_rows), key=lambda m: (m & -m, m))
-    if not masks[0]:
-        raise FrameError("a state has an empty k-class")
     box = frame._box_rows
     images = [_image(box, m) for m in masks]
     up = []
@@ -385,11 +385,14 @@ def _class_order(frame: BiFrame):
             if img & m:
                 above |= 1 << j
         up.append(above)
-    return ClassOrder([frame._ids(m) for m in masks], up), masks
+    return masks, up
 
 
 def class_order(frame: BiFrame) -> ClassOrder:
-    return _class_order(frame)[0]
+    masks, up = _class_masks(frame)
+    if not masks[0]:
+        raise FrameError("a state has an empty k-class")
+    return ClassOrder(map(frame._ids, masks), up)
 
 
 class UnfoldResult:
@@ -428,9 +431,10 @@ class UnfoldResult:
 def unfold(frame: BiFrame, root) -> UnfoldResult:
     """Unfold a generated frame into an equivalent treelike model.
 
-    Requires: the structural checks pass, every state is reachable from
-    ``root`` along box/k edges, and the root's k-class is the top of the
-    class order.
+    Requires, and checks: the structural checks pass, and every state is
+    reachable from ``root`` along box/k edges.  These imply (see below)
+    that the class order is a partial order with the root's k-class on
+    top, and that no state refines into two states of one class.
     """
     if root not in frame._index:
         raise FrameError(f"unknown root state {root!r}")
@@ -454,12 +458,19 @@ def unfold(frame: BiFrame, root) -> UnfoldResult:
         raise FrameError(f"frame is not generated by {root!r}; "
                          f"unreachable states: {missing}")
 
-    order, masks = _class_order(frame)
-    if not order.is_partial_order():
-        raise FrameError("class order is not a partial order")
+    # C <= D when a state of D refines into a state of C.  This order is
+    # reflexive as box is.  It is transitive: if e in E refines into d2,
+    # and d ~ d2 refines into c in C, the cross property gives a state of
+    # E refining into d, hence into c.  It is antisymmetric: if d in D
+    # refines into c in C, and c' ~ c into d' ~ d, the cross property
+    # gives some c2 ~ c refining into d, hence into c; box_k_identity
+    # makes c2 = c, and box antisymmetry then d = c.  The root's class is
+    # the top, since each state is reached from the root and a box step
+    # goes down the order.  Two states of one class that a state refines
+    # into are comparable, box being connected, and so equal by
+    # box_k_identity.  So none of these is checked again here.
+    masks, up = _class_masks(frame)
     x_mask = k[frame._index[root]]
-    if order.greatest() != frame._ids(x_mask):
-        raise FrameError(f"root {root!r}'s class is not the top of the class order")
 
     # the carrier of a class: the points of X refining into one of its states
     cols = frame._box_cols
@@ -477,17 +488,9 @@ def unfold(frame: BiFrame, root) -> UnfoldResult:
     for i, m in enumerate(masks):
         # split the carrier by membership in the carriers of the classes above
         parts = _cells(carrier_masks[i],
-                       map(carrier_masks.__getitem__, _bits(order._up[i])))
+                       map(carrier_masks.__getitem__, _bits(up[i])))
         parts.sort(key=lambda p: p & -p)
         for p in parts:
-            for t in _bits(p):
-                # each point of an open refines into exactly one state of the class
-                hits = box[t] & m
-                if hits & hits - 1:
-                    raise FrameError(
-                        f"canonical representation not unique: {states[t]!r} "
-                        f"reaches {[states[h] for h in _bits(hits)]} in class "
-                        f"of {states[_low(m)]!r}")
             # classes come least state first, and the first one names an open
             names.setdefault(squeeze(p),
                              f"cls({states[_low(m)]},{states[_low(p)]})")
@@ -495,8 +498,6 @@ def unfold(frame: BiFrame, root) -> UnfoldResult:
 
     space = SubsetSpace._from_masks(tuple(states[t] for t in point),
                                     names.keys(), names)
-    for a in frame._val_masks:
-        _check_atom_name(a)
     model = Model._from_masks(space, {a: squeeze(m)
                                       for a, m in frame._val_masks.items()})
     if not space.is_treelike():
@@ -554,31 +555,28 @@ def induced_frame(model: Model) -> BiFrame:
     Box relates (x, U) to (x, V) when V refines U around x; k relates
     neighborhoods sharing their open.  State ids are "point@open-name".
     Both relations are built closed (reflexive and transitive, k an
-    equivalence), so no closure runs.  An atom holds at the neighborhoods
-    of its points, a mask read off the model's atom mask.
+    equivalence), so no closure runs: the box row of (x, U) is x's
+    neighborhoods AND those of the opens inside U.  An atom holds at the
+    neighborhoods of its points, a mask read off the model's atom mask.
     """
     space = model.space
-    ids = {}
-    for name, u in zip(space.names, space.opens):
-        for x in u:
-            ids[(x, u)] = f"{x}@{name}"
-    states, index = _index_states(ids.values())
-    by_point = {}       # point -> [(open, state index)]
-    by_open = {}        # open -> mask of its neighborhoods
-    at = [0] * len(space.points)    # point bit -> mask of its neighborhoods
-    for (x, u), sid in ids.items():
-        i = index[sid]
-        by_point.setdefault(x, []).append((u, i))
-        by_open[u] = by_open.get(u, 0) | 1 << i
-        at[space.index[x]] |= 1 << i
-    box = [0] * len(states)
-    k = [0] * len(states)
-    for hoods in by_point.values():
-        for u, i in hoods:
-            k[i] = by_open[u]
-            for v, j in hoods:
-                if v <= u:
-                    box[i] |= 1 << j
+    # (id, point, open) of each neighborhood, sorted: state i is hoods[i]
+    hoods = sorted((f"{space.points[x]}@{name}", x, j) for j, (name, m)
+                   in enumerate(zip(space.names, space.open_masks))
+                   for x in _bits(m))
+    states, index = _index_states(sid for sid, _, _ in hoods)
+    at = [0] * len(space.points)        # point -> mask of its neighborhoods
+    down = [0] * len(space.open_masks)  # open -> mask of its neighborhoods
+    for i, (_, x, j) in enumerate(hoods):
+        at[x] |= 1 << i
+        down[j] |= 1 << i
+    k = [down[j] for _, _, j in hoods]
+    # add to each open the neighborhoods of the opens inside it: children
+    # (covers, off trees) first, as sub-opens come after their supersets
+    for j in reversed(range(len(down))):
+        for c in space.children[j]:
+            down[j] |= down[c]
+    box = [at[x] & down[j] for _, x, j in hoods]
     val_masks = {a: _image(at, m) for a, m in model.atom_masks.items()}
     return BiFrame._from_rows(states, index, box, k, val_masks)
 

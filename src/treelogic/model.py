@@ -57,9 +57,9 @@ class ModelError(ValueError):
     """Ill-formed space, model file, or evaluation request."""
 
 
-def _check_atom_name(name: str):
+def _check_atom_name(name: str, error=ModelError):
     if not ATOM_RE.match(name) or name in RESERVED:
-        raise ModelError(f"invalid atom name in valuation: {name!r}")
+        raise error(f"invalid atom name in valuation: {name!r}")
 
 
 def _open_sort_key(u: frozenset):

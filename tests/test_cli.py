@@ -172,6 +172,16 @@ def test_unfold_command(tmp_path, capsys):
     assert code == 2 and "not generated" in err
 
 
+def test_unfold_refuses_a_frame_with_a_reserved_atom(tmp_path, capsys):
+    src = tmp_path / "frame.json"
+    src.write_text(json.dumps({"states": ["a"], "valuation": {"K": ["a"]}}))
+    code, out, err = run(capsys, "unfold", "--frame", str(src), "--root", "a",
+                         "-o", str(tmp_path / "out.json"))
+    assert code == 2 and out == ""
+    assert "invalid atom name in valuation: 'K'" in err
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_build_commands(tmp_path, capsys):
     oracle_path = tmp_path / "oracle.json"
     code, out, _ = run(capsys, "build-oracle",

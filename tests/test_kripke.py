@@ -1,15 +1,18 @@
+import hashlib
+import json
 import random
 import re
 
 import pytest
 
 from helpers import (FIXTURES, naive_check_frame, naive_class_le,
-                     oracle_model, random_raw_frame, random_treelike_model,
-                     same_model)
+                     naive_is_treelike, oracle_model, random_raw_frame,
+                     random_treelike_model, same_model)
 
 from treelogic import (BiFrame, FrameError, TOP, bi_satisfies, box,
-                       check_frame, class_order, formula_pool, induced_frame,
-                       load_frame, load_model, parse, unfold)
+                       check_frame, class_order, enumerate_spaces,
+                       formula_pool, induced_frame, load_frame, load_model,
+                       parse, unfold)
 
 
 def test_closure_from_generators(fig_frame):
@@ -174,6 +177,94 @@ def test_induced_frame_roundtrip(m1):
         {v for v in m1.valuation.values()}
 
 
+def test_frame_rejects_invalid_atom_names():
+    for name in ("K", "L", "true", "1x", "a-b"):
+        with pytest.raises(FrameError, match=re.escape(
+                f"invalid atom name in valuation: {name!r}")):
+            BiFrame(["a"], valuation={name: {"a"}})
+
+
+def _partitions(items):
+    """Every set partition of the list ``items``, as a list of blocks."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for blocks in _partitions(rest):
+        yield [[first]] + blocks
+        for i in range(len(blocks)):
+            yield blocks[:i] + [[first] + blocks[i]] + blocks[i + 1:]
+
+
+def small_frames(n):
+    """Every frame on ``n`` states, without atoms, that passes
+    ``check_frame``: each reflexive box relation times each k partition.
+
+    A box relation is paired with the partitions only if it passes with
+    the discrete one.  That drops no passing frame: the box conditions do
+    not read k, and the discrete partition meets every k condition
+    whatever box is.
+    """
+    states = [f"s{i}" for i in range(n)]
+    diagonal = [(s, s) for s in states]
+    off = [(a, b) for a in states for b in states if a != b]
+    for bits in range(1 << len(off)):
+        box = diagonal + [p for i, p in enumerate(off) if bits >> i & 1]
+        if not check_frame(BiFrame(states, box, diagonal, close=False)).ok:
+            continue
+        for blocks in _partitions(states):
+            k = [(a, b) for block in blocks for a in block for b in block]
+            frame = BiFrame(states, box, k, close=False)
+            if check_frame(frame).ok:
+                yield frame
+
+
+def _generated_by(frame, root) -> bool:
+    """Every state is reached from ``root`` along box and k pairs."""
+    edges = frame.box | frame.k
+    seen, todo = {root}, [root]
+    while todo:
+        s = todo.pop()
+        for a, b in edges:
+            if a == s and b not in seen:
+                seen.add(b)
+                todo.append(b)
+    return seen == set(frame.states)
+
+
+def unfolding_conditions(max_states):
+    """Check, on every small frame that passes ``check_frame`` and each
+    root generating it, the conditions that ``unfold`` does not check
+    itself; return the counts of frames and of (frame, root) pairs."""
+    frames = pairs = 0
+    for n in range(1, max_states + 1):
+        for frame in small_frames(n):
+            frames += 1
+            classes = {frame.k_class(s) for s in frame.states}
+            le = {(c1, c2) for c1 in classes for c2 in classes
+                  if naive_class_le(frame, c1, c2)}
+            # a partial order, with or without a generating root
+            assert all((c, c) in le for c in classes)
+            assert not any((c2, c1) in le for c1, c2 in le if c1 != c2)
+            assert all((c1, c3) in le for c1, c2 in le
+                       for c2b, c3 in le if c2b == c2)
+            for root in frame.states:
+                if not _generated_by(frame, root):
+                    continue
+                pairs += 1
+                top = frame.k_class(root)
+                assert all((c, top) in le for c in classes)
+                for t in top:
+                    for c in classes:
+                        assert sum((t, s) in frame.box for s in c) <= 1
+                assert naive_is_treelike(unfold(frame, root).model.space)
+    return frames, pairs
+
+
+def test_check_frame_and_a_generating_root_imply_the_unfolding_conditions():
+    assert unfolding_conditions(4) == (369, 312)
+
+
 def test_load_frame_rejects_garbage(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"states": ["a"], "box": [["a", "zz"]]}')
@@ -244,11 +335,17 @@ def test_class_order_matches_pairwise_definition():
                                       for b in (True, False)}
 
 
-def test_induced_frame_equals_closure_of_generators():
-    # the induced frame skips the closure: it must already be closed
+def _closure_models():
     rng = random.Random(43)
     for _ in range(40):
-        model = random_treelike_model(rng, max_points=5, max_opens=7)
+        yield random_treelike_model(rng, max_points=5, max_opens=7)
+    # off trees the induced frame reads each open's covers, not children
+    yield from enumerate_spaces(3, None, ("A",), treelike=False)
+
+
+def test_induced_frame_equals_closure_of_generators():
+    # the induced frame skips the closure: it must already be closed
+    for model in _closure_models():
         frame = induced_frame(model)
         hoods = {s: (s.split("@")[0], model.space.open_named(s.split("@")[1]))
                  for s in frame.states}
@@ -272,3 +369,30 @@ def test_induced_frame_equals_closure_of_generators():
         for s in frame.states:
             assert frame.box_successors(s) == closed.box_successors(s)
             assert frame.k_class(s) == closed.k_class(s)
+
+
+def _frame_record(model) -> str:
+    frame = induced_frame(model)
+    return json.dumps([frame.states, frame._box_rows, frame._k_rows,
+                       list(frame._val_masks.items())],
+                      separators=(",", ":"))
+
+
+def _frame_records():
+    """Induced frames of seeded random trees, of every model over up to
+    three points with one atom (off trees too), and of the oracle model."""
+    rng = random.Random(47)
+    for _ in range(300):
+        yield _frame_record(random_treelike_model(rng, max_points=5,
+                                                  max_opens=7))
+    for model in enumerate_spaces(3, None, ("A",), treelike=False):
+        yield _frame_record(model)
+    yield _frame_record(oracle_model())
+
+
+def test_induced_frames_are_pinned():
+    # sha256 of the records, one line each, joined by newlines; recorded
+    # while ``induced_frame`` still compared the opens around each point
+    lines = "\n".join(_frame_records())
+    assert hashlib.sha256(lines.encode()).hexdigest() == \
+        "920687a99dc28a168f6dc74682c5327f8ed7f029f0ba6681acfc497f91bda760"

@@ -57,3 +57,58 @@ def test_unused_import_check_finds_one():
                      "def f(x: 'int') -> os.path.Path:\n"
                      "    return x\n")
     assert _unused_imports(tree) == [(2, "json"), (4, "fl")]
+
+
+def _private_bindings(tree: ast.Module) -> dict:
+    """Private names a module binds at its top level, with their lines:
+    functions, classes and assignment targets named ``_x`` (not dunders)."""
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            names = [n.id for t in targets for n in ast.walk(t)
+                     if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                bound.setdefault(name, node.lineno)
+    return bound
+
+
+def _unused_private_names(trees: dict) -> list:
+    """(module, line, name) for each top-level private name that no module
+    of ``trees`` reads, as a loaded name or as ``module.name``."""
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id in trees):
+                read.add(node.attr)
+    return sorted((module, line, name) for module, tree in trees.items()
+                  for name, line in _private_bindings(tree).items()
+                  if name not in read)
+
+
+def test_no_unused_private_names():
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
+             for p in sorted(SOURCE.glob("*.py"))}
+    assert _unused_private_names(trees) == []
+
+
+def test_unused_private_name_check_finds_one():
+    trees = {
+        "a": ast.parse("_KINDS = (1, 2)\n_A, _B = 1, 2\n"
+                       "def _f():\n    return _A\n"
+                       "class _C:\n    _B = 3\n__all__ = []\n"),
+        "b": ast.parse("from . import a\nfrom .a import _f\n"
+                       "x = a._C\n_f()\n"),
+    }
+    assert _unused_private_names(trees) == [("a", 1, "_KINDS"),
+                                            ("a", 2, "_B")]
