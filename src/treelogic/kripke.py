@@ -10,19 +10,20 @@ it can reach.
 Internally both relations are successor rows over state indices: row i
 is an int whose bit j is set when state i relates to state j.  States
 are sorted, so ascending bit order is the sorted order in which every
-witness is reported.  ``unfold`` checks ``check_frame`` and that the
+witness is reported.  A frame is checked once, in one walk over its box
+pairs for the checks that read them, and keeps the witnesses and each
+k-class's box image.  ``unfold`` requires ``check_frame`` and that the
 root generates the frame, which imply the rest; it cuts each class's
 carrier, a state mask, into opens with ``model._cells``.
 """
 
 from __future__ import annotations
 
-import json
 from functools import cached_property
 
 from .formula import Formula, subformulas
 from .model import (Model, SubsetSpace, _cells, _check_atom_name,
-                    _checked_valuation, _strings)
+                    _checked_valuation, _read_json, _strings)
 
 __all__ = [
     "FrameError", "BiFrame", "CheckResult", "FrameReport", "check_frame",
@@ -166,6 +167,18 @@ class BiFrame:
         """Box predecessors: bit i of column j when state i refines into j."""
         return _transpose(self._box_rows)
 
+    @cached_property
+    def _class_images(self) -> dict:
+        """Each k row (a k-class, when k is an equivalence) -> the union of
+        the box rows of its states."""
+        return {m: _image(self._box_rows, m) for m in set(self._k_rows)}
+
+    @cached_property
+    def _witnesses(self) -> tuple:
+        """(name, first witness or None) of each structural check, found
+        once; ``check_frame`` reports them."""
+        return _check_witnesses(self)
+
     def _pairs(self, rows) -> frozenset:
         states = self.states
         return frozenset((states[i], states[j])
@@ -249,16 +262,6 @@ def _first_in_row(rows):
     return next(((a, _low(row)) for a, row in enumerate(rows) if row), None)
 
 
-def _unconnected(rows, cols):
-    """(s, t, r): t and r both refine s, neither refines the other."""
-    for s, row in enumerate(rows):
-        for t in _bits(row):
-            loose = row & ~(rows[t] | cols[t])
-            if loose:
-                return s, t, _low(loose)
-    return None
-
-
 def _is_equivalence(rows) -> bool:
     """Each row is exactly the set of states sharing that row."""
     members = {}
@@ -277,18 +280,22 @@ def _k_failure(rows):
             or _intransitive(rows))
 
 
-def _cross_failure(box, k):
-    """(s, s2, t): s refines into s2 ~ t, and no state ~ s refines into t."""
-    images = {}
+def _pair_failures(box, cols, k, images):
+    """One walk over the box pairs s -> t for three witnesses (s, t, r):
+    of transitivity, t -> r but not s -> r; of connectedness, s -> r and
+    neither of t, r refines into the other; of the cross property, r ~ t
+    and no state ~ s refines into r."""
+    trans = conn = cross = None
     for s, row in enumerate(box):
-        img = images.get(k[s])
-        if img is None:
-            img = images[k[s]] = _image(box, k[s])
-        for s2 in _bits(row):
-            unreached = k[s2] & ~img
-            if unreached:
-                return s, s2, _low(unreached)
-    return None
+        img = images[k[s]]
+        for t in _bits(row):
+            if trans is None and (miss := box[t] & ~row):
+                trans = s, t, _low(miss)
+            if conn is None and (miss := row & ~(box[t] | cols[t])):
+                conn = s, t, _low(miss)
+            if cross is None and (miss := k[t] & ~img):
+                cross = s, t, _low(miss)
+    return trans, conn, cross
 
 
 def _fading_atom(box, atoms):
@@ -304,36 +311,40 @@ def _fading_atom(box, atoms):
     return None
 
 
-def check_frame(frame: BiFrame) -> FrameReport:
-    """Verify the structural properties needed by the unfolding.
-
-    Report-valued on purpose: fixtures documenting failures are data,
-    not exceptions.
-    """
+def _check_witnesses(frame: BiFrame) -> tuple:
     states = frame.states
     box, k = frame._box_rows, frame._k_rows
     cols = frame._box_cols
     others = [~(1 << i) for i in range(len(states))]
+    trans, conn, cross = _pair_failures(box, cols, k, frame._class_images)
     found = {
         "box_reflexive": _irreflexive(box),
-        "box_transitive": _intransitive(box),
+        "box_transitive": trans,
         "box_antisymmetric": _first_in_row(
             [row & col & o for row, col, o in zip(box, cols, others)]),
-        "box_connected": _unconnected(box, cols),
+        "box_connected": conn,
         "k_equivalence": _k_failure(k),
-        "cross_property": _cross_failure(box, k),
+        "cross_property": cross,
         "box_k_identity": _first_in_row(
             [row & kr & o for row, kr, o in zip(box, k, others)]),
     }
-    results = [CheckResult(name, w is None,
-                           None if w is None else tuple(states[i] for i in w))
-               for name, w in found.items()]
+    witnesses = [(name, w and tuple(states[i] for i in w))
+                 for name, w in found.items()]
     fading = _fading_atom(box, sorted(frame._val_masks.items()))
-    results.append(CheckResult(
-        "atom_persistence", fading is None,
-        None if fading is None else (states[fading[0]], states[fading[1]],
-                                     fading[2])))
-    return FrameReport(results)
+    witnesses.append(("atom_persistence", fading and (
+        states[fading[0]], states[fading[1]], fading[2])))
+    return tuple(witnesses)
+
+
+def check_frame(frame: BiFrame) -> FrameReport:
+    """Verify the structural properties needed by the unfolding.
+
+    The checks run once per frame, which keeps their witnesses; each call
+    reports them afresh.  Report-valued on purpose: fixtures documenting
+    failures are data, not exceptions.
+    """
+    return FrameReport(CheckResult(name, w is None, w)
+                       for name, w in frame._witnesses)
 
 
 # ---------------------------------------------------------------------------
@@ -356,28 +367,11 @@ class ClassOrder:
         i, j = self._pos.get(c1), self._pos.get(c2)
         return i is not None and j is not None and bool(self._up[i] >> j & 1)
 
-    def is_partial_order(self) -> bool:
-        up = self._up
-        for i, above in enumerate(up):
-            if not above >> i & 1:
-                return False
-            for j in _bits(above & ~(1 << i)):
-                if up[j] >> i & 1 or up[j] & ~above:
-                    return False
-        return True
-
-    def greatest(self):
-        top = -1
-        for above in self._up:
-            top &= above
-        return self.classes[_low(top)] if top else None
-
 
 def _class_masks(frame: BiFrame):
     """Each k-class as a state mask, least state first, and its up-set."""
-    masks = sorted(set(frame._k_rows), key=lambda m: (m & -m, m))
-    box = frame._box_rows
-    images = [_image(box, m) for m in masks]
+    masks = sorted(frame._class_images, key=lambda m: (m & -m, m))
+    images = [frame._class_images[m] for m in masks]
     up = []
     for m in masks:
         above = 0
@@ -431,7 +425,8 @@ class UnfoldResult:
 def unfold(frame: BiFrame, root) -> UnfoldResult:
     """Unfold a generated frame into an equivalent treelike model.
 
-    Requires, and checks: the structural checks pass, and every state is
+    Requires, and checks: the structural checks pass (``check_frame``,
+    which reads a checked frame's kept witnesses), and every state is
     reachable from ``root`` along box/k edges.  These imply (see below)
     that the class order is a partial order with the root's k-class on
     top, and that no state refines into two states of one class.
@@ -605,9 +600,4 @@ def frame_from_dict(data: dict) -> BiFrame:
 
 
 def load_frame(path) -> BiFrame:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FrameError(f"not valid JSON: {exc}") from None
-    return frame_from_dict(data)
+    return frame_from_dict(_read_json(path, FrameError))

@@ -505,6 +505,15 @@ def _checked_valuation(data: dict, error=ModelError) -> dict:
     return val
 
 
+def _read_json(path, error=ModelError):
+    """The parsed contents of a JSON file; ``error`` if it is not JSON."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise error(f"not valid JSON: {exc}") from None
+
+
 def model_from_dict(data: dict) -> Model:
     """Model from parsed JSON; every list in it is a list of strings."""
     try:
@@ -539,12 +548,7 @@ def model_to_dict(model: Model) -> dict:
 
 
 def load_model(path) -> Model:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ModelError(f"not valid JSON: {exc}") from None
-    return model_from_dict(data)
+    return model_from_dict(_read_json(path))
 
 
 def dump_model(model: Model, path):

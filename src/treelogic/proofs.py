@@ -14,14 +14,13 @@ and reports any falsified instance with a full witness.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_right
 
 from .decide import SearchError, _family_spaces, formula_pool
 from .formula import (BOT, TOP, Formula, SchemaError, SchemaTemplate, SYSTEMS,
                       SCHEMES, box, instantiate, know, parse, render, scheme,
                       subformulas)
-from .model import MaskContext, Model, model_to_dict
+from .model import MaskContext, Model, _read_json, model_to_dict
 
 __all__ = [
     "ProofError", "ProofLine", "Proof", "CheckOutcome", "check_proof",
@@ -269,12 +268,7 @@ def proof_to_dict(proof: Proof) -> dict:
 
 
 def load_proof(path) -> Proof:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ProofError(f"not valid JSON: {exc}") from None
-    return proof_from_dict(data)
+    return proof_from_dict(_read_json(path, ProofError))
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from treelogic import (BiFrame, FrameError, TOP, bi_satisfies, box,
                        check_frame, class_order, enumerate_spaces,
                        formula_pool, induced_frame, load_frame, load_model,
                        parse, unfold)
+from treelogic.kripke import CheckResult
 
 
 def test_closure_from_generators(fig_frame):
@@ -64,9 +65,7 @@ def test_check_frame_flags_identity_and_persistence():
 def test_class_order(fig_frame):
     order = class_order(fig_frame)
     assert [sorted(c)[0] for c in order.classes] == ["r1", "s1", "t1"]
-    assert order.is_partial_order()
     top = fig_frame.k_class("r1")
-    assert order.greatest() == top
     assert order.le(fig_frame.k_class("t1"), fig_frame.k_class("s1"))
     assert order.le(fig_frame.k_class("s1"), top)
     assert not order.le(top, fig_frame.k_class("t1"))
@@ -276,7 +275,9 @@ def test_load_frame_rejects_garbage(tmp_path):
 
 
 def _oracle_frames():
-    """Raw and closed random frames, the fixtures and induced frames."""
+    """Raw and closed random frames, the fixtures and induced frames, of
+    random trees and of every model over up to three points with one atom
+    (off trees too)."""
     rng = random.Random(41)
     for _ in range(300):
         states, box_pairs, k_pairs, val = random_raw_frame(rng)
@@ -289,6 +290,8 @@ def _oracle_frames():
     for _ in range(40):
         yield induced_frame(random_treelike_model(rng, max_points=5,
                                                   max_opens=7))
+    for model in enumerate_spaces(3, None, ("A",), treelike=False):
+        yield induced_frame(model)
 
 
 def test_check_frame_matches_quantifier_oracle():
@@ -303,6 +306,37 @@ def test_check_frame_matches_quantifier_oracle():
     assert frames > 600
     # the corpus makes every property both pass and fail somewhere
     assert all(seen == {True, False} for seen in outcomes.values()), outcomes
+
+
+def test_check_frame_reports_afresh_from_one_check(fig_frame):
+    first, second = check_frame(fig_frame), check_frame(fig_frame)
+    assert first is not second and first.results is not second.results
+    expected = first.to_dict()
+    assert second.to_dict() == expected
+    first.results.append(CheckResult("box_connected", False, ("r1",)))
+    second.results[0].passed = False
+    assert not first.ok and not second.ok
+    assert check_frame(fig_frame).to_dict() == expected
+    assert unfold(fig_frame, "r1").model.space.opens
+
+
+def _refusal(frame, root) -> str:
+    with pytest.raises(FrameError) as info:
+        unfold(frame, root)
+    return str(info.value)
+
+
+def test_unfold_refuses_alike_with_or_without_a_prior_check():
+    refused = 0
+    for fresh, checked in zip(_oracle_frames(), _oracle_frames()):
+        if check_frame(checked).ok:
+            continue
+        root = fresh.states[0]
+        message = _refusal(fresh, root)
+        assert message.startswith("frame fails structural checks: ")
+        assert _refusal(checked, root) == message
+        refused += 1
+    assert refused > 600
 
 
 def test_class_order_matches_pairwise_definition():
@@ -327,9 +361,7 @@ def test_class_order_matches_pairwise_definition():
                    and not any((c2, c1) in le for c1, c2 in le if c1 != c2)
                    and all((c1, c3) in le for c1, c2 in le
                            for c2b, c3 in le if c2b == c2))
-        assert order.is_partial_order() == partial
         tops = [c for c in order.classes if all((d, c) in le for d in classes)]
-        assert order.greatest() == (tops[0] if tops else None)
         seen.add((partial, bool(tops)))
     assert seen == {"empty class"} | {(a, b) for a in (True, False)
                                       for b in (True, False)}

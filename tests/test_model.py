@@ -9,13 +9,13 @@ from helpers import (FIXTURES, naive_children, naive_is_treelike,
                      random_formula, random_question_model,
                      random_treelike_model, same_model)
 
-from treelogic import (MaskContext, Model, ModelError, SCHEMES, SubsetSpace,
-                       TOP, atom, atom_names, box, build_question_tree,
-                       build_stream_space, conj, diamond, enumerate_spaces,
-                       formula_pool, induced_frame, instantiate, know,
-                       load_frame, load_model, model_from_dict, model_to_dict,
-                       neg, parse, poss, render, satisfiable, subformulas,
-                       unfold)
+from treelogic import (FrameError, MaskContext, Model, ModelError, ProofError,
+                       SCHEMES, SubsetSpace, TOP, atom, atom_names, box,
+                       build_question_tree, build_stream_space, conj, diamond,
+                       enumerate_spaces, formula_pool, induced_frame,
+                       instantiate, know, load_frame, load_model, load_proof,
+                       model_from_dict, model_to_dict, neg, parse, poss,
+                       render, satisfiable, subformulas, unfold)
 from treelogic.decide import _families
 from treelogic.model import MAX_STREAM_DEPTH
 
@@ -622,6 +622,18 @@ def test_loader_rejects_bad_files():
         model_from_dict(bad)          # reserved atom
     with pytest.raises(ModelError):
         model_from_dict({"points": [], "opens": [{"name": "top", "members": []}]})
+
+
+@pytest.mark.parametrize("text", ["{", ""], ids=["brace", "empty"])
+@pytest.mark.parametrize("load, error", [(load_model, ModelError),
+                                         (load_frame, FrameError),
+                                         (load_proof, ProofError)],
+                         ids=["model", "frame", "proof"])
+def test_loaders_reject_text_that_is_not_json(tmp_path, load, error, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(error, match="^not valid JSON: "):
+        load(path)
 
 
 def test_empty_open_contributes_no_neighborhoods(m1):

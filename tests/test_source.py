@@ -1,6 +1,7 @@
 """Checks on the program's source text that need no linter installed."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -112,3 +113,28 @@ def test_unused_private_name_check_finds_one():
     }
     assert _unused_private_names(trees) == [("a", 1, "_KINDS"),
                                             ("a", 2, "_B")]
+
+
+def _perfbench_hooks() -> list:
+    """``HOOKS`` of perfbench/spans.py, read from its source text."""
+    path = SOURCE.parent.parent / "perfbench" / "spans.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and [t.id for t in node.targets
+                     if isinstance(t, ast.Name)] == ["HOOKS"])
+
+
+def test_perfbench_hooks_name_existing_targets():
+    # the benchmark's tracer wraps these; a renamed target drops its span
+    # from every trace, and only a traced run would list it as missing
+    hooks = _perfbench_hooks()
+    assert hooks
+    missing = []
+    for _, module, owner, attribute in hooks:
+        target = importlib.import_module(module)
+        if owner is not None:
+            target = getattr(target, owner, None)
+        if not hasattr(target, attribute):
+            missing.append((module, owner, attribute))
+    assert missing == []
