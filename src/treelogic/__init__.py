@@ -15,18 +15,17 @@ from .formula import (BOT, SCHEMES, SYSTEMS, TOP, Formula, ParseError,
                       SchemaError, SchemaTemplate, ast_dump, atom, atom_names,
                       box, conj, diamond, disj, implies, instantiate, know,
                       neg, parse, poss, render, scheme, size, subformulas)
-from .kripke import (BiFrame, ClassOrder, FrameError, FrameReport,
-                     UnfoldResult, bi_satisfies, check_frame, class_order,
-                     frame_from_dict, induced_frame, load_frame, unfold)
+from .kripke import (BiFrame, FrameError, FrameReport, UnfoldResult,
+                     bi_satisfies, check_frame, frame_from_dict,
+                     induced_frame, load_frame, unfold)
 from .model import (MaskContext, Model, ModelError, SubsetSpace,
                     build_question_tree, build_stream_space, dump_model,
                     load_model, model_from_dict, model_to_dict)
 from .partition import (Bound, ExtractResult, FiltrationResult,
                         PartitionError, PartitionTable,
-                        build_stable_partitions, closure_intersection,
-                        complexity_bound, extract_finite_model, filtrate,
-                        is_stable, ordered_family, point_quotient, remainder,
-                        size_report)
+                        build_stable_partitions, complexity_bound,
+                        extract_finite_model, filtrate, ordered_family,
+                        point_quotient, size_report)
 from .proofs import (CheckOutcome, Proof, ProofError, ProofLine,
                      SoundnessReport, Violation, check_proof, is_tautology,
                      load_proof, proof_from_dict, proof_to_dict,

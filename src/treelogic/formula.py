@@ -12,10 +12,10 @@ import re
 
 __all__ = [
     "Formula", "ParseError", "SchemaError", "SchemaTemplate",
-    "TOP", "BOT", "RESERVED",
+    "TOP", "BOT",
     "atom", "neg", "conj", "box", "know",
     "disj", "implies", "diamond", "poss",
-    "parse", "render", "render_all", "ast_dump", "subformulas", "size",
+    "parse", "render", "ast_dump", "subformulas", "size",
     "atom_names",
     "SCHEMES", "SYSTEMS", "instantiate", "scheme",
 ]

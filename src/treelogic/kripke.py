@@ -26,9 +26,9 @@ from .model import (Model, SubsetSpace, _cells, _check_atom_name,
                     _checked_valuation, _read_json, _strings)
 
 __all__ = [
-    "FrameError", "BiFrame", "CheckResult", "FrameReport", "check_frame",
-    "ClassOrder", "class_order", "bi_satisfies", "UnfoldResult", "unfold",
-    "induced_frame", "load_frame", "frame_from_dict",
+    "FrameError", "BiFrame", "FrameReport", "check_frame", "bi_satisfies",
+    "UnfoldResult", "unfold", "induced_frame", "load_frame",
+    "frame_from_dict",
 ]
 
 
@@ -188,12 +188,6 @@ class BiFrame:
         states = self.states
         return frozenset(states[i] for i in _bits(m))
 
-    def box_successors(self, s) -> frozenset:
-        return self._ids(self._box_rows[self._index[s]])
-
-    def k_class(self, s) -> frozenset:
-        return self._ids(self._k_rows[self._index[s]])
-
     def __repr__(self):
         box = sum(row.bit_count() for row in self._box_rows)
         k = sum(row.bit_count() for row in self._k_rows)
@@ -348,46 +342,7 @@ def check_frame(frame: BiFrame) -> FrameReport:
 
 
 # ---------------------------------------------------------------------------
-# class order and unfolding
-
-class ClassOrder:
-    """K-classes of a frame with the induced order between them.
-
-    One class sits below another when some state of the upper class
-    refines into a state of the lower one.  ``up[i]`` is the mask of the
-    class positions j with ``le(classes[i], classes[j])``.
-    """
-
-    def __init__(self, classes, up):
-        self.classes = tuple(classes)
-        self._up = tuple(up)
-        self._pos = {c: i for i, c in enumerate(self.classes)}
-
-    def le(self, c1: frozenset, c2: frozenset) -> bool:
-        i, j = self._pos.get(c1), self._pos.get(c2)
-        return i is not None and j is not None and bool(self._up[i] >> j & 1)
-
-
-def _class_masks(frame: BiFrame):
-    """Each k-class as a state mask, least state first, and its up-set."""
-    masks = sorted(frame._class_images, key=lambda m: (m & -m, m))
-    images = [frame._class_images[m] for m in masks]
-    up = []
-    for m in masks:
-        above = 0
-        for j, img in enumerate(images):
-            if img & m:
-                above |= 1 << j
-        up.append(above)
-    return masks, up
-
-
-def class_order(frame: BiFrame) -> ClassOrder:
-    masks, up = _class_masks(frame)
-    if not masks[0]:
-        raise FrameError("a state has an empty k-class")
-    return ClassOrder(map(frame._ids, masks), up)
-
+# unfolding
 
 class UnfoldResult:
     """Treelike model produced from a frame, with its bookkeeping.
@@ -464,12 +419,15 @@ def unfold(frame: BiFrame, root) -> UnfoldResult:
     # goes down the order.  Two states of one class that a state refines
     # into are comparable, box being connected, and so equal by
     # box_k_identity.  So none of these is checked again here.
-    masks, up = _class_masks(frame)
+
+    # the k-classes as state masks, least state first, and their box images
+    masks = sorted(frame._class_images, key=lambda m: (m & -m, m))
+    images = [frame._class_images[m] for m in masks]
     x_mask = k[frame._index[root]]
 
     # the carrier of a class: the points of X refining into one of its states
     cols = frame._box_cols
-    carrier_masks = [x_mask & _image(cols, m) for m in masks]
+    carriers = [x_mask & _image(cols, m) for m in masks]
 
     # point i of the model is the i-th state of the root's class, so a
     # state mask moves onto the model's points bit by bit
@@ -480,10 +438,11 @@ def unfold(frame: BiFrame, root) -> UnfoldResult:
 
     cells = {}
     names = {}      # the model's open masks -> their names
-    for i, m in enumerate(masks):
-        # split the carrier by membership in the carriers of the classes above
-        parts = _cells(carrier_masks[i],
-                       map(carrier_masks.__getitem__, _bits(up[i])))
+    for m, carrier in zip(masks, carriers):
+        # split the carrier by membership in the carriers of the classes
+        # above, those with a state refining into a state of this class
+        parts = _cells(carrier, [c for img, c in zip(images, carriers)
+                                 if img & m])
         parts.sort(key=lambda p: p & -p)
         for p in parts:
             # classes come least state first, and the first one names an open

@@ -254,15 +254,6 @@ class SubsetSpace:
         """Every pair of opens is nested or disjoint (see ``_build_tree``)."""
         return self._tree
 
-    def down_set(self, u) -> frozenset:
-        """All opens contained in ``u`` (an open, by name or by set)."""
-        i = self._position(self._resolve(u))
-        if i is None:
-            raise ModelError("down_set expects a member of the open family")
-        w = self.open_masks[i]
-        return frozenset(v for v, m in zip(self.opens, self.open_masks)
-                         if not m & ~w)
-
     def _position(self, u: frozenset):
         """Index of the open with the members ``u``, or None."""
         return self._set_pos.get(u)

@@ -19,10 +19,9 @@ Frozensets are built on access: the public fields of ``PartitionTable``,
 ``FiltrationResult`` and ``ExtractResult`` the first time each is read,
 an ``image`` for its one neighborhood, an output's opens and valuation
 when read.  The size report prints the subformulas in one pass
-(``formula.render_all``).
-``closure_intersection`` and ``remainder`` take and return frozensets;
-``remainder`` scans members and opens as the definition reads, and the
-tests hold the owner pass to it.
+(``formula.render_all``).  The package has no set-level intersection
+closure, remainder or stability test: the tests keep those definitions
+and hold the table's families and owners to them.
 
 ``complexity_bound`` mirrors the growth of that construction:
 conjunction multiplies family sizes, knowledge recloses with truth sets
@@ -41,8 +40,7 @@ from .model import (Model, SubsetSpace, _cells, _open_sort_key,
                     _sorted_masks)
 
 __all__ = [
-    "PartitionError", "closure_intersection", "remainder", "is_stable",
-    "PartitionTable", "build_stable_partitions",
+    "PartitionError", "PartitionTable", "build_stable_partitions",
     "FiltrationResult", "filtrate",
     "point_quotient", "ExtractResult", "extract_finite_model",
     "ordered_family", "Bound", "complexity_bound", "size_report",
@@ -70,51 +68,6 @@ def _close(masks) -> frozenset:
                 closed.add(w)
                 frontier.append(w)
     return frozenset(closed)
-
-
-def closure_intersection(members) -> frozenset:
-    """Smallest superset of ``members`` closed under pairwise intersection."""
-    members = [frozenset(u) for u in members]
-    bit = {p: 1 << i for i, p in enumerate(
-        dict.fromkeys(p for u in members for p in u))}
-    closed = _close(sum(map(bit.__getitem__, u)) for u in members)
-    return frozenset(frozenset(p for p, b in bit.items() if m & b)
-                     for m in closed)
-
-
-def remainder(model: Model, family, u) -> frozenset:
-    """Opens below ``u`` that lie below no family member not above ``u``.
-
-    ``family`` is a collection of subsets of X (members need not be
-    opens); the result is a set of opens.
-    """
-    family = set(frozenset(f) for f in family)
-    u = frozenset(u)
-    if u not in family:
-        raise PartitionError("remainder expects a member of the family")
-    space = model.space
-    w = space._mask(u)
-    others = [space._mask(o) for o in family if not u <= o]
-    return frozenset(v for v, m in zip(space.opens, space.open_masks)
-                     if not m & ~w and all(m & ~o for o in others))
-
-
-def is_stable(model: Model, opens_subset, f: Formula) -> bool:
-    """No point flips its verdict on ``f`` across the given opens.
-
-    Quantifies over the opens of the group that contain the point;
-    points lying in none of them are vacuously stable.
-    """
-    group = [frozenset(v) for v in opens_subset]
-    for v in group:
-        if model.space._position(v) is None:
-            raise PartitionError("is_stable expects a set of opens of the model")
-    truths = [model.truth_set(v, f) for v in group]
-    for i in range(len(group)):
-        for j in range(i + 1, len(group)):
-            if truths[i] & group[j] != truths[j] & group[i]:
-                return False
-    return True
 
 
 class PartitionTable:

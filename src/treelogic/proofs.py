@@ -25,7 +25,7 @@ from .model import MaskContext, Model, _read_json, model_to_dict
 __all__ = [
     "ProofError", "ProofLine", "Proof", "CheckOutcome", "check_proof",
     "is_tautology", "proof_from_dict", "proof_to_dict", "load_proof",
-    "Violation", "SoundnessReport", "soundness_suite", "TAUTOLOGY_REPS",
+    "Violation", "SoundnessReport", "soundness_suite",
 ]
 
 

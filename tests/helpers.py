@@ -1,4 +1,8 @@
-"""Shared test utilities: an independent evaluator and corpus generators."""
+"""Shared test utilities: independent references and corpus generators.
+
+The references (``naive_*``) read each definition off public fields and
+frozensets, so the package's code is held to code it does not share.
+"""
 
 import random
 from pathlib import Path
@@ -256,9 +260,52 @@ def naive_check_frame(frame):
             for name, w in found.items()}
 
 
+def naive_box_successors(frame, s):
+    """The states ``s`` refines into, read off the box pairs."""
+    return frozenset(t for a, t in frame.box if a == s)
+
+
+def naive_k_class(frame, s):
+    """The states ``s`` relates to by k, read off the k pairs."""
+    return frozenset(t for a, t in frame.k if a == s)
+
+
 def naive_class_le(frame, c1, c2):
     """c1 sits below c2: some state of c2 refines into a state of c1."""
     return any((s2, s1) in frame.box for s1 in c1 for s2 in c2)
+
+
+def naive_closure(members):
+    """Smallest superset of ``members`` closed under pairwise intersection:
+    add the intersections of every two sets until none is new."""
+    closed = {frozenset(u) for u in members}
+    while True:
+        new = {u & v for u in closed for v in closed} - closed
+        if not new:
+            return frozenset(closed)
+        closed |= new
+
+
+def naive_remainder(model, family, u):
+    """Opens below the member ``u`` of ``family`` that lie below no member
+    not above ``u`` (members are point sets, not necessarily opens)."""
+    family = {frozenset(o) for o in family}
+    u = frozenset(u)
+    if u not in family:
+        raise ValueError("remainder expects a member of the family")
+    return frozenset(v for v in model.space.opens if v <= u
+                     and not any(v <= o for o in family if not u <= o))
+
+
+def naive_is_stable(model, opens, f):
+    """No point flips its verdict on ``f`` (``naive_satisfies``) between
+    two of the given opens that hold it."""
+    group = [frozenset(v) for v in opens]
+    if not set(group) <= set(model.space.opens):
+        raise ValueError("is_stable expects a set of opens of the model")
+    truth = {v: {x for x in v if naive_satisfies(model, x, v, f)}
+             for v in group}
+    return all(truth[v] & w == truth[w] & v for v in group for w in group)
 
 
 def random_raw_frame(rng, max_states=7, atoms=("P", "Q", "R")):

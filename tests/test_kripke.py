@@ -2,18 +2,20 @@ import hashlib
 import json
 import random
 import re
+from itertools import product
 
 import pytest
 
-from helpers import (FIXTURES, naive_check_frame, naive_class_le,
-                     naive_is_treelike, oracle_model, random_raw_frame,
-                     random_treelike_model, same_model)
+from helpers import (FIXTURES, naive_box_successors, naive_check_frame,
+                     naive_class_le, naive_is_treelike, naive_k_class,
+                     oracle_model, random_raw_frame, random_treelike_model,
+                     same_model)
 
-from treelogic import (BiFrame, FrameError, TOP, bi_satisfies, box,
-                       check_frame, class_order, enumerate_spaces,
-                       formula_pool, induced_frame, load_frame, load_model,
-                       parse, unfold)
-from treelogic.kripke import CheckResult
+from treelogic import (BiFrame, FrameError, TOP, atom, bi_satisfies, box,
+                       check_frame, enumerate_spaces, formula_pool,
+                       induced_frame, instantiate, load_frame, load_model,
+                       parse, scheme, unfold)
+from treelogic.kripke import CheckResult, _frame_truth
 
 
 def test_closure_from_generators(fig_frame):
@@ -21,9 +23,9 @@ def test_closure_from_generators(fig_frame):
     assert nonreflexive == {
         ("r1", "t1"), ("r2", "t2"), ("r3", "s1"), ("r3", "t1"),
         ("r4", "s2"), ("r4", "t2"), ("r5", "s3"), ("s1", "t1"), ("s2", "t2")}
-    assert fig_frame.k_class("r1") == frozenset(
+    assert naive_k_class(fig_frame, "r1") == frozenset(
         {"r1", "r2", "r3", "r4", "r5", "r6"})
-    assert fig_frame.k_class("t2") == frozenset({"t1", "t2"})
+    assert naive_k_class(fig_frame, "t2") == frozenset({"t1", "t2"})
 
 
 def test_check_frame_passes_on_fixture(fig_frame):
@@ -50,7 +52,7 @@ def test_check_frame_flags_cross_violation():
     report = check_frame(frame)
     assert not report.result("cross_property").passed
     s, s2, t = report.result("cross_property").witness
-    assert (s, s2) in frame.box and t in frame.k_class(s2)
+    assert (s, s2) in frame.box and t in naive_k_class(frame, s2)
 
 
 def test_check_frame_flags_identity_and_persistence():
@@ -62,13 +64,40 @@ def test_check_frame_flags_identity_and_persistence():
     assert not check_frame(fading).result("atom_persistence").passed
 
 
+def _assert_opens_follow_class_order(frame, root):
+    """Unfold from ``root`` and check each class's opens against the
+    pairwise class order: the open of class c holding the point t is the
+    set of points of c's carrier that lie in the carriers of the same
+    classes above c as t.  A carrier is the points of the root's class
+    refining into a state of the class."""
+    result = unfold(frame, root)
+    top = naive_k_class(frame, root)
+    classes = {naive_k_class(frame, s) for s in frame.states}
+    carrier = {c: {t for t in top if any((t, s) in frame.box for s in c)}
+               for c in classes}
+    for c in classes:
+        above = [carrier[d] for d in classes if naive_class_le(frame, c, d)]
+        for t in carrier[c]:
+            want = frozenset(x for x in carrier[c]
+                             if all((x in a) == (t in a) for a in above))
+            for s in c:
+                assert result.open_for(t, s) == want, (root, sorted(c), t)
+    return result
+
+
 def test_class_order(fig_frame):
-    order = class_order(fig_frame)
-    assert [sorted(c)[0] for c in order.classes] == ["r1", "s1", "t1"]
-    top = fig_frame.k_class("r1")
-    assert order.le(fig_frame.k_class("t1"), fig_frame.k_class("s1"))
-    assert order.le(fig_frame.k_class("s1"), top)
-    assert not order.le(top, fig_frame.k_class("t1"))
+    classes = sorted({naive_k_class(fig_frame, s) for s in fig_frame.states},
+                     key=min)
+    assert [min(c) for c in classes] == ["r1", "s1", "t1"]
+    top = naive_k_class(fig_frame, "r1")
+    assert naive_class_le(fig_frame, naive_k_class(fig_frame, "t1"),
+                          naive_k_class(fig_frame, "s1"))
+    assert naive_class_le(fig_frame, naive_k_class(fig_frame, "s1"), top)
+    assert not naive_class_le(fig_frame, top, naive_k_class(fig_frame, "t1"))
+    result = _assert_opens_follow_class_order(fig_frame, "r1")
+    # each open is named after the least state of the first class cut into it
+    assert {name[4:name.index(",")] for name in result.model.space.names} \
+        == {min(c) for c in classes}
 
 
 def test_unfold_matches_golden(fig_frame):
@@ -124,7 +153,7 @@ def test_unfold_equivalence_on_fixture(fig_frame):
     result = unfold(fig_frame, "r1")
     model = result.model
     pool = formula_pool(("P",), 2)
-    for t in sorted(fig_frame.k_class("r1")):
+    for t in sorted(naive_k_class(fig_frame, "r1")):
         for s in fig_frame.states:
             if (t, s) not in fig_frame.box:
                 continue
@@ -239,7 +268,7 @@ def unfolding_conditions(max_states):
     for n in range(1, max_states + 1):
         for frame in small_frames(n):
             frames += 1
-            classes = {frame.k_class(s) for s in frame.states}
+            classes = {naive_k_class(frame, s) for s in frame.states}
             le = {(c1, c2) for c1 in classes for c2 in classes
                   if naive_class_le(frame, c1, c2)}
             # a partial order, with or without a generating root
@@ -251,7 +280,7 @@ def unfolding_conditions(max_states):
                 if not _generated_by(frame, root):
                     continue
                 pairs += 1
-                top = frame.k_class(root)
+                top = naive_k_class(frame, root)
                 assert all((c, top) in le for c in classes)
                 for t in top:
                     for c in classes:
@@ -262,6 +291,67 @@ def unfolding_conditions(max_states):
 
 def test_check_frame_and_a_generating_root_imply_the_unfolding_conditions():
     assert unfolding_conditions(4) == (369, 312)
+
+
+def _relations(max_states):
+    """Every relation over 1 to ``max_states`` states, as successor rows,
+    with the states, their index and the identity's rows."""
+    for n in range(1, max_states + 1):
+        states = tuple(f"s{i}" for i in range(n))
+        index = {s: i for i, s in enumerate(states)}
+        identity = [1 << i for i in range(n)]
+        low = (1 << n) - 1
+        for bits in range(1 << n * n):
+            rows = [bits >> n * i & low for i in range(n)]
+            yield states, index, identity, rows
+
+
+def _frame_valid(states, index, box_rows, k_rows, scheme_id) -> bool:
+    """The scheme holds at every state under every valuation of its
+    metavariables, each read as an atom (phi as P, psi as Q) that ranges
+    over all the state sets."""
+    template = scheme(scheme_id)
+    atoms = {"phi": "P", "psi": "Q"}
+    names = [atoms[mv] for mv in sorted(template.metavars)]
+    instance = instantiate(template, {mv: atom(atoms[mv])
+                                      for mv in template.metavars})
+    full = (1 << len(states)) - 1
+    return all(_frame_truth(BiFrame._from_rows(
+        states, index, box_rows, k_rows, dict(zip(names, masks))),
+        instance) == full
+        for masks in product(range(full + 1), repeat=len(names)))
+
+
+def test_one_relation_schemes_match_their_frame_conditions():
+    # the other relation is the identity, on which every scheme about it
+    # holds; each scheme is valid exactly on the frames of its condition
+    seen = {}
+    for states, index, identity, rows in _relations(3):
+        plain = BiFrame._from_rows(states, index, rows, identity, {})
+        report = check_frame(plain)
+        for scheme_id, condition in [(4, "box_reflexive"),
+                                     (5, "box_transitive"),
+                                     (11, "box_connected")]:
+            valid = _frame_valid(states, index, rows, identity, scheme_id)
+            assert valid == report.result(condition).passed, \
+                (scheme_id, rows)
+            seen.setdefault(scheme_id, set()).add(valid)
+        k_frame = BiFrame._from_rows(states, index, identity, rows, {})
+        k = k_frame.k
+        conditions = {
+            7: all((s, s) in k for s in states),
+            8: all((a, c) in k for a, b in k for b2, c in k if b == b2),
+            9: all((b, a) in k for a, b in k),
+        }
+        verdicts = {scheme_id: _frame_valid(states, index, identity, rows,
+                                            scheme_id)
+                    for scheme_id in conditions}
+        assert verdicts == conditions, rows
+        for scheme_id, valid in verdicts.items():
+            seen.setdefault(scheme_id, set()).add(valid)
+        assert check_frame(k_frame).result("k_equivalence").passed == \
+            all(verdicts.values()), rows
+    assert seen == {i: {True, False} for i in (4, 5, 7, 8, 9, 11)}
 
 
 def test_load_frame_rejects_garbage(tmp_path):
@@ -340,31 +430,36 @@ def test_unfold_refuses_alike_with_or_without_a_prior_check():
 
 
 def test_class_order_matches_pairwise_definition():
+    # unfold reads the class order only on the frames it accepts: there the
+    # order is partial with the root's class on top, and each class's opens
+    # are cut by the carriers of the classes above it
     seen = set()
+    unfolded = 0
     for frame in _oracle_frames():
-        if any(not frame.k_class(s) for s in frame.states):
-            with pytest.raises(FrameError, match="empty k-class"):
-                class_order(frame)
+        classes = {naive_k_class(frame, s) for s in frame.states}
+        if frozenset() in classes:
+            with pytest.raises(FrameError, match="structural checks"):
+                unfold(frame, frame.states[0])
             seen.add("empty class")
             continue
-        order = class_order(frame)
-        classes = {frame.k_class(s) for s in frame.states}
-        assert set(order.classes) == classes
-        assert len(order.classes) == len(classes)
-        assert [min(c) for c in order.classes] == \
-            sorted(min(c) for c in order.classes)
         le = {(c1, c2) for c1 in classes for c2 in classes
               if naive_class_le(frame, c1, c2)}
-        assert {(c1, c2) for c1 in classes for c2 in classes
-                if order.le(c1, c2)} == le
         partial = (all((c, c) in le for c in classes)
                    and not any((c2, c1) in le for c1, c2 in le if c1 != c2)
                    and all((c1, c3) in le for c1, c2 in le
                            for c2b, c3 in le if c2b == c2))
-        tops = [c for c in order.classes if all((d, c) in le for d in classes)]
+        tops = [c for c in classes if all((d, c) in le for d in classes)]
         seen.add((partial, bool(tops)))
+        if not check_frame(frame).ok:
+            continue
+        for root in frame.states:
+            if _generated_by(frame, root):
+                assert partial and naive_k_class(frame, root) in tops
+                _assert_opens_follow_class_order(frame, root)
+                unfolded += 1
     assert seen == {"empty class"} | {(a, b) for a in (True, False)
                                       for b in (True, False)}
+    assert unfolded > 800
 
 
 def _closure_models():
@@ -399,8 +494,9 @@ def test_induced_frame_equals_closure_of_generators():
                 for x in u if x in members}
             for a, members in model.valuation.items()}
         for s in frame.states:
-            assert frame.box_successors(s) == closed.box_successors(s)
-            assert frame.k_class(s) == closed.k_class(s)
+            assert naive_box_successors(frame, s) == \
+                naive_box_successors(closed, s)
+            assert naive_k_class(frame, s) == naive_k_class(closed, s)
 
 
 def _frame_record(model) -> str:

@@ -75,7 +75,6 @@ def test_open_tree_agrees_with_pairwise_definitions():
             kids = [opens[c] for c in space.children[i]]
             assert len(set(kids)) == len(kids)
             assert set(kids) == naive_children(space, u)
-            assert space.down_set(u) == {v for v in opens if v <= u}
 
 
 @pytest.mark.parametrize("points, opens, names, message", [
@@ -103,15 +102,6 @@ def test_model_constructor_messages():
     with pytest.raises(ModelError, match="^invalid atom name in valuation"):
         Model(space, {"K": {"a"}})
     assert Model(space, {"A": {"b"}, "B": set()}).atom_masks == {"A": 2, "B": 0}
-
-
-def test_down_set(m1):
-    assert m1.space.down_set(U34) == frozenset(
-        {U34, frozenset({"q3"}), frozenset({"q4"}), frozenset()})
-    assert m1.space.down_set(X) == frozenset(m1.space.opens)
-    assert m1.space.down_set(frozenset()) == frozenset({frozenset()})
-    with pytest.raises(ModelError):
-        m1.space.down_set(frozenset({"q1"}))
 
 
 def test_satisfaction_golden(m1):
@@ -665,7 +655,8 @@ def test_space_from_masks_equals_the_checked_constructor():
             assert got.children == want.children
             assert got.is_treelike() == want.is_treelike()
             assert got.full == want.full and got.index == want.index
-            assert got.down_set(got.names[-1]) == want.down_set(want.names[-1])
+            assert got.open_named(got.names[-1]) == \
+                want.open_named(want.names[-1])
 
 
 def _canonical(value) -> str:

@@ -138,3 +138,78 @@ def test_perfbench_hooks_name_existing_targets():
         if not hasattr(target, attribute):
             missing.append((module, owner, attribute))
     assert missing == []
+
+
+def _package_imports() -> dict:
+    """Module -> the names ``treelogic/__init__`` imports from it."""
+    path = SOURCE / "__init__.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            imported.setdefault(node.module, []).extend(
+                alias.name for alias in node.names)
+    return imported
+
+
+def _declared_exports(tree: ast.Module) -> list:
+    """The strings of a module's ``__all__``, or [] without one."""
+    return next((ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and any(isinstance(t, ast.Name) and t.id == "__all__"
+                         for t in node.targets)), [])
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_exports_are_what_the_package_imports(path):
+    # a name in ``__all__`` that the package does not re-export is public
+    # only in name; a re-exported name missing from ``__all__`` is hidden
+    # from ``from module import *``
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert sorted(_declared_exports(tree)) == \
+        sorted(_package_imports().get(path.stem, []))
+
+
+def _private_reads(tree: ast.Module) -> list:
+    """(line, what) for each import from a ``treelogic`` submodule, each
+    ``_private`` name imported from ``treelogic`` and each ``_private``
+    attribute read (dunders excepted)."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if alias.name.startswith("treelogic.")]
+        elif isinstance(node, ast.ImportFrom) and node.module and \
+                node.module.startswith("treelogic"):
+            if node.module != "treelogic":
+                found.append((node.lineno, node.module))
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if alias.name.startswith("_")]
+        elif isinstance(node, ast.Attribute) and \
+                node.attr.startswith("_") and not node.attr.startswith("__"):
+            found.append((node.lineno, node.attr))
+    return sorted(found)
+
+
+def test_test_references_read_only_the_public_package():
+    # the naive references hold the package's code to the definitions;
+    # reading its submodules or private names would let them share it
+    path = Path(__file__).parent / "helpers.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert _private_reads(tree) == []
+    public = {name for names in _package_imports().values()
+              for name in names}
+    used = {alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "treelogic"
+            for alias in node.names}
+    assert used and used <= public
+
+
+def test_private_read_check_finds_one():
+    tree = ast.parse("import treelogic.model\n"
+                     "from treelogic import atom, _bits\n"
+                     "from treelogic.partition import _close\n"
+                     "x = frame._box_rows\ny = frame.__class__\n")
+    assert _private_reads(tree) == [(1, "treelogic.model"), (2, "_bits"),
+                                    (3, "_close"), (3, "treelogic.partition"),
+                                    (4, "_box_rows")]
