@@ -13,6 +13,7 @@ with 141 (128 + SIGPIPE) and nothing on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -401,9 +402,16 @@ _HANDLERS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # the parser is built on the first call and kept for the process:
+    # building it costs more than answering a small command, and parsing
+    # leaves it as it was (``append`` copies its default list)
+    args = _parser().parse_args(argv)
     try:
         code = _HANDLERS[args.command](args)
         sys.stdout.flush()      # a closed stdout shows here, not at exit

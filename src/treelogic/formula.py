@@ -4,6 +4,15 @@ The AST keeps five primitive constructors (atoms, ~, &, [], K) plus the
 two constants true/false.  Everything else in the surface syntax
 (|, ->, <>, L) is desugared by the parser and re-sugared by the printer,
 so semantic code only ever dispatches on seven node kinds.
+
+The parser makes its tokens in one regular-expression scan and descends
+over their indices, finding each node in the intern table.  The grammar
+reads one token ahead, so the descent stops at the first token that no
+formula can continue with and reports that token's position; a
+character that starts no token is reported first, wherever it stands.
+The descent takes one frame per prefix operator and two per parenthesis
+level, and input nested past the interpreter's recursion limit is a
+ParseError, never a RecursionError.
 """
 
 from __future__ import annotations
@@ -89,20 +98,30 @@ def atom(name: str) -> Formula:
     return Formula(_ATOM, name=name)
 
 
+_interned = Formula._interned
+
+
+def _made(kind: str, left: Formula, right: Formula | None = None) -> Formula:
+    """The node of a connective, found in the intern table before
+    ``Formula`` is called: a dict lookup costs under half a class call."""
+    node = _interned.get((kind, None, id(left), id(right)))
+    return Formula(kind, left=left, right=right) if node is None else node
+
+
 def neg(f: Formula) -> Formula:
-    return Formula(_NOT, left=f)
+    return _made(_NOT, f)
 
 
 def conj(a: Formula, b: Formula) -> Formula:
-    return Formula(_AND, left=a, right=b)
+    return _made(_AND, a, b)
 
 
 def box(f: Formula) -> Formula:
-    return Formula(_BOX, left=f)
+    return _made(_BOX, f)
 
 
 def know(f: Formula) -> Formula:
-    return Formula(_KNOW, left=f)
+    return _made(_KNOW, f)
 
 
 # defined connectives (desugared on construction)
@@ -127,129 +146,112 @@ def poss(f: Formula) -> Formula:
 # ---------------------------------------------------------------------------
 # parsing
 
+# One alternative per token kind, numbered as ``Match.lastindex`` reports
+# it.  Whitespace matches none of them, so ``finditer`` skips it, and every
+# other character that starts no token is a one-character ``_BAD`` token.
 _TOKEN_RE = re.compile(r"""
-    (?P<ws>\s+)
-  | (?P<arrow>->)
-  | (?P<box>\[\])
-  | (?P<diamond><>)
-  | (?P<sym>[~&|()])
-  | (?P<ident>[A-Za-z][A-Za-z0-9_]*)
+    ([A-Za-z][A-Za-z0-9_]*)
+  | (~) | (&) | (\|) | (->) | (\[\]) | (<>) | (\() | (\)) | (\S)
 """, re.VERBOSE)
+(_WORD, _TILDE, _AMP, _BAR, _ARROW, _BOXES, _DIAMOND, _OPEN, _CLOSE, _BAD,
+ _END) = range(1, 12)
+_CONSTANTS = {"true": TOP, "false": BOT}
+_PREFIX = {_TILDE: neg, _BOXES: box, _DIAMOND: diamond, "K": know, "L": poss}
+_NO = id(None)
 
 
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos + 1)
-        pos = m.end()
-        if m.lastgroup == "ws":
-            continue
-        value = m.group()
-        kind = m.lastgroup
-        if kind == "ident":
-            if value in ("true", "false"):
-                kind = "const"
-            elif value in ("K", "L"):
-                kind = "modal"
-        tokens.append((kind, value, m.start() + 1))
-    tokens.append(("eof", "", len(text) + 1))
-    return tokens
+def _unary(tokens, i: int):
+    """The prefix formula that starts at token ``i``, and the index of the
+    token after it.
 
-
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def parse(self) -> Formula:
-        f = self.implication()
-        kind, value, pos = self.peek()
-        if kind != "eof":
-            raise ParseError(f"unexpected {value!r}", pos)
-        return f
-
-    def implication(self) -> Formula:
-        left = self.disjunction()
-        if self.peek()[0] == "arrow":
-            self.next()
-            return implies(left, self.implication())
-        return left
-
-    def disjunction(self) -> Formula:
-        f = self.conjunction()
-        while self.peek()[:2] == ("sym", "|"):
-            self.next()
-            f = disj(f, self.conjunction())
-        return f
-
-    def conjunction(self) -> Formula:
-        f = self.unary()
-        while self.peek()[:2] == ("sym", "&"):
-            self.next()
-            f = conj(f, self.unary())
-        return f
-
-    def unary(self) -> Formula:
-        kind, value, pos = self.peek()
-        if kind == "sym" and value == "~":
-            self.next()
-            return neg(self.unary())
-        if kind == "box":
-            self.next()
-            return box(self.unary())
-        if kind == "diamond":
-            self.next()
-            return diamond(self.unary())
-        if kind == "modal":
-            self.next()
-            operand = self.unary()
-            return know(operand) if value == "K" else poss(operand)
-        return self.primary()
-
-    def primary(self) -> Formula:
-        kind, value, pos = self.next()
-        if kind == "const":
-            return TOP if value == "true" else BOT
-        if kind == "ident":
-            return atom(value)
-        if kind == "sym" and value == "(":
-            f = self.implication()
-            kind, value, pos = self.next()
-            if (kind, value) != ("sym", ")"):
-                raise ParseError("expected ')'", pos)
-            return f
-        if kind == "modal":
-            raise ParseError(
-                f"{value!r} is a reserved modal operator, not an atom, "
-                "and needs an operand", pos)
-        if kind == "eof":
+    One frame per prefix operator and two per parenthesis level (this one
+    and ``_binary``'s), so nesting that runs out of frames is reported at
+    the operator or parenthesis where it did.
+    """
+    g, value, pos = tokens[i]
+    if g == _WORD:
+        if value not in RESERVED:
+            node = _interned.get((_ATOM, value, _NO, _NO))
+            return (atom(value) if node is None else node), i + 1
+        if value in _CONSTANTS:
+            return _CONSTANTS[value], i + 1
+        g = value
+    elif g == _OPEN:
+        try:
+            f, i = _binary(tokens, i + 1)
+        except RecursionError:
+            raise ParseError("formula nests too deeply", pos) from None
+        g, value, pos = tokens[i]
+        if g != _CLOSE:
+            raise ParseError("expected ')'", pos)
+        return f, i + 1
+    op = _PREFIX.get(g)
+    if op is None:
+        if g == _END:
             raise ParseError("unexpected end of input", pos)
         raise ParseError(f"unexpected {value!r}", pos)
+    try:
+        f, i = _unary(tokens, i + 1)
+    except RecursionError:
+        raise ParseError("formula nests too deeply", pos) from None
+    return op(f), i
+
+
+def _binary(tokens, i: int):
+    """The formula that starts at token ``i`` and ends at the first token
+    no connective can take, and that token's index.
+
+    ``->`` chains of ``|`` chains of ``&`` chains of prefix formulas, one
+    loop each; ``->`` groups to the right, so its left operands wait in
+    ``heads`` until the chain ends.
+    """
+    heads = []
+    while True:
+        d = None
+        while True:
+            f, i = _unary(tokens, i)
+            while tokens[i][0] == _AMP:
+                b, i = _unary(tokens, i + 1)
+                f = conj(f, b)
+            d = f if d is None else disj(d, f)
+            if tokens[i][0] != _BAR:
+                break
+            i += 1
+        if tokens[i][0] != _ARROW:
+            break
+        heads.append(d)
+        i += 1
+    for h in reversed(heads):
+        d = implies(h, d)
+    return d, i
 
 
 def parse(text: str) -> Formula:
     """Parse concrete syntax into a desugared Formula.
 
-    The parser recurses once per nesting level; input nested past the
-    interpreter's recursion limit is a ParseError, never a RecursionError.
+    One ``finditer`` scan makes the ``(kind, text, position)`` tokens,
+    and ``_binary`` descends over them.  A character that starts no token
+    is looked for only once the descent has failed, which it must: no
+    rule takes a ``_BAD`` token.  Nesting that runs out of frames before
+    ``_unary`` can name the token is reported at position 1.
     """
-    parser = _Parser(text)
+    tokens = [(m.lastindex, m.group(), m.start() + 1)
+              for m in _TOKEN_RE.finditer(text)]
+    tokens.append((_END, "", len(text) + 1))
     try:
-        return parser.parse()
-    except RecursionError:
-        raise ParseError("formula nests too deeply",
-                         parser.peek()[2]) from None
+        f, i = _binary(tokens, 0)
+        g, value, pos = tokens[i]
+        if g != _END:
+            raise ParseError(f"unexpected {value!r}", pos)
+        return f
+    except (ParseError, RecursionError) as exc:
+        for g, value, pos in tokens:
+            if g == _BAD:
+                raise ParseError(f"unexpected character {value!r}",
+                                 pos) from None
+        if isinstance(exc, ParseError):
+            raise
+        raise ParseError("formula nests too deeply", 1) from None
 
 
 # ---------------------------------------------------------------------------

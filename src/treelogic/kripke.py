@@ -420,14 +420,14 @@ def unfold(frame: BiFrame, root) -> UnfoldResult:
     # into are comparable, box being connected, and so equal by
     # box_k_identity.  So none of these is checked again here.
 
-    # the k-classes as state masks, least state first, and their box images
+    # the k-classes as state masks, least state first, and the states
+    # refining into each; the carrier of a class is the points of X among
+    # these
     masks = sorted(frame._class_images, key=lambda m: (m & -m, m))
-    images = [frame._class_images[m] for m in masks]
-    x_mask = k[frame._index[root]]
-
-    # the carrier of a class: the points of X refining into one of its states
     cols = frame._box_cols
-    carriers = [x_mask & _image(cols, m) for m in masks]
+    preds = [_image(cols, m) for m in masks]
+    x_mask = k[frame._index[root]]
+    carriers = {m: x_mask & pred for m, pred in zip(masks, preds)}
 
     # point i of the model is the i-th state of the root's class, so a
     # state mask moves onto the model's points bit by bit
@@ -438,11 +438,16 @@ def unfold(frame: BiFrame, root) -> UnfoldResult:
 
     cells = {}
     names = {}      # the model's open masks -> their names
-    for m, carrier in zip(masks, carriers):
+    for m, pred in zip(masks, preds):
         # split the carrier by membership in the carriers of the classes
-        # above, those with a state refining into a state of this class
-        parts = _cells(carrier, [c for img, c in zip(images, carriers)
-                                 if img & m])
+        # above, the other classes of the states refining into this one's
+        # (its own carrier splits nothing), taking each class once
+        above, rest = [], pred & ~m
+        while rest:
+            c = k[_low(rest)]
+            above.append(carriers[c])
+            rest &= ~c
+        parts = _cells(carriers[m], above)
         parts.sort(key=lambda p: p & -p)
         for p in parts:
             # classes come least state first, and the first one names an open

@@ -5,11 +5,12 @@ frozensets, so the package's code is held to code it does not share.
 """
 
 import random
+import re
 from pathlib import Path
 
-from treelogic import (Formula, Model, SubsetSpace, atom, box,
-                       build_question_tree, conj, diamond, disj, implies, know,
-                       neg, parse, poss)
+from treelogic import (BOT, TOP, Formula, Model, ParseError, SubsetSpace,
+                       atom, box, build_question_tree, conj, diamond, disj,
+                       implies, know, neg, parse, poss)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -130,6 +131,131 @@ def naive_instantiate(body, substitution):
         return Formula(body.kind, left=left)
     return Formula(body.kind, left=left,
                    right=naive_instantiate(body.right, substitution))
+
+
+_NAIVE_TOKEN_RE = re.compile(r"""
+    (?P<ws>\s+)
+  | (?P<arrow>->)
+  | (?P<box>\[\])
+  | (?P<diamond><>)
+  | (?P<sym>[~&|()])
+  | (?P<ident>[A-Za-z][A-Za-z0-9_]*)
+""", re.VERBOSE)
+
+
+def _naive_tokenize(text):
+    """Every token of ``text`` with its 1-based position, one ``match`` per
+    token, before any parsing: a character that starts no token is the
+    error, wherever it is."""
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _NAIVE_TOKEN_RE.match(text, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {text[pos]!r}", pos + 1)
+        pos = m.end()
+        if m.lastgroup == "ws":
+            continue
+        value = m.group()
+        kind = m.lastgroup
+        if kind == "ident":
+            if value in ("true", "false"):
+                kind = "const"
+            elif value in ("K", "L"):
+                kind = "modal"
+        tokens.append((kind, value, m.start() + 1))
+    tokens.append(("eof", "", len(text) + 1))
+    return tokens
+
+
+class _NaiveParser:
+    """One method per precedence level, read off the grammar: ``->`` (to
+    the right) below ``|`` below ``&`` below the prefix operators."""
+
+    def __init__(self, text):
+        self.tokens = _naive_tokenize(text)
+        self.i = 0
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def next(self):
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def parse(self):
+        f = self.implication()
+        kind, value, pos = self.peek()
+        if kind != "eof":
+            raise ParseError(f"unexpected {value!r}", pos)
+        return f
+
+    def implication(self):
+        left = self.disjunction()
+        if self.peek()[0] == "arrow":
+            self.next()
+            return implies(left, self.implication())
+        return left
+
+    def disjunction(self):
+        f = self.conjunction()
+        while self.peek()[:2] == ("sym", "|"):
+            self.next()
+            f = disj(f, self.conjunction())
+        return f
+
+    def conjunction(self):
+        f = self.unary()
+        while self.peek()[:2] == ("sym", "&"):
+            self.next()
+            f = conj(f, self.unary())
+        return f
+
+    def unary(self):
+        kind, value, pos = self.peek()
+        if kind == "sym" and value == "~":
+            self.next()
+            return neg(self.unary())
+        if kind == "box":
+            self.next()
+            return box(self.unary())
+        if kind == "diamond":
+            self.next()
+            return diamond(self.unary())
+        if kind == "modal":
+            self.next()
+            operand = self.unary()
+            return know(operand) if value == "K" else poss(operand)
+        return self.primary()
+
+    def primary(self):
+        kind, value, pos = self.next()
+        if kind == "const":
+            return TOP if value == "true" else BOT
+        if kind == "ident":
+            return atom(value)
+        if kind == "sym" and value == "(":
+            f = self.implication()
+            kind, value, pos = self.next()
+            if (kind, value) != ("sym", ")"):
+                raise ParseError("expected ')'", pos)
+            return f
+        if kind == "eof":
+            raise ParseError("unexpected end of input", pos)
+        raise ParseError(f"unexpected {value!r}", pos)
+
+
+def naive_parse(text):
+    """Reference parser for ``treelogic.parse``: tokens first, then plain
+    recursive descent through the public constructors.  Input nested past
+    the recursion limit is a ParseError, as in the package."""
+    parser = _NaiveParser(text)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise ParseError("formula nests too deeply",
+                         parser.peek()[2]) from None
 
 
 def naive_is_treelike(space):

@@ -202,6 +202,38 @@ def test_build_commands(tmp_path, capsys):
     assert code == 2 and "depth 20 exceeds the limit of 12" in err
 
 
+def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
+    # the parser is built once per process, and a call leaves nothing in
+    # it for the next: each file holds its own questions only, and a
+    # usage error does not stop the next command from answering
+    built, build = [], cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    questions = {"first.json": ["Q1=q1,q2", "Q2=q2,q3"],
+                 "second.json": ["Q3=q4"]}
+    for name, asked in questions.items():
+        argv = ["build-oracle", "--points", "q1,q2,q3,q4",
+                "-o", str(tmp_path / name)]
+        for q in asked:
+            argv += ["--question", q]
+        assert run(capsys, *argv)[0] == 0
+    for name, asked in questions.items():
+        valuation = load_model(tmp_path / name).valuation
+        assert sorted(valuation) == [q.split("=")[0] for q in asked]
+    with pytest.raises(SystemExit) as exit_info:
+        main(["sat", "--max-points", "x", "A"])
+    assert exit_info.value.code == 2
+    capsys.readouterr()
+    assert run(capsys, "parse", "A&B") == (0, "A & B\n", "")
+    assert run(capsys, "build-oracle", "--points", "p", "-o",
+               str(tmp_path / "none.json"))[0] == 0
+    assert load_model(tmp_path / "none.json").valuation == {}
+    assert built == [1]
+    monkeypatch.undo()
+    assert isinstance(cli.build_parser(), argparse.ArgumentParser)
+
+
 def test_help_lists_flags(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["sat", "--help"])

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from helpers import naive_instantiate, random_formula
+from helpers import naive_instantiate, naive_parse, random_formula
 
 from treelogic import (BOT, TOP, ParseError, SchemaError, ast_dump, atom,
                        atom_names, box, conj, diamond, disj, implies,
@@ -59,6 +59,63 @@ def test_parse_depth_limit_is_a_parse_error():
     for text in ("(" * 900 + "A" + ")" * 900, "~" * 1000 + "A"):
         with pytest.raises(ParseError, match="formula nests too deeply"):
             parse(text)
+
+
+def test_long_connective_chains_are_not_nesting():
+    # a chain of one binary connective is read in a loop, so its length
+    # is not bounded by the recursion limit; -> groups to the right
+    names = [atom(f"A{i}") for i in range(3000)]
+    right = names[-1]
+    for a in reversed(names[:-1]):
+        right = implies(a, right)
+    assert parse(" -> ".join(f"A{i}" for i in range(3000))) is right
+    left = names[0]
+    for a in names[1:]:
+        left = conj(left, a)
+    assert parse(" & ".join(f"A{i}" for i in range(3000))) is left
+
+
+def _parsed(parser, text):
+    """The formula, or the error's message with its position; a formula
+    nested too deeply gives the message alone, its position being the
+    token where the interpreter's frames ran out."""
+    try:
+        return parser(text)
+    except ParseError as exc:
+        deep = "formula nests too deeply"
+        return deep if str(exc).startswith(deep) else (str(exc), exc.position)
+
+
+def test_parse_agrees_with_the_naive_parser():
+    # the one-scan parser against the reference that lists every token
+    # first: renders parse to the same node, and every one-character
+    # insertion, deletion or replacement in them to the same node or to
+    # the same error at the same position
+    rng = random.Random(28)
+    renders = [render(random_formula(rng, ("A", "B", "Kx"), 1 + i % 6))
+               for i in range(3000)]
+    for text in renders:
+        assert parse(text) is naive_parse(text), text
+    alphabet = "AB1_Kx ~&|()-<>[]$\t"
+    mutants = ["", "K", "L", "~", "A K", "(A", "K)", "A | | B", "-> A",
+               "A $", "trueA", "K1 & Kx", "~" * 1000 + "A",
+               "(" * 900 + "A" + ")" * 900]
+    for text in renders[:2500]:
+        j = rng.randrange(len(text) + 1)
+        c = rng.choice(alphabet)
+        mutants.append(rng.choice([text[:j] + c + text[j:],
+                                   text[:j] + text[j + 1:],
+                                   text[:j] + c + text[j + 1:]]))
+    errors = set()
+    for text in mutants:
+        got = _parsed(parse, text)
+        assert got == _parsed(naive_parse, text), text
+        if isinstance(got, tuple):
+            got = got[0]
+        if isinstance(got, str):
+            errors.add(re.sub(r" '.*'| \(at.*", "", got))
+    assert errors == {"unexpected character", "unexpected", "expected",
+                      "unexpected end of input", "formula nests too deeply"}
 
 
 def test_reserved_words_are_not_atoms():

@@ -354,6 +354,34 @@ def test_one_relation_schemes_match_their_frame_conditions():
     assert seen == {i: {True, False} for i in (4, 5, 7, 8, 9, 11)}
 
 
+def test_scheme_ten_matches_the_cross_property():
+    # K []P -> []K P holds everywhere under every valuation exactly when a
+    # box step followed by a k step can be matched by a k step followed by
+    # a box step: every frame of one or two states, and every frame of
+    # three whose box is a preorder, each with every k relation
+    relations = {}
+    for states, index, identity, rows in _relations(3):
+        relations.setdefault(states, (index, identity, []))[2].append(rows)
+    frames, seen = 0, set()
+    for states, (index, identity, all_rows) in relations.items():
+        for box_rows in all_rows:
+            plain = check_frame(BiFrame._from_rows(states, index, box_rows,
+                                                   identity, {}))
+            if len(states) == 3 and not (
+                    plain.result("box_reflexive").passed
+                    and plain.result("box_transitive").passed):
+                continue
+            for k_rows in all_rows:
+                cross = check_frame(BiFrame._from_rows(
+                    states, index, box_rows, k_rows, {})).result(
+                        "cross_property").passed
+                valid = _frame_valid(states, index, box_rows, k_rows, 10)
+                assert valid == cross, (box_rows, k_rows)
+                seen.add(valid)
+                frames += 1
+    assert frames == 15_108 and seen == {True, False}
+
+
 def test_load_frame_rejects_garbage(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"states": ["a"], "box": [["a", "zz"]]}')
