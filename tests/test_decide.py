@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import math
 import random
 import re
@@ -540,3 +542,29 @@ def test_search_is_deterministic():
     bm, bx, bu = b.witness
     assert (ax, au) == (bx, bu)
     assert am.space == bm.space and am.valuation == bm.valuation
+
+
+# the budgets of the decision bytes below: the fixed sweep of use_bound,
+# a point cap, a point and open cap, and a point cap off trees
+PINNED_BUDGETS = [{"use_bound": True}, {"max_points": 3},
+                  {"max_points": 3, "max_opens": 3},
+                  {"max_points": 3, "treelike": False}]
+
+
+def _decision_records():
+    rng = random.Random(29)
+    for _ in range(150):
+        f = random_formula(rng, ("A", "B"), rng.randint(1, 4))
+        for budget in PINNED_BUDGETS:
+            for search in (satisfiable, valid):
+                yield json.dumps(search(f, **budget).to_dict(),
+                                 sort_keys=True)
+
+
+def test_decision_bytes_are_pinned():
+    # sha256 of the verdicts, searched sizes, stats and witnesses, one line
+    # each, joined by newlines; recorded while the sweep still built a
+    # fresh mask context for every model
+    lines = "\n".join(_decision_records())
+    assert hashlib.sha256(lines.encode()).hexdigest() == \
+        "3d0afddfce4727b12d9821fb2c499cf187e84cc9d34463a604398e037b47ec0f"
