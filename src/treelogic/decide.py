@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import time
 from functools import lru_cache
+from itertools import accumulate, product
 from math import comb
 
 from .formula import (BOT, TOP, Formula, atom, box, conj, diamond, know, neg,
@@ -203,17 +204,9 @@ def enumerate_spaces(max_points: int, max_opens=None, atoms=(),
     for a in atoms:
         _check_atom_name(a)
     for space in _family_spaces(max_points, max_opens, treelike):
-        n = len(space.points)
-        for k in range(1 << n * len(atoms)):
-            masks = zip(atoms, _valuation_masks(k, len(atoms), n))
-            yield Model._from_masks(space, dict(masks))
-
-
-def _valuation_masks(k: int, n_atoms: int, n_points: int):
-    """Atom masks of valuation number ``k``; the last atom varies fastest."""
-    full = (1 << n_points) - 1
-    return tuple(k >> n_points * (n_atoms - 1 - j) & full
-                 for j in range(n_atoms))
+        for masks in product(range(1 << len(space.points)),
+                             repeat=len(atoms)):
+            yield Model._from_masks(space, dict(zip(atoms, masks)))
 
 
 # ---------------------------------------------------------------------------
@@ -507,17 +500,17 @@ def satisfiable(formula: Formula, max_points=None, max_opens=None,
                 use_bound: bool = False, treelike: bool = True) -> SatOutcome:
     """Search for a model and neighborhood satisfying ``formula``.
 
-    First sweeps every space within a budget (points ascending, then
-    family shape, then valuation) and returns the first witness.  The
-    budget is the caller's ``max_points``/``max_opens``, or with
-    ``use_bound`` (treelike only, no budget) up to four points and six
-    opens, capped at 20,000 models.  Each model is a one-lane
-    ``MaskContext``, and only the witness becomes a ``Model``, whose own
-    context evaluates the formula again as a re-check.  Off trees
-    a sweep that finds nothing ends unsat_within.  On trees it is followed
-    by exact type saturation: no type is unsat_proved; a type is a witness
-    tree, built from the types' provenance, with ``use_bound``, and under
-    a budget unsat_within with a note that the formula is satisfiable
+    First sweeps every space within a budget (points ascending, then family
+    shape, then valuation) and returns the first witness.  The budget is the
+    caller's ``max_points``/``max_opens``, or with ``use_bound`` (treelike
+    only, no budget) up to four points and six opens, capped at 20,000
+    models.  Each family is one one-lane ``MaskContext``, and each valuation
+    replaces its atom masks for one pass; only the witness becomes a
+    ``Model``, whose own context evaluates the formula again as a re-check.
+    Off trees a sweep that finds nothing ends unsat_within.  On trees it is
+    followed by exact type saturation: no type is unsat_proved; a type is a
+    witness tree, built from the types' provenance, with ``use_bound``, and
+    under a budget unsat_within with a note that the formula is satisfiable
     beyond it; spending ``SATURATION_STEPS`` ends unsat_within.
     """
     post = subformulas(formula)
@@ -531,28 +524,30 @@ def satisfiable(formula: Formula, max_points=None, max_opens=None,
 
     def plain_sweep(max_points, max_opens, model_cap):
         for space in _family_spaces(max_points, max_opens, treelike):
-            n, run = len(space.points), ((space, 1),)
-            sizes = list(map(len, space.opens))
-            for k in range(1 << n * len(atoms)):
+            n, ctx = len(space.points), MaskContext(((space, 1),), ())
+            # the neighborhoods of the opens up to each one
+            reach = list(accumulate(map(len, space.opens)))
+            for masks in product(range(1 << n), repeat=len(atoms)):
                 if stats["models"] == model_cap:
                     return None
                 stats["models"] += 1
-                masks = _valuation_masks(k, len(atoms), n)
+                ctx.vals = vals = dict(zip(atoms, masks))
+                (row,) = ctx._fill(post, [formula])
+                if not row:
+                    stats["neighborhoods"] += reach[-1]
+                    continue
                 # the packed row: open j is slot j, so the lowest bit set
                 # lies in the first open where the formula holds
-                (row,) = MaskContext(run, zip(atoms, masks))._fill(
-                    post, [formula])
-                j = ((row & -row).bit_length() - 1) // n if row else len(sizes)
-                stats["neighborhoods"] += sum(sizes[:j + 1])
-                if row:
-                    model = Model._from_masks(space, dict(zip(atoms, masks)))
-                    # a re-check: the witness's own context evaluates the
-                    # formula again from the model's masks
-                    if model._ctx._fill(post, [formula]) != [row]:
-                        raise AssertionError("the witness does not hold in "
-                                             "the returned model")
-                    return _witness(model, row >> j * n & (1 << n) - 1,
-                                    space.opens[j])
+                j = ((row & -row).bit_length() - 1) // n
+                stats["neighborhoods"] += reach[j]
+                model = Model._from_masks(space, vals)
+                # a re-check: the witness's own context evaluates the
+                # formula again from the model's masks
+                if model._ctx._fill(post, [formula]) != [row]:
+                    raise AssertionError("the witness does not hold in "
+                                         "the returned model")
+                return _witness(model, row >> j * n & (1 << n) - 1,
+                                space.opens[j])
         return None
 
     if use_bound:

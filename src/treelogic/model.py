@@ -5,34 +5,35 @@ O containing X; formulas are evaluated at neighborhoods (x, U) with
 x in U in O.  K quantifies over the points of the current open, [] over
 the opens shrinking the current one around the current point.
 
-Each space numbers its points once, at construction, keeps every open
-as a bitmask in that order, sorts the opens largest first, and links
-them into their inclusion tree (each open's maximal strict sub-opens);
-each model numbers its atoms the same way.  Truth is computed here, by
-the mask engine at the bottom: a bitset evaluator over those masks with
-one path, ``MaskContext.rows``.  It makes one bottom-up pass over a
+Each space numbers its points once, at construction, keeps every open as
+a bitmask in that order, sorts the opens largest first, and links them
+into their inclusion tree (each open's maximal strict sub-opens); each
+model numbers its atoms the same way.  Truth is computed here, by the
+mask engine at the bottom: a bitset evaluator over those masks with one
+path, ``MaskContext.rows``.  It makes one bottom-up pass over a
 children-first list of subformulas and fills each at every open (and at
 any carriers that are not opens), evaluating ``[]`` over the opens from
 the smallest up, since ``[]phi`` at U is ``phi`` at U together with
-``[]phi`` at the child of U around the point.
-``MaskContext.truth`` reads one formula's row off that pass and keeps
-that row alone, replacing the last one.  Each model keeps one mask
-context, built on first use, and ``Model.satisfies``, ``truth_set``,
-``truth_in`` and ``is_valid`` are each one call on it, so a truth table
-over all opens evaluates the formula once and turns each open's mask
-into a point set by its set bits.  The partition layer runs ``rows`` on
-the same context with its family members as carriers.  The soundness
-harness runs the pass over many formulas at once through
-``first_failure``; the decision sweep runs it once per model, and its
-witness model evaluates the formula again as a re-check.  The engine is
+``[]phi`` at the child of U around the point.  ``MaskContext.truth``
+reads one formula's row off that pass and keeps that row alone,
+replacing the last one.  Each model keeps one mask context, built on
+first use, and ``Model.satisfies``, ``truth_set``, ``truth_in`` and
+``is_valid`` are each one call on it, so a truth table over all opens
+evaluates the formula once and turns each open's mask into a point set
+by its set bits.  The partition layer runs ``rows`` on the same context
+with its family members as carriers.  The soundness harness runs the
+pass over many formulas at once through ``first_failure``.  The decision
+sweep runs one pass per model, on one context per open family whose atom
+masks it replaces between passes, and its witness model evaluates the
+formula again on a context of its own as a re-check.  The engine is
 bit-sliced: each lane of one int is an n-bit copy of a model, and a
-context evaluates all its lanes at once.  Its lanes come in runs,
-one per open family, each lane as wide as the widest family, and its
-slot j is open j of each lane's family, so one context can hold many
-valuations of many families of any point counts; a context over a single
-model is the one-lane case.  A formula's truth row holds all slots in
-one int, one after another, so every connective but ``[]`` costs one
-int operation per subformula.  ``[]`` walks the union of the families'
+context evaluates all its lanes at once.  Its lanes come in runs, one
+per open family, each lane as wide as the widest family, and its slot j
+is open j of each lane's family, so one context can hold many valuations
+of many families of any point counts; a context over a single model is
+the one-lane case.  A formula's truth row holds all slots in one int,
+one after another, so every connective but ``[]`` costs one int
+operation per subformula.  ``[]`` walks the union of the families'
 children, which is exact only when the families are trees, so only
 treelike families share a context.  Tests check the engine against the
 independent evaluator in ``tests/helpers.py``.
@@ -564,8 +565,9 @@ class MaskContext:
 
     Slot j is, in each lane, open j of that lane's family in its
     largest-first order, and empty in a lane whose family has fewer opens:
-    ``wide[j]`` is the slot in every lane.  ``kids[j]`` lists the slots
-    that are children of slot j in some family of the context.
+    ``wide[j]`` is the slot in every lane.  ``parents`` pairs each slot
+    that is a parent in some family of the context with the slots that
+    are its children in any of them, the last slot first.
 
     A truth row is one int, slot-major: slot j of the row sits at bits
     ``j * S`` on, where ``S = n * lanes``, so the row is ``lanes * len(wide)``
@@ -582,22 +584,23 @@ class MaskContext:
 
     ``[]`` follows the open tree: at an open U, ``[]phi`` is ``phi`` at U
     and, on each child C of U, ``[]phi`` at C.  It cuts its operand's row
-    into slots with shifts and masks and fills them from the last
+    into slots with shifts and masks and fills the parents from the last
     (smallest) to the first, every slot after its children, so evaluation
-    never recurses.  The union of the families' children is exact on
-    trees: in a lane whose family does not have slot c as a child of slot
-    j, open c is disjoint from open j, so it clears no bit there, or
-    strictly inside it, where ``[]phi`` failing at a point of c fails at
-    the child of j around that point as well.  Off trees a later open can
-    partly overlap open j, so a context stacks several families only if
-    all are treelike; a family of any shape can have a context of its own.
+    never recurses; a slot without children keeps ``phi``.  The union of the
+    families' children is exact on trees: in a lane whose family does not
+    have slot c as a child of slot j, open c is disjoint from open j, so it
+    clears no bit there, or strictly inside it, where ``[]phi`` failing at a
+    point of c fails at the child of j around that point as well.  Off trees
+    a later open can partly overlap open j, so a context stacks several
+    families only if all are treelike; a family of any shape can have a
+    context of its own.
 
-    With one run, ``space`` is its family and ``kids`` its ``children``;
-    a stack of several runs has ``space`` None.  ``from_model`` builds the
-    one-lane context of a single model from the masks the space and the
-    model hold; each ``Model`` keeps one, as ``Model._ctx``.  ``rep`` is
-    the lane-replication constant of one slot (bit 0 of every lane set),
-    1 with one lane.
+    With one run, ``space`` is its family and ``parents`` are read off
+    its ``children``; a stack of several runs has ``space`` None.
+    ``from_model`` builds the one-lane context of a single model from the
+    masks the space and the model hold; each ``Model`` keeps one, as
+    ``Model._ctx``.  ``rep`` is the lane-replication constant of one slot
+    (bit 0 of every lane set), 1 with one lane.
 
     ``rows`` is the one evaluator: a bottom-up pass over a children-first
     list of subformulas that returns each root's row cut into slots.
@@ -609,10 +612,22 @@ class MaskContext:
     reads the packed row of that pass (``_fill``) uncut.  ``truth``,
     ``is_valid`` and carriers that are not open read the opens of
     ``space``, so they take a context of one run.
+
+    A context derives its row's constants once, when it is built: ``size``
+    (bits per slot) and ``cell`` (one slot's mask), ``layout`` (the slot
+    shifts, bit 0 of every slot, and the low n - 1 bits and the top bit of
+    every lane of every slot, ``_layout``), ``top`` and ``parents``.  They
+    depend on the families alone, so every pass without carriers reads
+    them; a pass with carriers derives the layout of its wider row by the
+    same ``_layout`` and keeps it to itself.  Nothing a pass reads depends
+    on ``vals`` but the atoms' rows, so ``vals`` may be replaced between
+    ``_fill`` passes, as the decision sweep does for each valuation of a
+    family.  ``cache`` serves only ``truth``: a context whose ``vals``
+    change is never asked for ``truth`` and keeps no row.
     """
 
-    __slots__ = ("n", "lanes", "rep", "full", "space", "wide", "top", "kids",
-                 "vals", "cache")
+    __slots__ = ("n", "lanes", "rep", "full", "space", "wide", "size", "cell",
+                 "layout", "top", "parents", "vals", "cache")
 
     def __init__(self, runs, vals):
         (space, lanes), *more = runs
@@ -645,12 +660,25 @@ class MaskContext:
         self.rep = rep
         self.space = space
         self.wide = wide
-        size = n * lanes
-        self.top = sum(map(int.__lshift__, wide,
-                           range(0, size * len(wide), size)))
-        self.kids = kids
+        self.size = size = n * lanes
+        self.cell = (1 << size) - 1
+        self.layout = self._layout(len(wide))
+        self.top = sum(map(int.__lshift__, wide, self.layout[0]))
+        # children first: each slot that has a child, after its children
+        self.parents = [(j, kids[j]) for j in range(len(wide) - 1, -1, -1)
+                        if kids[j]]
         self.vals = dict(vals)
         self.cache = {}
+
+    def _layout(self, count: int) -> tuple:
+        """The constants of a packed row of ``count`` slots: the slots'
+        shifts, bit 0 of every slot, and the low n - 1 bits and the top bit
+        of every lane of every slot."""
+        bits = self.size * count
+        ones = (1 << bits) - 1
+        lanes = ones // self.full       # bit 0 of every lane of every slot
+        low = lanes * (self.full >> 1)
+        return range(0, bits, self.size), ones // self.cell, low, low + lanes
 
     @classmethod
     def from_model(cls, model: Model) -> "MaskContext":
@@ -668,7 +696,7 @@ class MaskContext:
         i = self.space._pos.get(u_mask)
         if i is None:
             row = self._fill(subformulas(f), [f], [u_mask])[0]
-            return row >> self.n * self.lanes * len(self.wide)
+            return row >> self.size * len(self.wide)
         row = self.cache.get(f)
         if row is None:
             row = self.rows(subformulas(f), [f])[0]
@@ -692,36 +720,27 @@ class MaskContext:
         ``[]phi`` is ``[]phi`` on each nonempty open inside it (a carrier
         is not one of its own refinements).
         """
-        size = self.n * self.lanes
-        cell = (1 << size) - 1
+        size, cell = self.size, self.cell
         shifts = range(0, size * (len(self.wide) + len(carriers)), size)
         return [[r >> s & cell for s in shifts]
                 for r in self._fill(post, roots, carriers)]
 
     def _fill(self, post, roots, carriers=()) -> list:
         """The packed rows of ``roots`` after one pass over ``post``."""
-        n, full = self.n, self.full
-        size = n * self.lanes
-        vals, wide, kids, top = self.vals, self.wide, self.kids, self.top
-        # children first; an empty last slot, if any, stays 0
-        down = range(len(wide) - 1 - (wide[-1] == 0), -1, -1)
+        n, full, cell = self.n, self.full, self.cell
+        vals, wide, top = self.vals, self.wide, self.top
         inside = []
         if carriers:
-            opens = self.space.open_masks
+            size, opens = self.size, self.space.open_masks
             inside = [(len(wide) + c, [i for i, v in enumerate(opens)
                                        if v and not v & ~w])
                       for c, w in enumerate(carriers)]
             wide = wide + [w * self.rep for w in carriers]
             top |= sum(w * self.rep << (len(self.wide) + c) * size
                        for c, w in enumerate(carriers))
-        bits = size * len(wide)
-        cell = (1 << size) - 1
-        shifts = range(0, bits, size)
-        # bit 0 of every slot, and of every lane of every slot
-        slots = ((1 << bits) - 1) // cell
-        lanes = ((1 << bits) - 1) // full
-        low = lanes * (full >> 1)       # the low n-1 bits of every lane
-        high = low + lanes              # the top bit of every lane
+            shifts, slots, low, high = self._layout(len(wide))
+        else:
+            shifts, slots, low, high = self.layout
         row = {}
         for g in post:
             k = g.kind
@@ -749,9 +768,10 @@ class MaskContext:
             else:  # box
                 a = row[g.left]
                 r = [a >> s & cell for s in shifts]
-                for j in down:
+                # a slot without children keeps ``phi``
+                for j, kids in self.parents:
                     out = r[j]
-                    for c in kids[j]:
+                    for c in kids:
                         out &= ~(wide[c] ^ r[c])
                     r[j] = out
                 for j, inner in inside:
@@ -775,8 +795,7 @@ class MaskContext:
         is never cut into slots.
         """
         n, full, top = self.n, self.full, self.top
-        size = n * self.lanes
-        cell = (1 << size) - 1
+        size, cell = self.size, self.cell
         out = []
         for r in self._fill(post, roots):
             found = []

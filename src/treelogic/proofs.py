@@ -419,10 +419,11 @@ LANE_BLOCK_BITS = 1024
 def _packed_valuations(n_atoms: int, n_points: int, width: int) -> list:
     """Each atom's mask under every valuation of ``n_points`` points.
 
-    Valuation k, numbered as ``_valuation_masks`` numbers it, is lane k,
-    bits ``k * width`` on, of each atom's int.  Atom j's mask stays put
-    for ``run`` valuations at a time and steps through every mask, so
-    its int repeats one period of ``run << n_points`` lanes.
+    Valuation k is lane k, bits ``k * width`` on, of each atom's int.  Its
+    atom j's mask is bits ``n_points * (n_atoms - 1 - j)`` on of k, so the
+    last atom varies fastest, as in the decision sweep.  Atom j's mask
+    stays put for ``run`` valuations at a time and steps through every
+    mask, so its int repeats one period of ``run << n_points`` lanes.
     """
     ones = (1 << width) - 1
     out = []

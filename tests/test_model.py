@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from itertools import product
 
 import pytest
 
@@ -16,7 +17,7 @@ from treelogic import (FrameError, MaskContext, Model, ModelError, ProofError,
                        instantiate, know, load_frame, load_model, load_proof,
                        model_from_dict, model_to_dict, neg, parse, poss,
                        render, satisfiable, subformulas, unfold)
-from treelogic.decide import _families
+from treelogic.decide import _families, _family_spaces
 from treelogic.model import MAX_STREAM_DEPTH
 
 X = frozenset({"q1", "q2", "q3", "q4"})
@@ -413,6 +414,68 @@ def test_stacked_rows_match_each_family():
                 assert [t >> lane * n & (1 << n) - 1 for t in row] == one_row
         carried += 1
     assert carried > 10
+
+
+def _nests_modalities(f):
+    # a [] or K with a [] or K inside its operand
+    return any(g.kind in ("box", "know") and any(
+        h.kind in ("box", "know") for h in subformulas(g.left))
+        for g in subformulas(f))
+
+
+def test_a_reused_context_answers_as_fresh_contexts_do():
+    # the decision sweep keeps one context per family and replaces only its
+    # atom masks between passes: every two-atom valuation of every family,
+    # visited in a shuffled order, fills the rows a fresh context over the
+    # same model fills, on trees and off them
+    rng = random.Random(43)
+    roots = []
+    while len(roots) < 30:
+        f = random_formula(rng, ("A", "B"), 4)
+        if _nests_modalities(f):
+            roots.append(f)
+    post = subformulas(*roots)
+    spaces = [*_family_spaces(3, None, True), *_family_spaces(3, 3, False)]
+    for space in spaces:
+        ctx = MaskContext(((space, 1),), ())
+        valuations = list(product(range(1 << len(space.points)), repeat=2))
+        rng.shuffle(valuations)
+        for masks in valuations:
+            ctx.vals = dict(zip(("A", "B"), masks))
+            fresh = MaskContext.from_model(Model._from_masks(space,
+                                                             ctx.vals))
+            assert ctx._fill(post, roots) == fresh._fill(post, roots)
+    # a pass with carriers derives the constants of its wider row for
+    # itself: the passes over the opens before and after it read the
+    # context's own, and every answer agrees with the reference
+    rng = random.Random(47)
+    space = build_stream_space(5).space
+    stream = Model(space, {a: {p for p in space.points if rng.random() < 0.5}
+                           for a in ("A", "B")})
+    formulas = [f for f in (random_formula(rng, ("A", "B", "Q0"), 4)
+                            for _ in range(40)) if _nests_modalities(f)][:4]
+    assert len(formulas) == 4
+    # each open's [] reads its children's: a child left out flips L A
+    formulas += [parse(text) for text in ("[]L A", "K[]L ~B", "<>[]L A")]
+    tree = random_question_model(rng, 12, 4)
+    while len(tree.space.opens) < 12:
+        tree = random_question_model(rng, 12, 4)
+    for model in (stream, tree):
+        space = model.space
+        opens = [u for u in space.opens if u]
+        carriers = {rng.choice(opens) | rng.choice(opens) for _ in range(6)}
+        carriers |= {space.full - u for u in opens[:6]}
+        carriers = [c for c in carriers if c not in set(space.opens)]
+        assert len(carriers) >= 3
+        # each truth_set below fills a new row: the kept one is another
+        # formula's
+        for f in formulas + formulas[:1]:
+            for u in space.opens:
+                assert model.truth_set(u, f) == {
+                    x for x in u if naive_satisfies(model, x, u, f)}
+            for c in carriers:
+                assert model.truth_in(c, f) == {
+                    x for x in c if naive_satisfies(model, x, c, f)}
 
 
 def test_deep_nesting_evaluates():
